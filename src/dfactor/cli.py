@@ -13,6 +13,7 @@ from that guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -392,7 +393,10 @@ def _verb_axioms(args, report, deadline):
     raise _Outcome(EXIT_FALSE, report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; parsing does not change it, so callers must not either."""
     parser = argparse.ArgumentParser(
         prog="dfactor",
         description="Exact d-fold matrix factorizations: verify, rotate, cone, "

@@ -213,22 +213,28 @@ class MatrixMap:
 
 
 def compose(g: MatrixMap, f: MatrixMap) -> MatrixMap:
-    """g after f.  Entry (i,k) = sum_j f[j][k] * g[i][j]."""
+    """g after f.  Entry (i,k) = sum_j f[j][k] * g[i][j].
+
+    Products with a zero factor are skipped; the rest are summed in
+    increasing j.
+    """
     if f.ctx is not g.ctx and f.ctx != g.ctx:
         raise ShapeMismatch("maps from different contexts")
     if f.target != g.source:
         raise ShapeMismatch(f"cannot compose: {f.target} != {g.source}")
     b = f.ctx.backend
+    is_zero, add, mul = b.is_zero, b.add, b.mul
+    f_live = [[(k, e) for k, e in enumerate(row) if not is_zero(e)] for row in f.rows]
     zero = b.zero()
     rows = []
-    for i in range(g.target.rank):
-        row = []
-        for k in range(f.source.rank):
-            acc = zero
-            for j in range(f.target.rank):
-                acc = b.add(acc, b.mul(f.rows[j][k], g.rows[i][j]))
-            row.append(acc)
-        rows.append(tuple(row))
+    for g_row in g.rows:
+        acc = [zero] * f.source.rank
+        for j, gij in enumerate(g_row):
+            if is_zero(gij):
+                continue
+            for k, fjk in f_live[j]:
+                acc[k] = add(acc[k], mul(fjk, gij))
+        rows.append(tuple(acc))
     return MatrixMap(f.ctx, f.source, g.target, tuple(rows))
 
 

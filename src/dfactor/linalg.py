@@ -11,28 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def zeros(m: int, n: int, field):
-    return [[field.zero] * n for _ in range(m)]
-
-
-def identity(n: int, field):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-
-def matmul(a, b, field):
-    m, k = len(a), len(b)
-    n = len(b[0]) if b else 0
-    out = zeros(m, n, field)
-    for i in range(m):
-        for t in range(k):
-            ait = a[i][t]
-            if ait == field.zero:
-                continue
-            for j in range(n):
-                out[i][j] = field.add(out[i][j], field.mul(ait, b[t][j]))
-    return out
-
-
 def rref(mat, field):
     """Row-reduce in place on a copy; returns (rref, pivot_columns)."""
     a = [row[:] for row in mat]
@@ -142,12 +120,3 @@ def kernel_basis(mat, field):
         basis.append(v)
     return basis
 
-
-def invert(mat, field):
-    """Inverse of a square matrix, or None."""
-    n = len(mat)
-    aug = [row[:] + ident_row for row, ident_row in zip(mat, identity(n, field))]
-    red, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red]

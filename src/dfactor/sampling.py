@@ -4,11 +4,21 @@ Everything here is deterministic given the seed (``random.Random``,
 whose algorithm is stable across platforms).  Morphism and graded-hom
 spaces are computed exactly: entries are expanded over a finite field
 basis of the backend (all of it when the backend is finite
-dimensional, a degree-truncated slice otherwise) and the defining
-squares become one field-linear system whose kernel is the space.
+dimensional, a degree-truncated slice otherwise), one unknown per
+(component, row, column, basis element), and the defining squares
+become one field-linear system whose kernel is the space.
+
+The system is assembled from the defect's linear structure.  Each
+block of the defect is ``comp . Q - P . comp`` with fixed maps Q and P
+(the factorizations' maps, or their two-step composites for the
+double squares), computed once per space; an elementary unknown then
+contributes one row of the first term and one column of the second,
+without evaluating the whole defect.
+
 Sampling a random element means drawing a random combination of the
 kernel basis, so samples are valid by construction and re-checked by
-the callers' verifiers.
+the callers' verifiers.  Spaces are not cached across calls, so
+sampling keeps no factorization alive.
 """
 
 from __future__ import annotations
@@ -131,10 +141,6 @@ class GradedSpace:
         self._valid = None
         self._cycles = None
 
-    @property
-    def dim_ambient(self):
-        return len(self.layout)
-
     def decode(self, vec) -> GradedHom:
         comps = []
         pos = 0
@@ -164,100 +170,106 @@ class GradedSpace:
                     out.extend(self._encode_elem(comp.rows[r][c]))
         return out
 
-    def _defect_rows(self, defect_of_elementary):
-        """Constraint matrix columns by evaluating on each unknown."""
+    def _blocks(self, dg: bool):
+        """The defect, one block per i = 1..d, as (ka, Q, kb, P).
+
+        Block i is ``comp_at(a) . Q - P . comp_at(b)`` for double
+        squares (``dg``) and ``P . comp_at(b) - comp_at(a) . Q`` for
+        single squares; ka and kb are the component indices of a and b.
+        Double squares take a = i+2 with the two-step composites of X
+        and Y, single squares a = i+1 with the maps themselves; b = i.
+        """
+        X, Y, n, d = self.X, self.Y, self.degree, self.X.d
+        out = []
+        for i in range(1, d + 1):
+            if dg:
+                a = i + 2
+                Q = compose(X.map_at(i + 1), X.map_at(i))
+                P = compose(Y.map_at(i + n + 1), Y.map_at(i + n))
+            else:
+                a, Q, P = i + 1, X.map_at(i), Y.map_at(i + n)
+            out.append(((a - 1) % d, Q, (i - 1) % d, P))
+        return out
+
+    def _defect_rows(self, dg: bool):
+        """Constraint matrix: one column per unknown, one row per
+        (block, row, column, basis unit) in order of first appearance.
+
+        The defect is linear in the unknowns, so the unknown (k, r, c, b)
+        with value e = base_elems[b] touches only row r of
+        ``comp_at(a) . Q`` (entries ``Q[c][kk] * e``) and column c of
+        ``P . comp_at(b)`` (entries ``e * P[ii][r]``).
+        """
+        backend, field = self.backend, self.field
+        is_zero, mul = backend.is_zero, backend.mul
+        if isinstance(backend, FDAlgebra):
+            def units(entry):
+                return [(t, cf) for t, cf in enumerate(entry) if cf != field.zero]
+        else:
+            def units(entry):
+                return entry.terms
+        blocks = []
+        for ka, Q, kb, P in self._blocks(dg):
+            q_rows = [[(kk, q) for kk, q in enumerate(row) if not is_zero(q)] for row in Q.rows]
+            p_cols = [
+                [(ii, row[r]) for ii, row in enumerate(P.rows) if not is_zero(row[r])]
+                for r in range(P.source.rank)
+            ]
+            blocks.append((ka, q_rows, kb, p_cols))
+        eq, pe = (0, 1) if dg else (1, 0)  # slot of each term in [lhs, rhs]
         rows_index: dict = {}
         cols = []
         for k, r, c, b in self.layout:
-            src, tgt = self.shapes[k]
-            comps = [
-                MatrixMap.zero(self.X.ctx, s, t) for s, t in self.shapes
-            ]
-            grid = [[self.backend.zero()] * src.rank for _ in range(tgt.rank)]
-            grid[r][c] = self.base_elems[b]
-            comps[k] = MatrixMap.make(self.X.ctx, src, tgt, grid)
-            elem = GradedHom(self.X, self.Y, self.degree, tuple(comps))
-            col: dict = {}
-            for block, mat in enumerate(defect_of_elementary(elem)):
-                for i, row in enumerate(mat.rows):
-                    for j, entry in enumerate(row):
-                        if self.backend.is_zero(entry):
-                            continue
-                        if isinstance(self.backend, FDAlgebra):
-                            items = [(t, cf) for t, cf in enumerate(entry) if cf != self.field.zero]
-                        else:
-                            items = list(entry.terms)
-                        for unit, cf in items:
-                            key = (block, i, j, unit)
-                            idx = rows_index.setdefault(key, len(rows_index))
-                            col[idx] = self.field.add(col.get(idx, self.field.zero), cf)
+            e = self.base_elems[b]
+            col = {}
+            for block, (ka, q_rows, kb, p_cols) in enumerate(blocks):
+                terms: dict = {}  # position -> [lhs, rhs], None for a zero term
+                if ka == k:
+                    for kk, q in q_rows[c]:
+                        terms.setdefault((r, kk), [None, None])[eq] = mul(q, e)
+                if kb == k:
+                    for ii, p in p_cols[r]:
+                        terms.setdefault((ii, c), [None, None])[pe] = mul(e, p)
+                for pos in sorted(terms):
+                    lhs, rhs = terms[pos]
+                    if rhs is None:
+                        entry = lhs
+                    elif lhs is None:
+                        entry = backend.neg(rhs)
+                    else:
+                        entry = backend.sub(lhs, rhs)
+                    if is_zero(entry):
+                        continue
+                    for unit, cf in units(entry):
+                        col[rows_index.setdefault((block, *pos, unit), len(rows_index))] = cf
             cols.append(col)
-        nrows = len(rows_index)
-        mat = [[self.field.zero] * len(cols) for _ in range(nrows)]
+        mat = [[field.zero] * len(cols) for _ in range(len(rows_index))]
         for jcol, col in enumerate(cols):
             for irow, cf in col.items():
                 mat[irow][jcol] = cf
         return mat
 
-    def _dg_defect(self, elem: GradedHom):
-        X, Y, n = self.X, self.Y, self.degree
-        out = []
-        for i in range(1, X.d + 1):
-            lhs = compose(elem.comp_at(i + 2), compose(X.map_at(i + 1), X.map_at(i)))
-            rhs = compose(compose(Y.map_at(i + n + 1), Y.map_at(i + n)), elem.comp_at(i))
-            out.append(lhs - rhs)
-        return out
-
-    def _square_defect(self, elem: GradedHom):
-        X, Y = self.X, self.Y
-        out = []
-        for i in range(1, X.d + 1):
-            lhs = compose(Y.map_at(i + self.degree), elem.comp_at(i))
-            rhs = compose(elem.comp_at(i + 1), X.map_at(i))
-            out.append(lhs - rhs)
-        return out
+    def _kernel(self, dg: bool):
+        if not self.layout:
+            return []
+        mat = self._defect_rows(dg) or [[self.field.zero] * len(self.layout)]
+        return [self.decode(v) for v in linalg.kernel_basis(mat, self.field)]
 
     def valid_basis(self):
         if self._valid is None:
-            if not self.layout:
-                self._valid = []
-            else:
-                mat = self._defect_rows(self._dg_defect)
-                kern = (
-                    linalg.kernel_basis(mat, self.field)
-                    if mat
-                    else linalg.kernel_basis([[self.field.zero] * len(self.layout)], self.field)
-                )
-                self._valid = [self.decode(v) for v in kern]
+            self._valid = self._kernel(dg=True)
         return self._valid
 
     def cycle_basis(self):
         if self.degree != 0:
             raise ValueError("cycles are a degree-0 notion here")
         if self._cycles is None:
-            if not self.layout:
-                self._cycles = []
-            else:
-                mat = self._defect_rows(self._square_defect)
-                kern = (
-                    linalg.kernel_basis(mat, self.field)
-                    if mat
-                    else linalg.kernel_basis([[self.field.zero] * len(self.layout)], self.field)
-                )
-                self._cycles = [self.decode(v) for v in kern]
+            self._cycles = self._kernel(dg=False)
         return self._cycles
 
 
-_SPACE_CACHE: dict = {}
-
-
 def graded_space(X, Y, degree, cap=None) -> GradedSpace:
-    key = (id(X), id(Y), degree, cap)
-    space = _SPACE_CACHE.get(key)
-    if space is None or space.X is not X or space.Y is not Y:
-        space = GradedSpace(X, Y, degree, cap)
-        _SPACE_CACHE[key] = space
-    return space
+    return GradedSpace(X, Y, degree, cap)
 
 
 def morphism_space_basis(X, Y, cap=2):

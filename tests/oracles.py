@@ -70,3 +70,82 @@ def bounded_degree_solvable(rows, rhs, ring, max_deg) -> bool:
         if row[-1] % p:
             return False
     return True
+
+
+def dense_defect_rows(space, dg: bool):
+    """Hom-space constraint matrix by dense evaluation on each unknown.
+
+    The reference definition of ``GradedSpace`` constraint assembly:
+    every elementary unknown becomes a whole graded element, the full
+    defect (double squares when ``dg``, else single squares) is
+    evaluated with ``compose``, and each nonzero coefficient of each
+    block entry becomes a row keyed by (block, row, column, basis unit)
+    in order of first appearance.
+    """
+    from dfactor.context import MatrixMap, compose
+    from dfactor.dg import GradedHom
+    from dfactor.fdalg import FDAlgebra
+
+    X, Y, n = space.X, space.Y, space.degree
+    backend, field = space.backend, space.field
+
+    def dg_defect(elem):
+        out = []
+        for i in range(1, X.d + 1):
+            lhs = compose(elem.comp_at(i + 2), compose(X.map_at(i + 1), X.map_at(i)))
+            rhs = compose(compose(Y.map_at(i + n + 1), Y.map_at(i + n)), elem.comp_at(i))
+            out.append(lhs - rhs)
+        return out
+
+    def square_defect(elem):
+        out = []
+        for i in range(1, X.d + 1):
+            lhs = compose(Y.map_at(i + n), elem.comp_at(i))
+            rhs = compose(elem.comp_at(i + 1), X.map_at(i))
+            out.append(lhs - rhs)
+        return out
+
+    defect = dg_defect if dg else square_defect
+    rows_index: dict = {}
+    cols = []
+    for k, r, c, b in space.layout:
+        src, tgt = space.shapes[k]
+        comps = [MatrixMap.zero(X.ctx, s, t) for s, t in space.shapes]
+        grid = [[backend.zero()] * src.rank for _ in range(tgt.rank)]
+        grid[r][c] = space.base_elems[b]
+        comps[k] = MatrixMap.make(X.ctx, src, tgt, grid)
+        elem = GradedHom(X, Y, n, tuple(comps))
+        col: dict = {}
+        for block, mat in enumerate(defect(elem)):
+            for i, row in enumerate(mat.rows):
+                for j, entry in enumerate(row):
+                    if backend.is_zero(entry):
+                        continue
+                    if isinstance(backend, FDAlgebra):
+                        items = [(t, cf) for t, cf in enumerate(entry) if cf != field.zero]
+                    else:
+                        items = list(entry.terms)
+                    for unit, cf in items:
+                        idx = rows_index.setdefault((block, i, j, unit), len(rows_index))
+                        col[idx] = field.add(col.get(idx, field.zero), cf)
+        cols.append(col)
+    mat = [[field.zero] * len(cols) for _ in range(len(rows_index))]
+    for jcol, col in enumerate(cols):
+        for irow, cf in col.items():
+            mat[irow][jcol] = cf
+    return mat
+
+
+def naive_compose(g, f):
+    """g after f by the textbook triple loop: sum_j f[j][k] * g[i][j]."""
+    b = f.ctx.backend
+    rows = []
+    for i in range(g.target.rank):
+        row = []
+        for k in range(f.source.rank):
+            acc = b.zero()
+            for j in range(f.target.rank):
+                acc = b.add(acc, b.mul(f.rows[j][k], g.rows[i][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return rows

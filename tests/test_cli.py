@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from dfactor.cli import main
+import pytest
+
+from dfactor.cli import build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -276,6 +278,33 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "verified"
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path):
+    assert build_parser() is build_parser()
+    ctx, classical = str(FIXTURES / "ctx_f7xy_xy.json"), str(FIXTURES / "classical_xy.json")
+    calls = [
+        ["axioms", "--ctx", ctx, "--seed", "3", "--trials", "2", "--d", "4"],
+        ["verify", classical],
+    ]
+    fresh = []
+    for i, argv in enumerate(calls):
+        out = tmp_path / f"fresh{i}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dfactor.cli", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        fresh.append((proc.returncode, out.read_bytes()))
+    in_process = []
+    for i, argv in enumerate(calls):
+        if i:
+            with pytest.raises(SystemExit) as usage_error:
+                main(["verify", classical, "--no-such-flag"])
+            assert usage_error.value.code == 2
+        out = tmp_path / f"in{i}.json"
+        in_process.append((main([*argv, "--out", str(out)]), out.read_bytes()))
+    assert in_process == fresh
 
 
 def test_odd_d_requires_flag(tmp_path, capsys):

@@ -1,0 +1,147 @@
+"""Hom-space assembly: the constraint matrix, its cost, and compose."""
+
+import gc
+import json
+import random
+import weakref
+from pathlib import Path
+
+import pytest
+
+from dfactor import linalg, sampling
+from dfactor.context import Context, FreeObj, MatrixMap, compose, eta_map
+from dfactor.factorization import make_factorization
+from dfactor.schemas import backend_from_json, context_from_json
+from dfactor.sampling import GradedSpace, _cap_for, make_pool, random_element, random_morphism
+from tests.oracles import dense_defect_rows, naive_compose
+from tests.test_factorization import ctx_with, mk_fact
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _fixture(name):
+    return json.loads((FIXTURES / name).read_text())
+
+
+def _quantum():
+    ctx = context_from_json(_fixture("quantum_context.json"))
+    obj = FreeObj.of(1)
+
+    def seeds(d):
+        # (eta, id, ..., id): w then identities round the cycle
+        objects = [obj] + [obj.twist(1)] * (d - 1)
+        maps = [eta_map(obj, ctx)] + [MatrixMap.identity(ctx, obj.twist(1))] * (d - 1)
+        return [make_factorization(ctx, d, objects, maps)]
+
+    return ctx, seeds
+
+
+def _quotient():
+    ring = backend_from_json(_fixture("ring_f7xy_mod_xy.json"))
+    ctx = Context(ring, eta=ring.parse("x^2 + y^2"))
+    pair = [[["x", "y"], ["-y", "x"]], [["x", "-y"], ["y", "x"]]]
+
+    def seeds(d):
+        if d == 2:
+            return [mk_fact(ctx, 2, [[["x + y"]], [["x + y"]]]), mk_fact(ctx, 2, pair)]
+        return [mk_fact(ctx, 4, [[["x + y"]], [["x + y"]], [["1"]], [["1"]]])]
+
+    return ctx, seeds
+
+
+def _polynomial(eta):
+    return lambda: (ctx_with(eta), lambda d: [])
+
+
+CONTEXTS = {
+    "f7xy_xy": _polynomial("x*y"),
+    "f7xy_sos": _polynomial("x^2 + y^2"),
+    "f7xy_mod_xy": _quotient,
+    "quantum": _quantum,
+}
+
+
+def _reference_basis(space, dg):
+    mat = dense_defect_rows(space, dg) or [[space.field.zero] * len(space.layout)]
+    return [space.decode(v) for v in linalg.kernel_basis(mat, space.field)]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_constraint_matrix_matches_dense_evaluation(name, d):
+    ctx, seeds = CONTEXTS[name]()
+    pool = make_pool(ctx, d, seeds(d), max_rank=4)
+    rng = random.Random(2024 + d)
+    checked = 0
+    for _ in range(3):
+        X = pool.random_factorization(rng, steps=2)
+        Y = pool.random_factorization(rng, steps=1)
+        for degree in range(-2, 3):
+            space = GradedSpace(X, Y, degree, _cap_for(X, 2))
+            if not space.layout:
+                continue
+            for dg in (True, False) if degree == 0 else (True,):
+                assert space._defect_rows(dg) == dense_defect_rows(space, dg)
+                checked += 1
+            assert repr(space.valid_basis()) == repr(_reference_basis(space, True))
+            if degree == 0:
+                assert repr(space.cycle_basis()) == repr(_reference_basis(space, False))
+    assert checked >= 10
+
+
+@pytest.mark.parametrize(
+    "d,maps",
+    [
+        (2, [[["x", "y"], ["-y", "x"]], [["x", "-y"], ["y", "x"]]]),
+        (4, [[["x"]], [["y"]], [["1"]], [["1"]]]),
+    ],
+)
+def test_assembly_composes_only_the_fixed_maps(monkeypatch, d, maps):
+    X = mk_fact(ctx_with("x^2 + y^2" if d == 2 else "x*y"), d, maps)
+    calls = []
+
+    def counting(g, f):
+        calls.append(1)
+        return compose(g, f)
+
+    monkeypatch.setattr(sampling, "compose", counting)
+    space = GradedSpace(X, X, 0, cap=2)
+    assert len(space.layout) >= 24
+    assert space.valid_basis()
+    assert len(calls) <= 2 * d
+    calls.clear()
+    assert space.cycle_basis()
+    assert calls == []
+
+
+def test_sampling_keeps_no_factorization_alive():
+    X = mk_fact(ctx_with("x*y"), 2, [[["x"]], [["y"]]])
+    ref = weakref.ref(X)
+    phi = random_morphism(random.Random(5), X, X)
+    assert phi.source is X
+    del X, phi
+    gc.collect()
+    assert ref() is None
+
+
+def _sparse_map(rng, ctx, src, tgt):
+    backend = ctx.backend
+    rows = [
+        [random_element(rng, backend) if rng.random() < 0.4 else backend.zero()
+         for _ in range(src.rank)]
+        for _ in range(tgt.rank)
+    ]
+    return MatrixMap.make(ctx, src, tgt, rows)
+
+
+@pytest.mark.parametrize("name", ["quantum", "f7xy_mod_xy"])
+def test_compose_matches_triple_loop(name):
+    ctx, _ = CONTEXTS[name]()
+    rng = random.Random(11)
+    for _ in range(60):
+        a, b, c = (FreeObj.of(rng.randint(0, 3)) for _ in range(3))
+        f = _sparse_map(rng, ctx, a, b)
+        g = _sparse_map(rng, ctx, b, c)
+        h = compose(g, f)
+        assert (h.source, h.target) == (a, c)
+        assert h.rows == tuple(naive_compose(g, f))
