@@ -33,7 +33,7 @@ class KernelOps(NamedTuple):
 
 
 def _pure_ops(field, order) -> KernelOps:
-    key = order.key
+    key, heap_key = order.key, order.heap_key
     return KernelOps(
         name="pure",
         add=lambda a, b: pure.add(a, b, field, key),
@@ -42,7 +42,7 @@ def _pure_ops(field, order) -> KernelOps:
         shift=lambda a, m, c: pure.shift(a, m, c, field),
         mul=lambda a, b: pure.mul(a, b, field, key),
         divmod_basis=lambda f, basis, want_quotients=False: pure.divmod_basis(
-            f, basis, field, key, want_quotients
+            f, basis, field, heap_key, want_quotients
         ),
     )
 

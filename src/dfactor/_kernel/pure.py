@@ -8,24 +8,33 @@ fields; this module is the fallback and the only implementation used
 over the rationals.
 
 ``key`` arguments are monomial sort keys (bigger key = bigger
-monomial); they come from :class:`dfactor.rings.MonomialOrder`.
+monomial) and ``heap_key`` arguments their descending twins (smaller
+heap key = bigger monomial); both come from
+:class:`dfactor.rings.MonomialOrder`.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from operator import add as _iadd, le as _ile, sub as _isub
+
 
 def mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_iadd, a, b))
 
 
 def mon_divides(a, b):
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(_ile, a, b))
 
 
 def mon_div(b, a):
     """b / a, assuming a divides b."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(_isub, b, a))
+
+
+def mon_lcm(a, b):
+    return tuple(map(max, a, b))
 
 
 def add(ta, tb, field, key):
@@ -87,31 +96,70 @@ def mul(ta, tb, field, key):
     return tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True))
 
 
-def divmod_basis(f, basis, field, key, want_quotients=False):
+def divmod_basis(f, basis, field, heap_key, want_quotients=False):
     """Fully reduce f against a list of term tuples.
 
     Returns ``(remainder, quotients)`` with f = sum(q_i * basis_i) +
     remainder and no remainder term divisible by any basis lead.  The
     quotients are canonical term tuples (or None when not requested).
     Basis elements must be nonzero.
+
+    Heap division (Johnson 1974; Monagan & Pearce 2007): the terms
+    still to be reduced live in a dict keyed by monomial, and a heap of
+    ``heap_key`` values yields the biggest one next.  A term that
+    cancels is dropped from the dict and skipped when the heap reaches
+    it.  Each step divides by the first basis element whose lead
+    divides the current term, exactly as classical division does, so
+    remainder and quotients do not depend on the data structure.
     """
+    leads = [g[0][0] for g in basis]
+    n = len(f)
+    start = 0
+    while start < n:
+        m = f[start][0]
+        if any(all(map(_ile, gm, m)) for gm in leads):
+            break
+        start += 1
+    if start == n:
+        return f, (tuple(() for _ in basis) if want_quotients else None)
+
+    zero = field.zero
+    fmul, fadd, fneg = field.mul, field.add, field.neg
+    invs = [field.inv(g[0][1]) for g in basis]
+    tails = [g[1:] for g in basis]
     quotients = [[] for _ in basis] if want_quotients else None
-    leads = [g[0] for g in basis]
-    rem = []
-    work = f
-    while work:
-        lm, lc = work[0]
-        for gi, (gm, gc) in enumerate(leads):
-            if mon_divides(gm, lm):
-                qmon = mon_div(lm, gm)
-                qc = field.mul(lc, field.inv(gc))
-                work = add(work, shift(basis[gi], qmon, field.neg(qc), field), field, key)
-                if want_quotients:
-                    quotients[gi].append((qmon, qc))
+    rem = list(f[:start])
+    acc = dict(f[start:])
+    heap = [(heap_key(m), m) for m, _ in f[start:]]  # ascending keys: a heap
+    while heap:
+        m = heappop(heap)[1]
+        c = acc.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        for gi, gm in enumerate(leads):
+            if all(map(_ile, gm, m)):
                 break
         else:
-            rem.append(work[0])
-            work = work[1:]
+            rem.append((m, c))
+            continue
+        qmon = tuple(map(_isub, m, gm))
+        qc = fmul(c, invs[gi])
+        nqc = fneg(qc)
+        for tm, tc in tails[gi]:
+            mm = tuple(map(_iadd, tm, qmon))
+            old = acc.get(mm)
+            if old is None:
+                acc[mm] = fmul(tc, nqc)
+                heappush(heap, (heap_key(mm), mm))
+            else:
+                s = fadd(old, fmul(tc, nqc))
+                if s == zero:
+                    del acc[mm]
+                else:
+                    acc[mm] = s
+        if want_quotients:
+            quotients[gi].append((qmon, qc))
+    rem = tuple(rem)
     if want_quotients:
-        return tuple(rem), tuple(tuple(q) for q in quotients)
-    return tuple(rem), None
+        return rem, tuple(map(tuple, quotients))
+    return rem, None

@@ -68,11 +68,14 @@ def _digest(path: str) -> str:
 def _load(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            desc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(desc, dict):
+        raise ParseError(f"{path}: the top level must be a JSON object")
+    return desc
 
 
 def _matrix_json(m, fmt):
@@ -414,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=50)
         p.add_argument("--window", type=int, default=None)
-        p.add_argument("--deadline", type=float, default=60.0, help="seconds per solve")
+        p.add_argument("--deadline", type=float, default=60.0, help="seconds for the whole verb")
         p.add_argument("--d", type=int, default=2)
         p.add_argument("--f", help="reduction element (expression)")
         p.add_argument("--g", help="cyclic generator (expression)")

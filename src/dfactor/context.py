@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ShapeMismatch
+from .errors import ParseError, ShapeMismatch
 from .fdalg import AlgebraMap, CentralElement, FDAlgebra, TwistReport, check_twist_compatibility
 from .rings import QuotientRing
 
@@ -135,6 +135,10 @@ class MatrixMap:
 
     @classmethod
     def from_strings(cls, ctx, source, target, rows) -> "MatrixMap":
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
+        ):
+            raise ParseError("a matrix must be a list of rows, each a list of strings")
         parse = ctx.backend.parse
         return cls.make(
             ctx, source, target, [[parse(e) for e in row] for row in rows]

@@ -20,6 +20,9 @@ from fractions import Fraction
 from .errors import ParseError
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+# Each nesting level costs the recursive descent four frames; this keeps
+# any input well inside the interpreter's recursion limit.
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str):
@@ -52,6 +55,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.alg = alg
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
@@ -112,7 +116,11 @@ class _Parser:
         if kind == "name":
             return self.alg.atom(val)
         if (kind, val) == ("op", "("):
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}")
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             if self.take() != ("op", ")"):
                 raise ParseError("unbalanced parenthesis")
             return value

@@ -573,10 +573,14 @@ def cone_comparison(phi: FactMorphism, phi2: FactMorphism, s: Homotopy):
     lam_inv = morphism(c2.cone, c1.cone, lam_comps(-1))
     ident1 = identity_morphism(c1.cone)
     ident2 = identity_morphism(c2.cone)
-    assert compose_morphisms(lam_inv, lam).components == ident1.components
-    assert compose_morphisms(lam, lam_inv).components == ident2.components
-    assert compose_morphisms(lam, c1.include).components == c2.include.components
-    assert compose_morphisms(c2.project, lam).components == c1.project.components
+    if compose_morphisms(lam_inv, lam).components != ident1.components:
+        raise AssertionError("cone comparison: lambda^-1 . lambda is not the identity")
+    if compose_morphisms(lam, lam_inv).components != ident2.components:
+        raise AssertionError("cone comparison: lambda . lambda^-1 is not the identity")
+    if compose_morphisms(lam, c1.include).components != c2.include.components:
+        raise AssertionError("cone comparison: lambda does not carry i_phi to i_phi2")
+    if compose_morphisms(c2.project, lam).components != c1.project.components:
+        raise AssertionError("cone comparison: pi_phi2 . lambda is not pi_phi")
     return lam, lam_inv
 
 

@@ -184,7 +184,8 @@ def _reduce_ring(X: FactorizationD, f: Poly, length: int, deadline) -> Reduction
     h = outcome.solution[0]
     rbar = ring.extend_ideal([f])
     ctx_bar = Context(rbar, eta=rbar.nf(X.ctx.eta))
-    assert ctx_bar.eta_is_zero, "eta must die in the quotient by f"
+    if not ctx_bar.eta_is_zero:
+        raise AssertionError("eta must die in the quotient by f")
     maps = []
     for m in X.maps:
         rows = [[rbar.nf(e) for e in row] for row in m.rows]

@@ -14,7 +14,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from ._kernel.pure import mon_div, mon_divides
+from ._kernel.pure import mon_div, mon_divides, mon_lcm
 from .errors import DeadlineExceeded
 from .rings import Ambient, Poly, QuotientRing, groebner
 
@@ -50,19 +50,23 @@ def vec_monic(v: Vec) -> Vec:
     return tuple(p.scale(inv) for p in v)
 
 
-def vec_divmod(v: Vec, basis: list[Vec], amb: Ambient, want_combo: bool = False):
+def vec_divmod(
+    v: Vec, basis: list[Vec], amb: Ambient, want_combo: bool = False, leads=None
+):
     """Full reduction of v by basis vectors; positions ascending.
 
     Returns ``(remainder, combo)`` with v = sum(combo_k * basis_k) +
     remainder and no remainder term divisible by a same-position basis
     lead.  ``combo`` entries are term tuples (None unless requested).
+    ``leads``, when given, holds ``vec_lead`` of each basis vector.
     """
     ops = amb.ops
     field = amb.field
     s = len(v)
+    if leads is None:
+        leads = [vec_lead(g) for g in basis]
     groups: dict[int, list] = {}
-    for idx, g in enumerate(basis):
-        lead = vec_lead(g)
+    for idx, (g, lead) in enumerate(zip(basis, leads)):
         if lead is not None:
             groups.setdefault(lead[0], []).append((idx, lead[1], lead[2], g))
     work = [p.terms for p in v]
@@ -108,14 +112,15 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
     """
     key = amb.order.key
     basis = [vec_monic(v) for v in vecs if not vec_is_zero(v)]
+    leads = [vec_lead(v) for v in basis]
 
     pairs: list = []
 
     def push_pair(i, j):
-        li, lj = vec_lead(basis[i]), vec_lead(basis[j])
+        li, lj = leads[i], leads[j]
         if li[0] != lj[0]:
             return
-        lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
+        lcm = mon_lcm(li[1], lj[1])
         heapq.heappush(pairs, ((sum(lcm), key(lcm), li[0], i, j), i, j))
 
     for j in range(len(basis)):
@@ -126,39 +131,37 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("module groebner")
         _, i, j = heapq.heappop(pairs)
-        li, lj = vec_lead(basis[i]), vec_lead(basis[j])
-        lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
+        li, lj = leads[i], leads[j]
+        lcm = mon_lcm(li[1], lj[1])
         left = vec_shift(basis[i], mon_div(lcm, li[1]), amb.field.inv(li[2]))
         right = vec_shift(basis[j], mon_div(lcm, lj[1]), amb.field.neg(amb.field.inv(lj[2])))
         s = vec_add(left, right)
-        rem, _ = vec_divmod(s, basis, amb)
+        rem, _ = vec_divmod(s, basis, amb, leads=leads)
         if not vec_is_zero(rem):
             basis.append(vec_monic(rem))
+            leads.append(vec_lead(basis[-1]))
             j_new = len(basis) - 1
             for i_new in range(j_new):
                 push_pair(i_new, j_new)
 
-    return _reduce_module_basis(basis, amb)
+    return _reduce_module_basis(basis, leads, amb)
 
 
-def _reduce_module_basis(basis, amb):
+def _reduce_module_basis(basis, leads, amb):
     key = amb.order.key
-
-    def lead_rank(v):
-        pos, mon, _ = vec_lead(v)
-        return (pos, key(mon))
-
-    minimal: list = []
-    for g in sorted(basis, key=lambda v: (lead_rank(v)[0], lead_rank(v)[1])):
-        pos, mon, _ = vec_lead(g)
-        if not any(
-            vec_lead(h)[0] == pos and mon_divides(vec_lead(h)[1], mon) for h in minimal
-        ):
-            minimal.append(g)
+    minimal: list = []  # indices into basis
+    for k in sorted(range(len(basis)), key=lambda k: (leads[k][0], key(leads[k][1]))):
+        pos, mon, _ = leads[k]
+        if not any(leads[h][0] == pos and mon_divides(leads[h][1], mon) for h in minimal):
+            minimal.append(k)
     reduced = []
-    for i, g in enumerate(minimal):
-        others = [h for j, h in enumerate(minimal) if j != i]
-        rem, _ = vec_divmod(g, others, amb) if others else (g, None)
+    for k in minimal:
+        others = [h for h in minimal if h != k]
+        rem, _ = (
+            vec_divmod(basis[k], [basis[h] for h in others], amb, leads=[leads[h] for h in others])
+            if others
+            else (basis[k], None)
+        )
         if not vec_is_zero(rem):
             reduced.append(vec_monic(rem))
     # canonical order: biggest lead first (stable two-pass sort)
@@ -170,17 +173,18 @@ def _reduce_module_basis(basis, amb):
 def is_module_groebner(basis, amb) -> bool:
     """Buchberger criterion: every same-position S-vector reduces to 0."""
     basis = list(basis)
+    leads = [vec_lead(v) for v in basis]
     for j in range(len(basis)):
         for i in range(j):
-            li, lj = vec_lead(basis[i]), vec_lead(basis[j])
+            li, lj = leads[i], leads[j]
             if li is None or lj is None or li[0] != lj[0]:
                 continue
-            lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
+            lcm = mon_lcm(li[1], lj[1])
             left = vec_shift(basis[i], mon_div(lcm, li[1]), amb.field.inv(li[2]))
             right = vec_shift(
                 basis[j], mon_div(lcm, lj[1]), amb.field.neg(amb.field.inv(lj[2]))
             )
-            rem, _ = vec_divmod(vec_add(left, right), basis, amb)
+            rem, _ = vec_divmod(vec_add(left, right), basis, amb, leads=leads)
             if not vec_is_zero(rem):
                 return False
     return True
@@ -299,7 +303,8 @@ def colon_ideal(ideal_gens, g: Poly, ring: QuotientRing, deadline: float | None 
         gen_vecs = [(h,) for h in lifted]
         for r in basis:
             coeffs, fail = membership_lift(gen_vecs, (r * g,), amb, deadline=deadline)
-            assert fail is None, "colon generator failed its own membership"
+            if fail is not None:
+                raise AssertionError("colon generator failed its own membership")
             certs.append(coeffs)
     else:
         certs = [() for _ in basis]

@@ -9,10 +9,12 @@ ideal), so equality of ring elements is term-tuple equality.
 from __future__ import annotations
 
 import heapq
+import operator
 import time
 from fractions import Fraction
 
 from . import _kernel
+from ._kernel.pure import mon_div, mon_divides, mon_lcm, mon_mul
 from .errors import DeadlineExceeded, ParseError
 from .fields import GF, QQ, field_from_json, field_to_json
 
@@ -21,13 +23,15 @@ class MonomialOrder:
     """Total, multiplicative, well-founded monomial order.
 
     ``key`` maps an exponent tuple to a sort key; bigger key means
-    bigger monomial.
+    bigger monomial.  ``heap_key`` is its descending twin: smaller heap
+    key means bigger monomial, so a min-heap yields the biggest first.
     """
 
-    def __init__(self, name: str, code: int, key):
+    def __init__(self, name: str, code: int, key, heap_key):
         self.name = name
         self.code = code
         self.key = key
+        self.heap_key = heap_key
 
     def __repr__(self):
         return self.name
@@ -43,12 +47,20 @@ def _grevlex_key(mon):
     return (sum(mon), tuple(-e for e in reversed(mon)))
 
 
+def _grevlex_heap_key(mon):
+    return (-sum(mon), mon[::-1])
+
+
 def _lex_key(mon):
     return mon
 
 
-GREVLEX = MonomialOrder("grevlex", 0, _grevlex_key)
-LEX = MonomialOrder("lex", 1, _lex_key)
+def _lex_heap_key(mon):
+    return tuple(map(operator.neg, mon))
+
+
+GREVLEX = MonomialOrder("grevlex", 0, _grevlex_key, _grevlex_heap_key)
+LEX = MonomialOrder("lex", 1, _lex_key, _lex_heap_key)
 
 _ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
@@ -215,9 +227,7 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     ops = amb.ops
     fm, fc = f.terms[0]
     gm, gc = g.terms[0]
-    lcm = tuple(max(a, b) for a, b in zip(fm, gm))
-    from ._kernel.pure import mon_div
-
+    lcm = mon_lcm(fm, gm)
     left = ops.shift(f.terms, mon_div(lcm, fm), amb.field.inv(fc))
     right = ops.shift(g.terms, mon_div(lcm, gm), amb.field.inv(gc))
     return Poly(amb, ops.add(left, ops.neg(right)))
@@ -230,6 +240,16 @@ def groebner(gens, strategy: str = "normal", deadline: float | None = None):
     degree first); ``strategy="sugar"`` orders pairs by the sugar
     degree instead.  The result is the unique reduced basis for the
     ambient order, sorted with descending lead terms.
+
+    Pairs are installed with the Gebauer–Möller update (Becker &
+    Weispfenning, *Gröbner Bases*, p. 230): a new element's pairs are
+    filtered by the chain and product criteria, queued pairs whose lcm
+    the new lead splits are dropped, and elements whose lead the new
+    lead divides leave the active set G that forms pairs and becomes
+    the basis.  S-polynomials reduce against every element found so
+    far, in the order found, redundant ones included: reduced by G
+    alone, some lex completions over the rationals ran through far
+    longer chains of swollen coefficients.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -243,42 +263,68 @@ def groebner(gens, strategy: str = "normal", deadline: float | None = None):
             basis.append(g.monic())
             sugars.append(g.total_degree())
 
-    pairs: list = []
+    leads = []
+    active: list = []  # G: indices of the non-redundant elements, ascending
+    live: dict = {}  # queued pairs (i, j) -> lcm of their leads; pruned pairs leave
+    pairs: list = []  # heap over the ranks of queued and pruned pairs
 
-    def push_pair(i, j):
-        mi, mj = basis[i].lead_mon, basis[j].lead_mon
-        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-        if lcm == tuple(a + b for a, b in zip(mi, mj)):
-            return  # coprime leads: S-polynomial reduces to zero
+    def push_pair(i, j, lcm):
         deg = sum(lcm)
         if strategy == "sugar":
             sugar = max(
-                sugars[i] + deg - sum(mi),
-                sugars[j] + deg - sum(mj),
+                sugars[i] + deg - sum(leads[i]),
+                sugars[j] + deg - sum(leads[j]),
             )
             rank = (sugar, deg, key(lcm), i, j)
         else:
             rank = (deg, key(lcm), i, j)
+        live[i, j] = lcm
         heapq.heappush(pairs, (rank, i, j))
 
-    for j in range(len(basis)):
-        for i in range(j):
-            push_pair(i, j)
+    def install(h):
+        mh = basis[h].lead_mon
+        leads.append(mh)
+        new = [(g, mon_lcm(leads[g], mh)) for g in active]
+        kept = []
+        for n, (g, lcm) in enumerate(new):
+            coprime = lcm == mon_mul(leads[g], mh)
+            # chain criterion among the new pairs; coprime pairs stay in
+            # ``kept`` to prune others and are dropped below (product criterion)
+            if coprime or not (
+                any(mon_divides(other, lcm) for _, other in new[n + 1 :])
+                or any(mon_divides(other, lcm) for _, other, _ in kept)
+            ):
+                kept.append((g, lcm, coprime))
+        for (i, j), lcm in list(live.items()):
+            if (
+                mon_divides(mh, lcm)
+                and mon_lcm(leads[i], mh) != lcm
+                and mon_lcm(leads[j], mh) != lcm
+            ):
+                del live[i, j]
+        for g, lcm, coprime in kept:
+            if not coprime:
+                push_pair(g, h, lcm)
+        active[:] = [g for g in active if not mon_divides(mh, leads[g])]
+        active.append(h)
+
+    for h in range(len(basis)):
+        install(h)
 
     while pairs:
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("groebner")
         (rank, i, j) = heapq.heappop(pairs)
+        if live.pop((i, j), None) is None:
+            continue
         s = _spoly(basis[i], basis[j])
         rem, _ = amb.ops.divmod_basis(s.terms, [b.terms for b in basis])
         if rem:
             basis.append(Poly(amb, rem).monic())
             sugars.append(rank[0] if strategy == "sugar" else Poly(amb, rem).total_degree())
-            j_new = len(basis) - 1
-            for i_new in range(j_new):
-                push_pair(i_new, j_new)
+            install(len(basis) - 1)
 
-    return _reduce_basis(basis)
+    return _reduce_basis([basis[g] for g in active])
 
 
 def _reduce_basis(basis):
@@ -287,8 +333,6 @@ def _reduce_basis(basis):
     key = amb.order.key
     minimal = []
     for g in sorted(basis, key=lambda b: key(b.lead_mon)):
-        from ._kernel.pure import mon_divides
-
         if not any(mon_divides(h.lead_mon, g.lead_mon) for h in minimal):
             minimal.append(g)
     reduced = []
@@ -404,8 +448,6 @@ class QuotientRing:
         With ``max_degree=None``, returns the full (finite) list or
         None when the quotient is infinite-dimensional over the field.
         """
-        from ._kernel.pure import mon_divides
-
         leads = [b.lead_mon for b in self.ideal.basis]
         n = self.amb.nvars
         if max_degree is None:
@@ -483,11 +525,6 @@ class QuotientRing:
     def __repr__(self):
         gens = ", ".join(map(repr, self.ideal.basis))
         return f"{self.amb.field}[{','.join(self.amb.vars)}]/({gens})"
-
-
-def ring_f7xy() -> QuotientRing:
-    """F_7[x,y]: the workhorse test ring."""
-    return QuotientRing.make(GF(7), ("x", "y"))
 
 
 __all__ = [

@@ -149,3 +149,35 @@ def naive_compose(g, f):
             row.append(acc)
         rows.append(tuple(row))
     return rows
+
+
+def merge_divmod_basis(f, basis, field, key, want_quotients=False):
+    """Classical division: merge the scaled divisor into the whole
+    working polynomial on every step, take the first basis element
+    whose lead divides the leading term.
+
+    The reference for ``_kernel.pure.divmod_basis``; ``key`` is the
+    ascending monomial key of the order.
+    """
+    from dfactor._kernel.pure import add, mon_div, mon_divides, shift
+
+    quotients = [[] for _ in basis] if want_quotients else None
+    leads = [g[0] for g in basis]
+    rem = []
+    work = f
+    while work:
+        lm, lc = work[0]
+        for gi, (gm, gc) in enumerate(leads):
+            if mon_divides(gm, lm):
+                qmon = mon_div(lm, gm)
+                qc = field.mul(lc, field.inv(gc))
+                work = add(work, shift(basis[gi], qmon, field.neg(qc), field), field, key)
+                if want_quotients:
+                    quotients[gi].append((qmon, qc))
+                break
+        else:
+            rem.append(work[0])
+            work = work[1:]
+    if want_quotients:
+        return tuple(rem), tuple(tuple(q) for q in quotients)
+    return tuple(rem), None

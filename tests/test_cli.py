@@ -44,6 +44,35 @@ def test_verify_parse_error_exit_1(tmp_path, capsys):
     assert "error" in report
 
 
+def _assert_parse_error(code, report):
+    assert code == 1
+    assert report["kind"] == "ParseError"
+    assert "error" in report
+
+
+def test_top_level_array_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "array.json"
+    bad.write_text("[1, 2]")
+    _assert_parse_error(*run_cli(["verify", bad], capsys))
+
+
+def test_string_matrix_row_is_parse_error(tmp_path, capsys):
+    # a row written as "xy" must not be read character by character
+    desc = json.loads((FIXTURES / "classical_xy.json").read_text())
+    desc["maps"] = [["xy"], [["1"]]]
+    bad = tmp_path / "string_row.json"
+    bad.write_text(json.dumps(desc))
+    _assert_parse_error(*run_cli(["verify", bad], capsys))
+
+
+def test_deeply_nested_polynomial_is_parse_error(tmp_path, capsys):
+    desc = json.loads((FIXTURES / "classical_xy.json").read_text())
+    desc["maps"][0] = [["(" * 400 + "x" + ")" * 400]]
+    bad = tmp_path / "nested.json"
+    bad.write_text(json.dumps(desc))
+    _assert_parse_error(*run_cli(["verify", bad], capsys))
+
+
 def test_sum_suspend_roundtrip(tmp_path, capsys):
     code, rep = run_cli(
         ["sum", FIXTURES / "classical_xy.json", FIXTURES / "classical_xy.json"], capsys

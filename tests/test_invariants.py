@@ -102,3 +102,19 @@ def test_reductions_satisfy_d_fold_zero_at_scale(eta, f):
             # validate() already enforced the d-fold zero law; re-assert
             red.window.validate()
             assert red.window.nilpotency == d
+
+
+def test_no_assert_statements_in_package():
+    # ``python -O`` strips assert statements, so no verification gate may be one
+    import ast
+    from pathlib import Path
+
+    import dfactor
+
+    package = Path(dfactor.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert not offenders, offenders

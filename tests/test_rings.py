@@ -1,14 +1,19 @@
 """Ring layer: normal forms, Gröbner bases, orders."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfactor import rings
+from dfactor._kernel import pure
 from dfactor.exprs import format_poly, parse_poly
 from dfactor.fields import GF, QQ
 from dfactor.rings import GREVLEX, LEX, Ambient, Ideal, QuotientRing, groebner
+from tests.oracles import merge_divmod_basis
 
 
 @pytest.fixture
@@ -177,3 +182,145 @@ def test_ring_json_roundtrip(R_xy):
     again = QuotientRing.from_json(desc)
     assert again == R_xy
     assert desc["ideal"] == ["x*y"]
+
+
+# -- heap division against the merge reducer ---------------------------------
+
+
+def _random_terms(rng, field, order, max_terms=6, max_exp=3):
+    mons = set()
+    size = rng.randint(0, max_terms)
+    while len(mons) < size:
+        mons.add(tuple(rng.randint(0, max_exp) for _ in range(3)))
+    if field.char:
+        coeffs = [rng.randrange(1, field.char) for _ in mons]
+    else:
+        coeffs = [Fraction(rng.choice((1, 2, 3, -1, -2, -5)), rng.randint(1, 4)) for _ in mons]
+    return tuple(sorted(zip(mons, coeffs), key=lambda t: order.key(t[0]), reverse=True))
+
+
+def _check_division(f, basis, field, order):
+    got = pure.divmod_basis(f, basis, field, order.heap_key, want_quotients=True)
+    assert got == merge_divmod_basis(f, basis, field, order.key, want_quotients=True)
+    assert pure.divmod_basis(f, basis, field, order.heap_key)[0] == got[0]
+    rem, quotients = got
+    recombined = rem
+    for q, g in zip(quotients, basis):
+        recombined = pure.add(recombined, pure.mul(q, g, field, order.key), field, order.key)
+    assert recombined == f
+    leads = [g[0][0] for g in basis]
+    assert not any(pure.mon_divides(gm, m) for m, _ in rem for gm in leads)
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ()], ids=["F7", "Q"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_heap_division_matches_merge_reducer(field, order):
+    rng = random.Random(7001 + 10 * field.char + order.code)
+    for _ in range(300):
+        f = _random_terms(rng, field, order, max_terms=10, max_exp=5)
+        basis = [
+            g
+            for g in (_random_terms(rng, field, order) for _ in range(rng.randint(0, 4)))
+            if g
+        ]  # coefficients are random, so most elements are not monic
+        _check_division(f, basis, field, order)
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ()], ids=["F7", "Q"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_heap_division_edge_cases(field, order):
+    c = field.from_fraction(Fraction(3))
+    x2, xy, y, one = (2, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 0)
+    g = ((y, c), (one, field.one))  # 3*y + 1: not monic
+    _check_division((), [g], field, order)
+    _check_division(((x2, c), (y, c)), [], field, order)
+    _check_division((), [], field, order)
+    # the lead x^2 is irreducible by 3*y + 1; the first reducible term is x*y
+    f = ((x2, field.one), (xy, c), (y, field.one))
+    assert f[0][0] == x2
+    _check_division(f, [g], field, order)
+    rem, quotients = pure.divmod_basis(f, [g], field, order.heap_key, want_quotients=True)
+    assert rem[0] == (x2, field.one) and quotients[0]
+
+
+# -- Gröbner bases against sympy and pinned pair counts ----------------------
+
+_DEG2 = [m for m in itertools.product(range(3), repeat=3) if sum(m) <= 2]
+
+
+def _monic_key(terms, char):
+    return frozenset((m, c % char if char else Fraction(c)) for m, c in terms)
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(101), QQ()], ids=["F7", "F101", "Q"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_groebner_matches_sympy(field, order):
+    sympy = pytest.importorskip("sympy")
+    gens_sym = sympy.symbols("x y z")
+    opts = {"modulus": field.char} if field.char else {"domain": sympy.QQ}
+    amb = Ambient(field, ("x", "y", "z"), order)
+    rng = random.Random(9100 + field.char + order.code)
+    for _ in range(30):
+        raw = []
+        for _ in range(rng.randint(2, 4)):
+            mons = rng.sample(_DEG2, rng.randint(2, 5))
+            raw.append({m: rng.choice((1, 2, 3, -1, -2, -3)) for m in mons})
+        gens = [amb.zero() for _ in raw]
+        for k, terms in enumerate(raw):
+            for m, c in terms.items():
+                gens[k] = gens[k] + amb.monomial(m, c)
+        polys = [sympy.Poly.from_dict(terms, *gens_sym, **opts) for terms in raw]
+        want = sympy.groebner(polys, *gens_sym, order=order.name, **opts)
+        theirs = set()
+        for g in want.polys:
+            g = g.exquo_ground(g.LC(order=order.name))  # Poly.monic would use lex
+            theirs.add(
+                frozenset(
+                    (m, int(c) % field.char if field.char else Fraction(int(c.p), int(c.q)))
+                    for m, c in g.terms()
+                )
+            )
+        for strategy in ("normal", "sugar"):
+            basis = groebner(gens, strategy=strategy)
+            assert all(b.lead_coeff == field.one for b in basis)
+            assert {_monic_key(b.terms, field.char) for b in basis} == theirs
+
+
+PAIR_COUNT_IDEALS = [
+    ("cyclic-3", ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"], 2),
+    ("katsura-3", ["x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x", "2*x*y + 2*y*z - y"], 4),
+    ("twisted", ["x^2*y - z^2 + x", "y^2*z - x*y + 1", "z^2*x - y^2 + z"], 13),
+]
+
+
+@pytest.mark.parametrize(
+    "name,gens,reductions", PAIR_COUNT_IDEALS, ids=[t[0] for t in PAIR_COUNT_IDEALS]
+)
+def test_groebner_pair_reductions_pinned(monkeypatch, name, gens, reductions):
+    """S-pair reductions are deterministic: a count, not a timing.
+
+    Without the Gebauer–Möller criteria these ideals take 6, 7 and 20
+    reductions, not counting the final interreduction.
+    """
+    amb = Ambient(GF(7), ("x", "y", "z"))
+    calls = [0]
+    ops = amb.ops
+    at_final_reduction = []
+
+    def counting_divmod(f, basis, want_quotients=False):
+        calls[0] += 1
+        return ops.divmod_basis(f, basis, want_quotients)
+
+    reduce_basis = rings._reduce_basis
+
+    def recording_reduce(basis):
+        at_final_reduction.append(calls[0])
+        return reduce_basis(basis)
+
+    monkeypatch.setattr(amb, "ops", ops._replace(divmod_basis=counting_divmod))
+    monkeypatch.setattr(rings, "_reduce_basis", recording_reduce)
+    for strategy in ("normal", "sugar"):
+        calls[0] = 0
+        del at_final_reduction[:]
+        groebner([amb.poly(g) for g in gens], strategy=strategy)
+        assert at_final_reduction == [reductions]
