@@ -341,9 +341,7 @@ def _verb_faithful(args, report, deadline):
 
 def _verb_lift(args, report, deadline):
     desc = _load(args.input)
-    ctx = schemas.context_from_json(desc.get("context", {}))
-    X = schemas.factorization_from_json({**desc["source"], "d": desc.get("d")}, ctx)
-    U = schemas.factorization_from_json({**desc["target"], "d": desc.get("d")}, ctx)
+    ctx, X, U = schemas.ends_from_json(desc)
     f = _parse_scalar(ctx.backend, args.f)
     red_x = reduce_full(X, f, deadline=deadline)
     red_u = reduce_full(U, f, deadline=deadline)
@@ -351,8 +349,11 @@ def _verb_lift(args, report, deadline):
     from .context import MatrixMap
     from .factorization import morphism
 
+    mats = desc.get("components", [])
+    if not isinstance(mats, list) or len(mats) != X.d:
+        raise ParseError(f"need {X.d} components")
     comps = []
-    for i, m in enumerate(desc.get("components", [])):
+    for i, m in enumerate(mats):
         comps.append(
             MatrixMap.from_strings(
                 ctx_bar, red_x.downstairs.objects[i], red_u.downstairs.objects[i], m
@@ -407,43 +408,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, needs_second=False, needs_input=True):
+    # flags some verbs read, each added only to those verbs
+    extra = {
+        "--window": dict(type=int, default=None, help="window length (default 4d)"),
+        "--f": dict(help="reduction element (expression)"),
+        "--g": dict(help="cyclic generator (expression)"),
+        "--x": dict(help="central element (expression)"),
+        "--n": dict(type=int, default=1, help="free rank"),
+        "--ctx": dict(help="context JSON"),
+        "--d": dict(type=int, default=2),
+        "--trials": dict(type=int, default=50),
+        "--allow-odd-d": dict(action="store_true", help=argparse.SUPPRESS),
+    }
+
+    def add(name, *flags, inputs=("input",)):
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("input", help="input JSON file")
-        if needs_second:
-            p.add_argument("second", help="second input JSON file")
+        for arg in inputs:
+            p.add_argument(arg, help={"input": "input JSON file", "second": "second input JSON file"}[arg])
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=50)
-        p.add_argument("--window", type=int, default=None)
         p.add_argument("--deadline", type=float, default=60.0, help="seconds for the whole verb")
-        p.add_argument("--d", type=int, default=2)
-        p.add_argument("--f", help="reduction element (expression)")
-        p.add_argument("--g", help="cyclic generator (expression)")
-        p.add_argument("--x", help="central element (expression)")
-        p.add_argument("--n", type=int, default=1, help="free rank for dualq")
-        p.add_argument("--ctx", help="context JSON (axioms)")
         p.add_argument("--timing", action="store_true")
-        p.add_argument("--allow-odd-d", action="store_true", help=argparse.SUPPRESS)
-        return p
+        for flag in flags:
+            p.add_argument(flag, **extra[flag])
 
-    add("verify")
-    add("sum", needs_second=True)
+    add("verify", "--allow-odd-d")
+    add("sum", inputs=("input", "second"))
     add("suspend")
     add("unsuspend")
-    add("cone")
-    add("triangle")
-    add("homotopic", needs_second=True)
+    add("cone", "--allow-odd-d")
+    add("triangle", "--allow-odd-d")
+    add("homotopic", "--allow-odd-d", inputs=("input", "second"))
     add("dg")
-    add("reduce")
+    add("reduce", "--f", "--window")
     add("exact")
-    add("checktac")
-    add("endring")
-    add("dualq")
-    add("faithful")
-    add("lift")
-    add("axioms", needs_input=False)
+    add("checktac", "--f", "--window")
+    add("endring", "--g")
+    add("dualq", "--x", "--n")
+    add("faithful", "--f", "--allow-odd-d")
+    add("lift", "--f")
+    add("axioms", "--ctx", "--d", "--trials", inputs=())
     return parser
 
 

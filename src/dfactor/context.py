@@ -133,12 +133,17 @@ class MatrixMap:
             )
         return cls(ctx, source, target, rows)
 
-    @classmethod
-    def from_strings(cls, ctx, source, target, rows) -> "MatrixMap":
+    @staticmethod
+    def check_grid(rows):
+        """ParseError unless ``rows`` is a JSON matrix: rows of strings."""
         if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
         ):
             raise ParseError("a matrix must be a list of rows, each a list of strings")
+
+    @classmethod
+    def from_strings(cls, ctx, source, target, rows) -> "MatrixMap":
+        cls.check_grid(rows)
         parse = ctx.backend.parse
         return cls.make(
             ctx, source, target, [[parse(e) for e in row] for row in rows]
@@ -259,10 +264,6 @@ def eta_map(obj: FreeObj, ctx: Context) -> MatrixMap:
         [ctx.eta if i == j else zero for j in range(obj.rank)] for i in range(obj.rank)
     ]
     return MatrixMap.make(ctx, obj, obj.twist(), rows)
-
-
-def apply_twist(f: MatrixMap, ctx: Context | None = None) -> MatrixMap:
-    return f.twisted(1)
 
 
 def naturality_check(f: MatrixMap, ctx: Context | None = None) -> bool:

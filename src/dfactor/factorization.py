@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .context import (
     Context,
     FreeObj,
@@ -25,9 +24,8 @@ from .context import (
     row_block,
 )
 from .errors import CompositionMismatch, ShapeMismatch
-from .fdalg import FDAlgebra
-from .modgb import LinearSolution, solve_linear
-from .rings import QuotientRing
+from .linalg import FredholmCertificate
+from .linsys import LinearSystem
 
 
 def _wrap(m: int, d: int):
@@ -348,146 +346,33 @@ class NotHomotopic:
 def homotopy_decide(phi: FactMorphism, phi2: FactMorphism, deadline: float | None = None):
     """Homotopy witness or a certified NOT_HOMOTOPIC.
 
-    All d defining equations are flattened into a single linear solve
-    over the backend: a module Gröbner membership over a quotient
-    ring, plain field linear algebra over a finite-dimensional
-    algebra.  A returned witness has been re-verified entrywise.
+    The d defining equations s_i f_i + g_{i-1} s_{i-1} = phi_i - phi2_i
+    form one linear system over the backend: a module Gröbner
+    membership over a quotient ring, plain field linear algebra over a
+    finite-dimensional algebra.  A returned witness has been
+    re-verified entrywise.
     """
     phi._parallel(phi2)
     X, Y = phi.source, phi.target
     psi = phi - phi2
-    backend = X.ctx.backend
     shapes = homotopy_shapes(X, Y)
-    if isinstance(backend, QuotientRing):
-        result = _decide_ring(psi, shapes, deadline)
-    elif isinstance(backend, FDAlgebra):
-        result = _decide_algebra(psi, shapes)
-    else:
-        raise TypeError("unsupported backend")
-    if isinstance(result, NotHomotopic):
-        return result
-    s = Homotopy(X, Y, tuple(result))
-    if not verify_witness(s, phi, phi2):
-        raise AssertionError("solver returned an invalid homotopy witness")
-    return s
-
-
-def _unknown_layout(shapes):
-    offsets = []
-    total = 0
-    for src, tgt in shapes:
-        offsets.append(total)
-        total += src.rank * tgt.rank
-    return offsets, total
-
-
-def _decide_ring(psi: FactMorphism, shapes, deadline):
-    X, Y = psi.source, psi.target
-    ring: QuotientRing = X.ctx.backend
-    amb = ring.amb
-    d = X.d
-    offsets, total = _unknown_layout(shapes)
-
-    def unknown_index(i, a, j):
-        # component s_i (1-based), entry (a, j): a over N_i, j over M_{i+1}
-        src, tgt = shapes[i - 1]
-        return offsets[i - 1] + a * src.rank + j
-
-    rows = []
-    rhs = []
-    zero = amb.zero()
-    for i in range(1, d + 1):
-        f_i = X.map_at(i)
-        g_prev = Y.map_at(i - 1)
-        prev = i - 1 if i > 1 else d
-        n_i = Y.objects[i - 1].rank
-        m_i = X.objects[i - 1].rank
-        for a in range(n_i):
-            for b in range(m_i):
-                row = [zero] * total
-                # sum_j f_i[j][b] * s_i[a][j]
-                for j in range(shapes[i - 1][0].rank):
-                    row[unknown_index(i, a, j)] = f_i.rows[j][b]
-                # sum_j g_{i-1}[a][j] * s_{i-1}[j][b]
-                for j in range(shapes[prev - 1][1].rank):
-                    idx = unknown_index(prev, j, b)
-                    row[idx] = ring.add(row[idx], g_prev.rows[a][j])
-                rows.append(tuple(row))
-                rhs.append(psi.components[i - 1].rows[a][b])
-    outcome = solve_linear(rows, rhs, ring, deadline=deadline)
-    if not isinstance(outcome, LinearSolution):
-        return NotHomotopic(outcome, "membership of the flattened system failed")
-    sol = outcome.solution
-    comps = []
-    for i in range(1, d + 1):
-        src, tgt = shapes[i - 1]
-        grid = [
-            [sol[unknown_index(i, a, j)] for j in range(src.rank)] for a in range(tgt.rank)
-        ]
-        comps.append(MatrixMap.make(X.ctx, src, tgt, grid))
-    return comps
-
-
-def _decide_algebra(psi: FactMorphism, shapes):
-    X, Y = psi.source, psi.target
-    alg: FDAlgebra = X.ctx.backend
-    field = alg.field
-    dim = alg.dim
-    d = X.d
-    offsets, total = _unknown_layout(shapes)
-
-    def unknown_base(i, a, j):
-        src, _ = shapes[i - 1]
-        return (offsets[i - 1] + a * src.rank + j) * dim
-
-    rows = []
-    rhs = []
-    ncols = total * dim
-    for i in range(1, d + 1):
-        f_i = X.map_at(i)
-        g_prev = Y.map_at(i - 1)
-        prev = i - 1 if i > 1 else d
-        n_i = Y.objects[i - 1].rank
-        m_i = X.objects[i - 1].rank
-        for a in range(n_i):
-            for b in range(m_i):
-                block = [[field.zero] * ncols for _ in range(dim)]
-                for j in range(shapes[i - 1][0].rank):
-                    c = f_i.rows[j][b]
-                    if alg.is_zero(c):
-                        continue
-                    mat = alg.left_mult_matrix(c)
-                    base = unknown_base(i, a, j)
-                    for r in range(dim):
-                        for t in range(dim):
-                            block[r][base + t] = field.add(block[r][base + t], mat[r][t])
-                for j in range(shapes[prev - 1][1].rank):
-                    c = g_prev.rows[a][j]
-                    if alg.is_zero(c):
-                        continue
-                    mat = alg.right_mult_matrix(c)
-                    base = unknown_base(prev, j, b)
-                    for r in range(dim):
-                        for t in range(dim):
-                            block[r][base + t] = field.add(block[r][base + t], mat[r][t])
-                target_val = psi.components[i - 1].rows[a][b]
-                rows.extend(block)
-                rhs.extend(target_val)
-    x, cert = linalg.solve(rows, rhs, field)
+    system = LinearSystem(X.ctx.backend)
+    s = [system.unknown(tgt.rank, src.rank) for src, tgt in shapes]
+    for i in range(1, X.d + 1):
+        system.equation(
+            [(s[i - 1], X.map_at(i).rows, "right"), (s[i - 2], Y.map_at(i - 1).rows, "left")],
+            psi.components[i - 1].rows,
+        )
+    grids, cert = system.solve(deadline)
     if cert is not None:
-        return NotHomotopic(cert, "field-linear homotopy system is inconsistent")
-    comps = []
-    for i in range(1, d + 1):
-        src, tgt = shapes[i - 1]
-        grid = []
-        for a in range(tgt.rank):
-            row = []
-            for j in range(src.rank):
-                base = unknown_base(i, a, j)
-                row.append(tuple(x[base : base + dim]))
-            grid.append(row)
-        comps.append(MatrixMap.make(X.ctx, src, tgt, grid))
-    return comps
+        if isinstance(cert, FredholmCertificate):
+            return NotHomotopic(cert, "field-linear homotopy system is inconsistent")
+        return NotHomotopic(cert, "membership of the flattened system failed")
+    comps = [MatrixMap.make(X.ctx, src, tgt, grid) for (src, tgt), grid in zip(shapes, grids)]
+    witness = Homotopy(X, Y, tuple(comps))
+    if not verify_witness(witness, phi, phi2):
+        raise AssertionError("solver returned an invalid homotopy witness")
+    return witness
 
 
 # -- cones and triangles ----------------------------------------------

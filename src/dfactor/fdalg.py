@@ -127,6 +127,26 @@ class FDAlgebra:
         cols = [self.mul(self.basis(j), a) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
+    def block_matrix(self, entries, nrows: int, ncols: int):
+        """Field matrix of an nrows x ncols grid of multiplication maps.
+
+        Each ``(i, j, a, side)`` in ``entries`` adds the matrix of
+        v -> a*v (side "left") or v -> v*a (side "right") to block
+        (i, j); zero elements are skipped.
+        """
+        f = self.field
+        dim = self.dim
+        out = [[f.zero] * (ncols * dim) for _ in range(nrows * dim)]
+        for i, j, a, side in entries:
+            if self.is_zero(a):
+                continue
+            block = self.left_mult_matrix(a) if side == "left" else self.right_mult_matrix(a)
+            for r in range(dim):
+                row = out[i * dim + r]
+                for c in range(dim):
+                    row[j * dim + c] = f.add(row[j * dim + c], block[r][c])
+        return out
+
     # -- parsing and printing ---------------------------------------------
 
     def parse(self, text: str):
@@ -477,32 +497,45 @@ def quotient_by_central(B: FDAlgebra, w: CentralElement, nu: AlgebraMap | None =
     return A, projection
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _square(grid, n: int) -> bool:
+    return isinstance(grid, list) and len(grid) == n
+
+
 def algebra_from_json(desc: dict) -> FDAlgebra:
     field = field_from_json(desc.get("field", {}))
-    if "gens" in desc and "monomial_rels" in desc:
-        return monomial_algebra(
-            desc["gens"],
-            desc["monomial_rels"],
-            field,
-            degree_cap=desc.get("degree_cap", 12),
-        )
+    gens = desc.get("gens")
+    if gens is not None and not _strings(gens):
+        raise ParseError("\"gens\" must be a list of generator names")
+    if gens is not None and "monomial_rels" in desc:
+        rels = desc["monomial_rels"]
+        cap = desc.get("degree_cap", 12)
+        if not _strings(rels) or not _int(cap):
+            raise ParseError("\"monomial_rels\" must be a list of words, \"degree_cap\" an integer")
+        return monomial_algebra(gens, rels, field, degree_cap=cap)
     if "basis" in desc and "table" in desc:
         from fractions import Fraction
 
         def coeff(text):
             return field.from_fraction(Fraction(text))
 
-        labels = list(desc["basis"])
-        table = [
-            [tuple(coeff(c) for c in cell) for cell in row] for row in desc["table"]
-        ]
+        labels, table, unit = desc["basis"], desc["table"], desc.get("unit", 0)
+        n = len(labels) if _strings(labels) else 0
+        rows_ok = _square(table, n) and all(_square(row, n) for row in table)
+        if not n or not _int(unit) or not rows_ok or not all(
+            _square(cell, n) and all(isinstance(c, (str, int)) for c in cell)
+            for row in table
+            for cell in row
+        ):
+            raise ParseError("\"table\" needs one coordinate list per pair of basis labels")
+        table = [[tuple(coeff(c) for c in cell) for cell in row] for row in table]
         words = [() if lab == "1" else tuple(lab.split("*")) for lab in labels]
-        return FDAlgebra(
-            field,
-            labels,
-            table,
-            int(desc.get("unit", 0)),
-            words=words,
-            gens=desc.get("gens"),
-        )
+        return FDAlgebra(field, labels, table, unit, words=words, gens=gens)
     raise ParseError("algebra description needs gens/monomial_rels or basis/table")

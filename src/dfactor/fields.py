@@ -124,7 +124,10 @@ def field_from_json(desc) -> RationalField | PrimeField:
     if desc.get("rationals"):
         return QQ()
     if "char" in desc:
-        return GF(int(desc["char"]))
+        char = desc["char"]
+        if isinstance(char, bool) or not isinstance(char, int):
+            raise ParseError(f"field characteristic must be an integer, got {char!r}")
+        return GF(char)
     raise ParseError(f"bad field descriptor {desc!r}")
 
 

@@ -35,14 +35,8 @@ from .factorization import (
     zero_morphism,
 )
 from .fdalg import CentralElement, FDAlgebra, quotient_by_central
-from .modgb import (
-    LinearSolution,
-    colon_ideal,
-    is_regular,
-    matrix_kernel,
-    membership_lift,
-    solve_linear,
-)
+from .linsys import LinearSystem
+from .modgb import LinearSolution, colon_ideal, is_regular, matrix_kernel, solve_linear
 from .rings import Ideal, Poly, QuotientRing
 
 
@@ -61,10 +55,6 @@ class EndRingPresentation:
     element: Poly
     gamma: QuotientRing
     colon_basis: tuple
-
-    def scalar_image(self, p: Poly) -> Poly:
-        """The image of an ambient scalar in the presented End ring."""
-        return self.gamma.nf(p)
 
     def induced_context(self, u) -> Context:
         """Context over gamma with eta = multiplication by the image of u."""
@@ -319,22 +309,10 @@ def _exact_at_ring(incoming: MatrixMap, outgoing: MatrixMap, ring: QuotientRing,
 
 def _field_matrix_of_map(m: MatrixMap, alg: FDAlgebra):
     """Coordinates of v -> m(v): right multiplication blockwise."""
-    d = alg.dim
-    rows_out = m.target.rank * d
-    cols_out = m.source.rank * d
-    out = [[alg.field.zero] * cols_out for _ in range(rows_out)]
-    for j in range(m.target.rank):
-        for k in range(m.source.rank):
-            entry = m.rows[j][k]
-            if alg.is_zero(entry):
-                continue
-            block = alg.right_mult_matrix(entry)
-            for r in range(d):
-                for c in range(d):
-                    out[j * d + r][k * d + c] = alg.field.add(
-                        out[j * d + r][k * d + c], block[r][c]
-                    )
-    return out
+    entries = (
+        (j, k, e, "right") for j, row in enumerate(m.rows) for k, e in enumerate(row)
+    )
+    return alg.block_matrix(entries, m.target.rank, m.source.rank)
 
 
 def _exact_at_algebra(incoming: MatrixMap, outgoing: MatrixMap, alg: FDAlgebra) -> bool:
@@ -545,7 +523,6 @@ def full_lift(phibar: FactMorphism, X: FactorizationD, U: FactorizationD, f, dea
     """
     f = _require_d2_regular(X, f, deadline)
     ring: QuotientRing = X.ctx.backend
-    amb = ring.amb
     red_x = reduce_full(X, f, deadline=deadline)
     red_u = reduce_full(U, f, deadline=deadline)
     if phibar.source != red_x.downstairs or phibar.target != red_u.downstairs:
@@ -559,107 +536,54 @@ def full_lift(phibar: FactMorphism, X: FactorizationD, U: FactorizationD, f, dea
     rx1, rx2 = X.objects[0].rank, X.objects[1].rank
     ru1, ru2 = U.objects[0].rank, U.objects[1].rank
 
-    blocks = [
-        ("alpha", ru1 * rx1),
-        ("beta", ru2 * rx2),
-        ("sigma1", ru1 * rx2),
-        ("sigma2", ru2 * rx1),
-    ]
-    offsets = {}
-    total = 0
-    for name, size in blocks:
-        offsets[name] = total
-        total += size
-
-    def idx(name, i, j, cols):
-        return offsets[name] + i * cols + j
-
-    rows = []
-    rhs = []
-    row_mods = []  # 0: mod ideal, 1: mod ideal + (f)
-    zero = amb.zero()
-
-    # E1: p.alpha - beta.fX = 0  (mod I)
-    for i in range(ru2):
-        for k in range(rx1):
-            row = [zero] * total
-            for j in range(ru1):
-                row[idx("alpha", j, k, rx1)] = row[idx("alpha", j, k, rx1)] + p_map.rows[i][j]
-            for j in range(rx2):
-                row[idx("beta", i, j, rx2)] = row[idx("beta", i, j, rx2)] - fX.rows[j][k]
-            rows.append(row)
-            rhs.append(zero)
-            row_mods.append(0)
-    # E2: q.beta - (S alpha).gX = 0  (mod I)
-    for i in range(ru1):
-        for k in range(rx2):
-            row = [zero] * total
-            for j in range(ru2):
-                row[idx("beta", j, k, rx2)] = row[idx("beta", j, k, rx2)] + q_map.rows[i][j]
-            for j in range(rx1):
-                row[idx("alpha", i, j, rx1)] = row[idx("alpha", i, j, rx1)] - gX.rows[j][k]
-            rows.append(row)
-            rhs.append(zero)
-            row_mods.append(0)
-    # E3: alpha - sigma1.fX - q.sigma2 = phibar_1  (mod I + f)
-    for i in range(ru1):
-        for k in range(rx1):
-            row = [zero] * total
-            row[idx("alpha", i, k, rx1)] = amb.one()
-            for j in range(rx2):
-                row[idx("sigma1", i, j, rx2)] = row[idx("sigma1", i, j, rx2)] - fX.rows[j][k]
-            for j in range(ru2):
-                row[idx("sigma2", j, k, rx1)] = row[idx("sigma2", j, k, rx1)] - q_map.rows[i][j]
-            rows.append(row)
-            rhs.append(phibar.components[0].rows[i][k])
-            row_mods.append(1)
+    system = LinearSystem(ring)
+    alpha = system.unknown(ru1, rx1)
+    beta = system.unknown(ru2, rx2)
+    sigma1 = system.unknown(ru1, rx2)
+    sigma2 = system.unknown(ru2, rx1)
+    # E1: p.alpha - beta.fX = 0 and E2: q.beta - (S alpha).gX = 0  (mod I)
+    system.equation(
+        [(alpha, p_map.rows, "left"), (beta, (-fX).rows, "right")],
+        MatrixMap.zero(X.ctx, X.objects[0], U.objects[1]).rows,
+    )
+    system.equation(
+        [(beta, q_map.rows, "left"), (alpha, (-gX).rows, "right")],
+        MatrixMap.zero(X.ctx, X.objects[1], U.objects[0]).rows,
+    )
+    # E3: alpha - sigma1.fX - q.sigma2 = phibar_1 and
     # E4: beta - sigma2.gX - p.sigma1 = phibar_2  (mod I + f)
-    for i in range(ru2):
-        for k in range(rx2):
-            row = [zero] * total
-            row[idx("beta", i, k, rx2)] = amb.one()
-            for j in range(rx1):
-                row[idx("sigma2", i, j, rx1)] = row[idx("sigma2", i, j, rx1)] - gX.rows[j][k]
-            for j in range(ru1):
-                row[idx("sigma1", j, k, rx2)] = row[idx("sigma1", j, k, rx2)] - p_map.rows[i][j]
-            rows.append(row)
-            rhs.append(phibar.components[1].rows[i][k])
-            row_mods.append(1)
-
-    m = len(rows)
-    cols = [tuple(rows[i][j] for i in range(m)) for j in range(total)]
-    injections = []
-    f_ideal = list(ring.ideal.basis) + [f]
-    for i in range(m):
-        gens_here = ring.ideal.basis if row_mods[i] == 0 else f_ideal
-        for h in gens_here:
-            injections.append(tuple(h if k == i else zero for k in range(m)))
-    coeffs, cert = membership_lift(cols + injections, tuple(rhs), amb, deadline=deadline)
+    one1 = MatrixMap.identity(X.ctx, X.objects[0]).rows
+    one2 = MatrixMap.identity(X.ctx, X.objects[1]).rows
+    system.equation(
+        [(alpha, one1, "right"), (sigma1, (-fX).rows, "right"), (sigma2, (-q_map).rows, "left")],
+        phibar.components[0].rows,
+        modulo=(f,),
+    )
+    system.equation(
+        [(beta, one2, "right"), (sigma2, (-gX).rows, "right"), (sigma1, (-p_map).rows, "left")],
+        phibar.components[1].rows,
+        modulo=(f,),
+    )
+    grids, cert = system.solve(deadline)
     if cert is None:
-        sol = [ring.nf(c) for c in coeffs[:total]]
-        alpha = MatrixMap.make(
-            X.ctx, X.objects[0], U.objects[0],
-            [[sol[idx("alpha", i, j, rx1)] for j in range(rx1)] for i in range(ru1)],
-        )
-        beta = MatrixMap.make(
-            X.ctx, X.objects[1], U.objects[1],
-            [[sol[idx("beta", i, j, rx2)] for j in range(rx2)] for i in range(ru2)],
-        )
-        theta = morphism(X, U, [alpha, beta])
+        theta = morphism(X, U, [
+            MatrixMap.make(X.ctx, X.objects[0], U.objects[0], grids[alpha]),
+            MatrixMap.make(X.ctx, X.objects[1], U.objects[1], grids[beta]),
+        ])
         rbar: QuotientRing = red_x.downstairs.ctx.backend
         ctx_bar = red_x.downstairs.ctx
-        sigma1 = MatrixMap.make(
+        sigma1_map = MatrixMap.make(
             ctx_bar, red_x.downstairs.objects[1], red_u.downstairs.objects[0],
-            [[rbar.nf(sol[idx("sigma1", i, j, rx2)]) for j in range(rx2)] for i in range(ru1)],
+            [[rbar.nf(e) for e in row] for row in grids[sigma1]],
         )
-        sigma2 = MatrixMap.make(
+        sigma2_map = MatrixMap.make(
             ctx_bar,
             red_x.downstairs.objects[0].twist(1),
             red_u.downstairs.objects[1],
-            [[rbar.nf(sol[idx("sigma2", i, j, rx1)]) for j in range(rx1)] for i in range(ru2)],
+            [[rbar.nf(e) for e in row] for row in grids[sigma2]],
         )
         theta_bar = reduce_morphism(theta, red_x, red_u)
-        witness = Homotopy(red_x.downstairs, red_u.downstairs, (sigma1, sigma2))
+        witness = Homotopy(red_x.downstairs, red_u.downstairs, (sigma1_map, sigma2_map))
         if not verify_witness(witness, theta_bar, phibar):
             raise AssertionError("lift solver produced an invalid downstairs witness")
         return Lift(theta, witness)

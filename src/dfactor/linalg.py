@@ -11,14 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def rref(mat, field):
-    """Row-reduce in place on a copy; returns (rref, pivot_columns)."""
+def rref(mat, field, pivot_limit=None):
+    """Row-reduce in place on a copy; returns (rref, pivot_columns).
+
+    Pivots are taken among the first ``pivot_limit`` columns (all by
+    default); the columns after them are carried along.
+    """
     a = [row[:] for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
     pivots = []
     r = 0
-    for c in range(n):
+    for c in range(n if pivot_limit is None else pivot_limit):
         pivot = next((i for i in range(r, m) if a[i][c] != field.zero), None)
         if pivot is None:
             continue
@@ -70,30 +74,17 @@ def solve(mat, rhs, field):
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    # eliminate on [A | b] while tracking the row transform
-    a = [row[:] + [rhs[i]] + [field.one if k == i else field.zero for k in range(m)]
-         for i, row in enumerate(mat)]
-    r = 0
-    pivots = []
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if a[i][c] != field.zero), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(v, inv) for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != field.zero:
-                f = a[i][c]
-                a[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != field.zero:
-            y = tuple(a[i][n + 1 :])
-            return None, FredholmCertificate(y)
+    # reduce [A | b | I]: the I block of each row writes it as a
+    # combination of the rows of A
+    a, pivots = rref(
+        [list(row) + [rhs[i]] + [field.one if k == i else field.zero for k in range(m)]
+         for i, row in enumerate(mat)],
+        field,
+        pivot_limit=n,
+    )
+    for row in a[len(pivots):]:
+        if row[n] != field.zero:
+            return None, FredholmCertificate(tuple(row[n + 1 :]))
     x = [field.zero] * n
     for row_idx, c in enumerate(pivots):
         x[c] = a[row_idx][n]

@@ -321,42 +321,67 @@ def is_regular(f: Poly, ring: QuotientRing, deadline: float | None = None) -> bo
     return all(ring.nf(b).is_zero for b in basis)
 
 
+def _columns_and_injections(rows, ring: QuotientRing, modulo=None):
+    """Module generators whose span is the column space of the matrix
+    modulo the defining ideal (and each row's extra generators).
+
+    The columns come first, then one h*e_i per generator h and row i it
+    applies to, generator-major: the ideal's basis first, then the extra
+    generators in order of first appearance.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged matrix")
+    if modulo is not None and len(modulo) != m:
+        raise ValueError("one modulus tuple per row is needed")
+    zero = ring.amb.zero()
+    gens = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
+    moduli = [(h, range(m)) for h in ring.ideal.basis]
+    extra = []
+    for hs in modulo or ():
+        extra.extend(h for h in hs if h not in extra)
+    moduli += [(h, [i for i in range(m) if h in modulo[i]]) for h in extra]
+    for h, applies in moduli:
+        for i in applies:
+            gens.append(tuple(h if k == i else zero for k in range(m)))
+    return gens
+
+
 @dataclass(frozen=True)
 class LinearSolution:
     solution: tuple
 
 
-def solve_linear(rows, rhs, ring: QuotientRing, deadline: float | None = None):
+def solve_linear(rows, rhs, ring: QuotientRing, deadline: float | None = None, modulo=None):
     """Solve A*s = b over a quotient ring, or certify no solution.
 
     ``rows`` is the matrix as row tuples of ring elements, ``rhs`` the
-    column.  Success returns :class:`LinearSolution` whose entries are
-    normal forms satisfying the system entrywise after reduction;
-    failure returns :class:`NoSolutionCertificate` (membership of the
-    column module fails, decided by a module Gröbner basis).
+    column.  ``modulo``, when given, holds for each row a tuple of extra
+    generators that row is taken modulo.  Success returns
+    :class:`LinearSolution` whose entries are normal forms satisfying
+    the system entrywise after reduction; failure returns
+    :class:`NoSolutionCertificate` (membership of the column module
+    fails, decided by a module Gröbner basis).
     """
-    amb = ring.amb
     m = len(rows)
     if len(rhs) != m:
         raise ValueError("dimension mismatch between matrix and rhs")
     n = len(rows[0]) if m else 0
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged matrix")
-    zero = amb.zero()
-    cols = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
-    injections = []
-    for h in ring.ideal.basis:
-        for i in range(m):
-            injections.append(tuple(h if k == i else zero for k in range(m)))
-    coeffs, cert = membership_lift(cols + injections, tuple(rhs), amb, deadline=deadline)
+    gens = _columns_and_injections(rows, ring, modulo)
+    coeffs, cert = membership_lift(gens, tuple(rhs), ring.amb, deadline=deadline)
     if cert is not None:
         return cert
     solution = tuple(ring.nf(c) for c in coeffs[:n])
+    reducers = {(): ring}
     for i in range(m):
-        acc = zero
+        extra = modulo[i] if modulo is not None else ()
+        if extra not in reducers:
+            reducers[extra] = ring.extend_ideal(extra)
+        acc = ring.amb.zero()
         for j in range(n):
             acc = acc + rows[i][j] * solution[j]
-        if not ring.nf(acc - rhs[i]).is_zero:
+        if not reducers[extra].nf(acc - rhs[i]).is_zero:
             raise AssertionError("solver returned an invalid solution")
     return LinearSolution(solution)
 
@@ -367,16 +392,8 @@ def matrix_kernel(rows, ring: QuotientRing, deadline: float | None = None):
     Syzygies of the columns together with defining-ideal injections;
     the column-coefficient block of each relation is a kernel element.
     """
-    amb = ring.amb
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    zero = amb.zero()
-    cols = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
-    injections = []
-    for h in ring.ideal.basis:
-        for i in range(m):
-            injections.append(tuple(h if k == i else zero for k in range(m)))
-    syz = syzygy_gens(cols + injections, amb, deadline=deadline)
+    n = len(rows[0]) if rows else 0
+    syz = syzygy_gens(_columns_and_injections(rows, ring), ring.amb, deadline=deadline)
     out = []
     seen = set()
     for s in syz:

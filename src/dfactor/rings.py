@@ -367,6 +367,10 @@ class Ideal:
         return "Ideal(" + ", ".join(map(repr, self.basis)) + ")"
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 class QuotientRing:
     """k[x_1..x_n]/I with unique normal forms.
 
@@ -507,10 +511,15 @@ class QuotientRing:
     def from_json(cls, desc: dict) -> "QuotientRing":
         field = field_from_json(desc.get("field", {}))
         variables = desc.get("vars")
-        if not variables:
-            raise ParseError("ring description needs \"vars\"")
-        order = order_from_name(desc.get("order", "grevlex"))
-        return cls.make(field, variables, desc.get("ideal", ()), order)
+        if not variables or not _strings(variables):
+            raise ParseError("ring description needs \"vars\", a list of names")
+        order = desc.get("order", "grevlex")
+        if not isinstance(order, str):
+            raise ParseError("monomial order must be a name")
+        ideal = desc.get("ideal", [])
+        if not _strings(ideal):
+            raise ParseError("\"ideal\" must be a list of expressions")
+        return cls.make(field, variables, ideal, order_from_name(order))
 
     def __eq__(self, other):
         return (

@@ -16,6 +16,29 @@ from .functors import ComplexWindow
 from .rings import QuotientRing
 
 
+# -- type checks at the boundary -------------------------------------------
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list")
+    return value
+
+
+def _int(value, what: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ParseError(f"{what} must be at least {minimum}")
+    return value
+
+
 # -- backends and contexts ------------------------------------------------
 
 
@@ -34,8 +57,9 @@ def backend_to_json(backend) -> dict:
 def context_from_json(desc: dict) -> Context:
     """An explicit "twist" wins; otherwise an algebra description's own
     "nu" is adopted.  Likewise "eta" falls back to the algebra's "w"."""
-    backend = backend_from_json(desc.get("ring", {}))
+    desc = _object(desc, "context")
     ring_desc = desc.get("ring", {})
+    backend = backend_from_json(ring_desc)
     twist_desc = desc.get("twist")
     if twist_desc is None and isinstance(backend, FDAlgebra) and "nu" in ring_desc:
         twist_desc = {"nu": ring_desc["nu"]}
@@ -45,7 +69,10 @@ def context_from_json(desc: dict) -> Context:
     elif isinstance(twist_desc, dict) and "nu" in twist_desc:
         if not isinstance(backend, FDAlgebra):
             raise ParseError("twists require an algebra backend")
-        twist = AlgebraMap.from_generator_images(backend, twist_desc["nu"], automorphism=True)
+        nu = _object(twist_desc["nu"], "twist \"nu\"")
+        if not all(isinstance(image, str) for image in nu.values()):
+            raise ParseError("twist images must be expression strings")
+        twist = AlgebraMap.from_generator_images(backend, nu, automorphism=True)
     else:
         raise ParseError(f"bad twist {twist_desc!r}")
     eta_text = desc.get("eta")
@@ -53,6 +80,8 @@ def context_from_json(desc: dict) -> Context:
         eta_text = ring_desc["w"]
     if eta_text is None:
         eta_text = "0"
+    if not isinstance(eta_text, str):
+        raise ParseError("eta must be an expression string")
     eta = backend.zero() if eta_text == "0" else backend.parse(eta_text)
     return Context(backend, twist=twist, eta=eta)
 
@@ -75,17 +104,27 @@ def context_to_json(ctx: Context) -> dict:
 # -- factorizations ---------------------------------------------------------
 
 
+def _offset_objects(offsets, count: int):
+    """Free objects from ``count`` lists of integer twist offsets."""
+    if not isinstance(offsets, list) or len(offsets) != count:
+        raise ParseError(f"need {count} offset lists")
+    return [
+        FreeObj(tuple(_int(o, "an offset") for o in _list(obj, "an offset list")))
+        for obj in offsets
+    ]
+
+
 def _objects_from_json(desc: dict, d: int):
     if "offsets" in desc:
-        return [FreeObj(tuple(o)) for o in desc["offsets"]]
+        return _offset_objects(desc["offsets"], d)
     ranks = desc.get("ranks")
-    if ranks is None or len(ranks) != d:
+    if not isinstance(ranks, list) or len(ranks) != d:
         raise ParseError("need \"ranks\" (one per position) or explicit \"offsets\"")
-    return [FreeObj.of(r) for r in ranks]
+    return [FreeObj.of(_int(r, "a rank", 0)) for r in ranks]
 
 
 def _maps_from_json(ctx, objects, d, mats):
-    if len(mats) != d:
+    if not isinstance(mats, list) or len(mats) != d:
         raise ParseError(f"need {d} matrices")
     maps = []
     for i, m in enumerate(mats):
@@ -96,11 +135,10 @@ def _maps_from_json(ctx, objects, d, mats):
 
 
 def factorization_from_json(desc: dict, ctx: Context | None = None, allow_odd_d=False) -> FactorizationD:
+    desc = _object(desc, "factorization")
     if ctx is None:
         ctx = context_from_json(desc.get("context", {}))
-    d = int(desc.get("d", 0))
-    if d < 2:
-        raise ParseError("factorization needs d >= 2")
+    d = _int(desc.get("d"), "factorization \"d\"", 2)
     objects = _objects_from_json(desc, d)
     maps = _maps_from_json(ctx, objects, d, desc.get("maps", []))
     return make_factorization(ctx, d, objects, maps, allow_odd_d=allow_odd_d)
@@ -120,13 +158,25 @@ def factorization_to_json(X: FactorizationD, include_context=True) -> dict:
     return out
 
 
-def morphism_from_json(desc: dict, allow_odd_d=False):
+def ends_from_json(desc: dict, allow_odd_d=False):
+    """Context, source and target of a morphism-shaped description; the
+    two factorizations take the description's "d" and context."""
+    desc = _object(desc, "morphism")
     ctx = context_from_json(desc.get("context", {}))
-    src = factorization_from_json({**desc["source"], "d": desc.get("d")}, ctx, allow_odd_d)
-    tgt = factorization_from_json({**desc["target"], "d": desc.get("d")}, ctx, allow_odd_d)
+    src, tgt = (
+        factorization_from_json(
+            {**_object(desc.get(key), f"\"{key}\""), "d": desc.get("d")}, ctx, allow_odd_d
+        )
+        for key in ("source", "target")
+    )
+    return ctx, src, tgt
+
+
+def morphism_from_json(desc: dict, allow_odd_d=False):
+    ctx, src, tgt = ends_from_json(desc, allow_odd_d)
     comps = []
     mats = desc.get("components", [])
-    if len(mats) != src.d:
+    if not isinstance(mats, list) or len(mats) != src.d:
         raise ParseError(f"need {src.d} components")
     for i, m in enumerate(mats):
         comps.append(MatrixMap.from_strings(ctx, src.objects[i], tgt.objects[i], m))
@@ -147,12 +197,10 @@ def morphism_to_json(phi: FactMorphism) -> dict:
 def graded_from_json(desc: dict):
     from .dg import graded_hom
 
-    ctx = context_from_json(desc.get("context", {}))
-    src = factorization_from_json({**desc["source"], "d": desc.get("d")}, ctx)
-    tgt = factorization_from_json({**desc["target"], "d": desc.get("d")}, ctx)
-    degree = int(desc.get("degree", 0))
+    ctx, src, tgt = ends_from_json(desc)
+    degree = _int(desc.get("degree", 0), "\"degree\"")
     comps = []
-    for i, m in enumerate(desc.get("components", []), start=1):
+    for i, m in enumerate(_list(desc.get("components", []), "\"components\""), start=1):
         comps.append(
             MatrixMap.from_strings(ctx, src.objects[i - 1], tgt.obj_at(i + degree), m)
         )
@@ -197,21 +245,19 @@ def window_to_json(W: ComplexWindow) -> dict:
 def window_from_json(desc: dict) -> ComplexWindow:
     backend = backend_from_json(desc.get("ring", {}))
     ctx = Context(backend, eta=backend.zero())
-    lo, hi = int(desc["lo"]), int(desc["hi"])
-    period = int(desc.get("period", 2))
-    mats = desc.get("maps", [])
+    lo, hi = _int(desc.get("lo"), "\"lo\""), _int(desc.get("hi"), "\"hi\"")
+    period = _int(desc.get("period", 2), "\"period\"", 1)
+    mats = _list(desc.get("maps", []), "\"maps\"")
     if len(mats) != hi - lo:
         raise ParseError(f"window [{lo},{hi}] needs {hi - lo} maps")
+    for m in mats:
+        MatrixMap.check_grid(m)
     ranks = [len(m[0]) if m else 0 for m in mats]
     ranks.append(len(mats[-1]) if mats else 0)
     if "offsets" in desc:
-        offsets = [tuple(o) for o in desc["offsets"]]
+        objects = _offset_objects(desc["offsets"], hi - lo + 1)
     else:
-        offsets = []
-        for k, p in enumerate(range(lo, hi + 1)):
-            q = p // period
-            offsets.append((q,) * ranks[k])
-    objects = [FreeObj(tuple(o)) for o in offsets]
+        objects = [FreeObj.of(ranks[k], p // period) for k, p in enumerate(range(lo, hi + 1))]
     maps = []
     for k, m in enumerate(mats):
         maps.append(MatrixMap.from_strings(ctx, objects[k], objects[k + 1], m))
@@ -222,5 +268,5 @@ def window_from_json(desc: dict) -> ComplexWindow:
         hi=hi,
         maps=tuple(maps),
         period=period,
-        nilpotency=int(nil) if nil is not None else None,
+        nilpotency=None if nil is None else _int(nil, "\"nilpotency\"", 1),
     ).validate()

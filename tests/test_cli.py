@@ -353,3 +353,105 @@ def test_odd_d_requires_flag(tmp_path, capsys):
     assert code == 1
     code, rep = run_cli(["verify", path, "--allow-odd-d"], capsys)
     assert code == 0
+
+
+def _json_paths(node, prefix=()):
+    """Every dict key and list index below ``node``, as a path."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+
+
+def _mutated(doc, path, value):
+    out = json.loads(json.dumps(doc))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+def test_wrong_json_types_never_escape_main(tmp_path):
+    # one key deleted or replaced by a value of another type, in every input
+    fact = json.loads((FIXTURES / "classical_xy.json").read_text())
+    morph = {
+        "context": fact["context"],
+        "d": 2,
+        "source": {"ranks": fact["ranks"], "maps": fact["maps"]},
+        "target": {"ranks": fact["ranks"], "maps": fact["maps"]},
+        "components": [[["y"]], [["y"]]],
+    }
+    quantum = json.loads((FIXTURES / "quantum_context.json").read_text())
+    window = {
+        "ring": {"field": {"char": 7}, "vars": ["x"], "order": "grevlex", "ideal": ["x^4"]},
+        "lo": -1, "hi": 1, "period": 2, "nilpotency": 2, "maps": [[["x^3"]], [["x^3"]]],
+        "offsets": [[-1], [0], [0]],
+    }
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(morph))
+    path, out = tmp_path / "mutant.json", tmp_path / "report.json"
+    inputs = [
+        (["verify", path], fact),
+        (["homotopic", path, other], morph),
+        (["verify", path], {"context": quantum, "d": 2, "offsets": [[0], [1]],
+                            "maps": [[[quantum["eta"]]], [["1"]]]}),
+        (["exact", path], window),
+        (["dg", path], dict(morph, degree=1)),
+        (["lift", path, "--f", "x*y"], morph),
+        (["endring", path, "--g", "x"],
+         json.loads((FIXTURES / "ring_f7xy_mod_xy.json").read_text())),
+    ]
+    for argv, doc in inputs:
+        for where in list(_json_paths(doc)):
+            for value in (_DELETE, "ab", 3, [], {}, None, -1):
+                path.write_text(json.dumps(_mutated(doc, where, value)))
+                code = main([*map(str, argv), "--out", str(out)])
+                report = json.loads(out.read_text())
+                assert code in (0, 1, 2), (argv, where, value)
+                assert code != 1 or "error" in report, (argv, where, value)
+
+
+def test_wrong_json_type_is_parse_error(tmp_path, capsys):
+    # a morphism without "source", and ranks written as a string
+    morph = json.loads(_morphism_file(tmp_path, "m.json", [[["1"]], [["1"]]]).read_text())
+    del morph["source"]
+    bad = tmp_path / "no_source.json"
+    bad.write_text(json.dumps(morph))
+    _assert_parse_error(*run_cli(["homotopic", bad, bad], capsys))
+    desc = json.loads((FIXTURES / "classical_xy.json").read_text())
+    desc["ranks"] = "ab"
+    bad.write_text(json.dumps(desc))
+    _assert_parse_error(*run_cli(["verify", bad], capsys))
+
+
+def test_flag_of_another_verb_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as usage_error:
+        main(["verify", str(FIXTURES / "classical_xy.json"), "--g", "x"])
+    assert usage_error.value.code == 2
+    assert "--g" in capsys.readouterr().err
+
+
+def test_deadline_bounds_the_algebra_solve(tmp_path, capsys):
+    quantum = json.loads((FIXTURES / "quantum_context.json").read_text())
+    trivial = {"d": 2, "ranks": [1, 1], "maps": [[["1"]], [[quantum["eta"]]]]}
+    desc = {"context": quantum, "d": 2, "source": trivial, "target": trivial}
+    phi, psi = tmp_path / "phi.json", tmp_path / "psi.json"
+    phi.write_text(json.dumps(dict(desc, components=[[["1"]], [["1"]]])))
+    psi.write_text(json.dumps(dict(desc, components=[[["3"]], [["3"]]])))
+    code, rep = run_cli(["homotopic", phi, psi], capsys)
+    assert code == 0 and rep["verdict"] == "homotopic"
+    code, rep = run_cli(["homotopic", phi, psi, "--deadline", "1e-9"], capsys)
+    assert code == 1
+    assert rep["kind"] == "DeadlineExceeded"

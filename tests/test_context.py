@@ -8,7 +8,6 @@ from dfactor.context import (
     Context,
     FreeObj,
     MatrixMap,
-    apply_twist,
     block2x2,
     compose,
     eta_map,
@@ -162,12 +161,12 @@ def test_eta_rank1_quantum(quantum_ctx):
 def test_eta_commutes_with_twist(ring_ctx, quantum_ctx):
     for ctx in (ring_ctx, quantum_ctx):
         obj = FreeObj.of(2)
-        assert eta_map(obj.twist(1), ctx) == apply_twist(eta_map(obj, ctx))
+        assert eta_map(obj.twist(1), ctx) == eta_map(obj, ctx).twisted(1)
 
 
-def test_apply_twist_identity_on_entries(ring_ctx):
+def test_twisted_identity_on_entries(ring_ctx):
     f = _mk(ring_ctx, [["x"]])
-    tf = apply_twist(f)
+    tf = f.twisted(1)
     assert tf.rows == f.rows
     assert tf.source == f.source.twist(1)
     assert tf.twisted(-1) == f

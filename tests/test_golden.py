@@ -1,0 +1,69 @@
+"""CLI reports compared byte for byte with stored copies.
+
+``golden/reports`` holds the reports these calls wrote before the
+homotopy and lifting systems moved onto ``LinearSystem``; any change in
+the layout of rows, columns or ideal injections changes a witness or a
+certificate and shows here.  The calls run inside ``golden/inputs`` with
+relative paths, so the input keys of a report do not depend on where the
+repository lives.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from dfactor.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "homotopic_f7_pos": ["homotopic", "homotopic_f7_pos_phi.json", "homotopic_f7_pos_psi.json"],
+    "homotopic_f7_neg": ["homotopic", "homotopic_f7_neg_phi.json", "homotopic_f7_neg_psi.json"],
+    "homotopic_q_pos": ["homotopic", "homotopic_q_pos_phi.json", "homotopic_q_pos_psi.json"],
+    "homotopic_q_neg": ["homotopic", "homotopic_q_neg_phi.json", "homotopic_q_neg_psi.json"],
+    "homotopic_ring_pos": ["homotopic", "homotopic_ring_pos_phi.json", "homotopic_ring_pos_psi.json"],
+    "homotopic_ring_neg": ["homotopic", "homotopic_ring_pos_phi.json", "homotopic_ring_neg_psi.json"],
+    # two ideal generators: the certificate lists the injections in order
+    "homotopic_ring2_neg": [
+        "homotopic", "homotopic_ring2_neg_phi.json", "homotopic_ring2_neg_psi.json"
+    ],
+    "homotopic_quantum_pos": [
+        "homotopic", "homotopic_quantum_pos_phi.json", "homotopic_quantum_pos_psi.json"
+    ],
+    "homotopic_quantum_neg": [
+        "homotopic", "homotopic_quantum_neg_phi.json", "homotopic_quantum_neg_psi.json"
+    ],
+    # (xy, yx) is the boundary of (y, 0): a witness found with the sides
+    # of the noncommutative products swapped would not verify
+    "homotopic_quantum_nc": [
+        "homotopic", "homotopic_quantum_nc_phi.json", "homotopic_quantum_neg_psi.json"
+    ],
+    "lift_ring": ["lift", "ring_z2_theta.json", "--f", "x*y"],
+    "faithful_ring": ["faithful", "ring_z2_theta.json", "--f", "x*y"],
+    "exact_pos": ["exact", "exact_pos.json"],
+    "exact_neg": ["exact", "exact_neg.json"],
+    "checktac_pos": ["checktac", "checktac_pos.json", "--f", "x*y"],
+    "checktac_neg": ["checktac", "checktac_neg.json", "--f", "x"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden_copy(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN / "inputs")
+    out = tmp_path / "report.json"
+    main([*CASES[name], "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN / "reports" / f"{name}.json").read_bytes()
+
+
+def test_golden_cases_cover_both_verdicts():
+    # the negative cases must carry certificates, the positive ones witnesses
+    verdicts = {
+        name: (GOLDEN / "reports" / f"{name}.json").read_text() for name in CASES
+    }
+    for name, text in verdicts.items():
+        if name.startswith("homotopic") and name.endswith("_neg"):
+            assert '"not_homotopic"' in text and '"certificate"' in text
+        elif name.startswith("homotopic"):
+            assert '"homotopic"' in text and '"witness"' in text
+    assert '"kind": "fredholm"' in verdicts["homotopic_quantum_neg"]
+    assert '"kind": "module_groebner"' in verdicts["homotopic_ring2_neg"]
