@@ -38,25 +38,35 @@ def mon_lcm(a, b):
 
 
 def add(ta, tb, field, key):
-    """Merge two canonical term tuples."""
+    """Merge two canonical term tuples.  Each term's key is computed
+    once, when the merge reaches it."""
     out = []
     i = j = 0
     na, nb = len(ta), len(tb)
-    while i < na and j < nb:
-        ma, ca = ta[i]
-        mb, cb = tb[j]
-        if ma == mb:
-            c = field.add(ca, cb)
-            if c != field.zero:
-                out.append((ma, c))
-            i += 1
-            j += 1
-        elif key(ma) > key(mb):
-            out.append(ta[i])
-            i += 1
-        else:
-            out.append(tb[j])
-            j += 1
+    if na and nb:
+        ka, kb = key(ta[0][0]), key(tb[0][0])
+        while True:
+            if ka > kb:
+                out.append(ta[i])
+                i += 1
+                if i == na:
+                    break
+                ka = key(ta[i][0])
+            elif ka < kb:
+                out.append(tb[j])
+                j += 1
+                if j == nb:
+                    break
+                kb = key(tb[j][0])
+            else:
+                c = field.add(ta[i][1], tb[j][1])
+                if c != field.zero:
+                    out.append((ta[i][0], c))
+                i += 1
+                j += 1
+                if i == na or j == nb:
+                    break
+                ka, kb = key(ta[i][0]), key(tb[j][0])
     out.extend(ta[i:])
     out.extend(tb[j:])
     return tuple(out)

@@ -60,18 +60,17 @@ EXIT_ERROR = 1
 EXIT_FALSE = 2
 
 
-def _digest(path: str) -> str:
+def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return fh.read()
 
 
-def _load(path: str):
+def _load(args, path: str):
+    """The JSON object in input file ``path``, parsed from the bytes that
+    ``main`` read and digested: a pipe can be read only once."""
     try:
-        with open(path) as fh:
-            desc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        desc = json.loads(args.input_bytes[path])
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(desc, dict):
         raise ParseError(f"{path}: the top level must be a JSON object")
@@ -107,7 +106,7 @@ class _Outcome(Exception):
 
 
 def _verb_verify(args, report):
-    desc = _load(args.input)
+    desc = _load(args, args.input)
     try:
         X = schemas.factorization_from_json(desc, allow_odd_d=args.allow_odd_d)
     except CompositionMismatch as exc:
@@ -124,8 +123,8 @@ def _verb_verify(args, report):
 
 
 def _verb_sum(args, report):
-    a = schemas.factorization_from_json(_load(args.input))
-    b = schemas.factorization_from_json(_load(args.second))
+    a = schemas.factorization_from_json(_load(args, args.input))
+    b = schemas.factorization_from_json(_load(args, args.second))
     s = direct_sum(a, b)
     report["verdict"] = "verified"
     report["result"] = schemas.factorization_to_json(s)
@@ -133,7 +132,7 @@ def _verb_sum(args, report):
 
 
 def _verb_suspend(args, report, inverse=False):
-    X = schemas.factorization_from_json(_load(args.input))
+    X = schemas.factorization_from_json(_load(args, args.input))
     out = unsuspend(X) if inverse else suspend(X)
     report["verdict"] = "verified"
     report["result"] = schemas.factorization_to_json(out)
@@ -141,7 +140,7 @@ def _verb_suspend(args, report, inverse=False):
 
 
 def _morphism_or_false(args, report, path):
-    phi = schemas.morphism_from_json(_load(path), allow_odd_d=args.allow_odd_d)
+    phi = schemas.morphism_from_json(_load(args, path), allow_odd_d=args.allow_odd_d)
     check = is_morphism(phi)
     if not check.ok:
         fmt = phi.source.ctx.backend.format
@@ -211,7 +210,7 @@ def _verb_homotopic(args, report, deadline):
 
 
 def _verb_dg(args, report):
-    gh = schemas.graded_from_json(_load(args.input))
+    gh = schemas.graded_from_json(_load(args, args.input))
     ok = dg_check(gh)
     fmt = gh.source.ctx.backend.format
     if not ok:
@@ -228,7 +227,7 @@ def _verb_dg(args, report):
 
 
 def _verb_reduce(args, report, deadline):
-    X = schemas.factorization_from_json(_load(args.input))
+    X = schemas.factorization_from_json(_load(args, args.input))
     f = _parse_scalar(X.ctx.backend, args.f)
     red = reduce_full(X, f, length=args.window, deadline=deadline)
     report["verdict"] = "verified"
@@ -267,7 +266,7 @@ def _exactness_cert(outcome, fmt):
 
 
 def _verb_exact(args, report, deadline):
-    W = schemas.window_from_json(_load(args.input))
+    W = schemas.window_from_json(_load(args, args.input))
     outcome = window_exact(W, deadline=deadline)
     if outcome.ok:
         report["verdict"] = "exact"
@@ -278,7 +277,7 @@ def _verb_exact(args, report, deadline):
 
 
 def _verb_checktac(args, report, deadline):
-    X = schemas.factorization_from_json(_load(args.input))
+    X = schemas.factorization_from_json(_load(args, args.input))
     f = _parse_scalar(X.ctx.backend, args.f)
     outcome = total_acyclicity_report(X, f, length=args.window, deadline=deadline)
     if outcome.ok:
@@ -294,7 +293,7 @@ def _verb_checktac(args, report, deadline):
 
 
 def _verb_endring(args, report, deadline):
-    ring = QuotientRing.from_json(_load(args.input))
+    ring = QuotientRing.from_json(_load(args, args.input))
     if args.g is None:
         raise ParseError("endring requires --g")
     pres = end_ring_cyclic(ring, ring.parse(args.g), deadline=deadline)
@@ -307,7 +306,7 @@ def _verb_endring(args, report, deadline):
 
 
 def _verb_dualq(args, report):
-    ring = QuotientRing.from_json(_load(args.input))
+    ring = QuotientRing.from_json(_load(args, args.input))
     if args.x is None:
         raise ParseError("dualq requires --x")
     ok = dual_quotient_check(args.n, ring.parse(args.x), ring, seed=args.seed)
@@ -340,7 +339,7 @@ def _verb_faithful(args, report, deadline):
 
 
 def _verb_lift(args, report, deadline):
-    desc = _load(args.input)
+    desc = _load(args, args.input)
     ctx, X, U = schemas.ends_from_json(desc)
     f = _parse_scalar(ctx.backend, args.f)
     red_x = reduce_full(X, f, deadline=deadline)
@@ -383,8 +382,7 @@ def _verb_lift(args, report, deadline):
 def _verb_axioms(args, report, deadline):
     if args.ctx is None:
         raise ParseError("axioms requires --ctx")
-    ctx = schemas.context_from_json(_load(args.ctx))
-    report["inputs"][args.ctx] = _digest(args.ctx)
+    ctx = schemas.context_from_json(_load(args, args.ctx))
     ok, suite = run_axiom_suite(
         ctx, args.d, seed=args.seed, trials=args.trials, deadline=deadline
     )
@@ -484,14 +482,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     report = {"verb": args.verb, "inputs": {}, "params": {"seed": args.seed}}
-    for attr in ("input", "second"):
+    args.input_bytes = {}
+    for attr in ("input", "second", "ctx"):
         path = getattr(args, attr, None)
-        if path:
+        if path and path not in args.input_bytes:
             try:
-                report["inputs"][path] = _digest(path)
+                args.input_bytes[path] = _read(path)
             except OSError as exc:
-                _emit({"verb": args.verb, "error": f"{path}: {exc}"}, args.out)
+                _emit({"verb": args.verb, "error": f"{path}: {exc}", "kind": "ParseError"}, args.out)
                 return EXIT_ERROR
+            report["inputs"][path] = hashlib.sha256(args.input_bytes[path]).hexdigest()
     start = time.monotonic()
     deadline = start + args.deadline if args.deadline else None
     try:

@@ -127,6 +127,9 @@ def field_from_json(desc) -> RationalField | PrimeField:
         char = desc["char"]
         if isinstance(char, bool) or not isinstance(char, int):
             raise ParseError(f"field characteristic must be an integer, got {char!r}")
+        if char >= 2**31:
+            # the compiled kernel multiplies two residues in a C long
+            raise ParseError(f"field characteristic must be below 2^31, got {char}")
         return GF(char)
     raise ParseError(f"bad field descriptor {desc!r}")
 

@@ -10,9 +10,10 @@ the tag block of any member records its expression in the generators.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import add as _iadd, le as _ile, sub as _isub
 
 from ._kernel.pure import mon_div, mon_divides, mon_lcm
 from .errors import DeadlineExceeded
@@ -34,20 +35,22 @@ def vec_lead(v: Vec):
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a + b if a.terms and b.terms else a if a.terms else b for a, b in zip(u, v))
 
 
 def vec_shift(v: Vec, mon, c) -> Vec:
     amb = v[0].amb
-    return tuple(Poly(amb, amb.ops.shift(p.terms, mon, c)) for p in v)
+    shift = amb.ops.shift
+    return tuple(Poly(amb, shift(p.terms, mon, c)) if p.terms else p for p in v)
 
 
 def vec_monic(v: Vec) -> Vec:
     lead = vec_lead(v)
-    if lead is None:
+    if lead is None or lead[2] == v[0].amb.field.one:
         return v
-    inv = v[0].amb.field.inv(lead[2])
-    return tuple(p.scale(inv) for p in v)
+    amb = v[0].amb
+    inv, scale = amb.field.inv(lead[2]), amb.ops.scale
+    return tuple(Poly(amb, scale(p.terms, inv)) if p.terms else p for p in v)
 
 
 def vec_divmod(
@@ -57,51 +60,88 @@ def vec_divmod(
 
     Returns ``(remainder, combo)`` with v = sum(combo_k * basis_k) +
     remainder and no remainder term divisible by a same-position basis
-    lead.  ``combo`` entries are term tuples (None unless requested).
+    lead.  ``combo`` entries are polynomials (None unless requested).
     ``leads``, when given, holds ``vec_lead`` of each basis vector.
+
+    Heap division per position, as in ``_kernel.pure.divmod_basis``:
+    the current position's terms live in a dict keyed by monomial and a
+    heap of ``heap_key`` values yields the biggest one next; cancelled
+    terms are skipped when the heap reaches them.  A reduction also
+    subtracts the divisor's later positions, which collect in dicts of
+    their own until the loop reaches them.  Each step divides by the
+    first same-position basis vector whose lead divides the current
+    term, so the result does not depend on the data structure.
     """
-    ops = amb.ops
     field = amb.field
-    s = len(v)
+    heap_key = amb.order.heap_key
+    zero, fmul, fadd, fneg = field.zero, field.mul, field.add, field.neg
     if leads is None:
         leads = [vec_lead(g) for g in basis]
     groups: dict[int, list] = {}
-    for idx, (g, lead) in enumerate(zip(basis, leads)):
+    for idx, lead in enumerate(leads):
         if lead is not None:
-            groups.setdefault(lead[0], []).append((idx, lead[1], lead[2], g))
-    work = [p.terms for p in v]
-    combo = [() for _ in basis] if want_combo else None
-    for pos in range(s):
-        cur = work[pos]
-        rem: list = []
+            groups.setdefault(lead[0], []).append((idx, lead[1]))
+    plans: dict = {}  # idx -> (lead inverse, [(position, terms to subtract)])
+    later: dict[int, dict] = {}  # position ahead of the loop -> its terms so far
+    quotients = [[] for _ in basis] if want_combo else None
+    remainder = []
+    for pos, p in enumerate(v):
         cands = groups.get(pos, ())
-        while cur:
-            lm, lc = cur[0]
-            hit = None
-            for cand in cands:
-                if mon_divides(cand[1], lm):
-                    hit = cand
-                    break
-            if hit is None:
-                rem.append(cur[0])
-                cur = cur[1:]
+        acc = later.pop(pos, None)
+        if acc is None:
+            if not cands:
+                remainder.append(p)
                 continue
-            idx, gm, gc, gvec = hit
-            qmon = mon_div(lm, gm)
-            qc = field.mul(lc, field.inv(gc))
-            nqc = field.neg(qc)
-            cur = ops.add(cur, ops.shift(gvec[pos].terms, qmon, nqc))
-            for p2 in range(pos + 1, s):
-                t2 = gvec[p2].terms
-                if t2:
-                    work[p2] = ops.add(work[p2], ops.shift(t2, qmon, nqc))
+            acc = dict(p.terms)
+        heap = [(heap_key(m), m) for m in acc]
+        heapify(heap)
+        rem = []
+        while heap:
+            m = heappop(heap)[1]
+            c = acc.pop(m, None)
+            if c is None:
+                continue  # cancelled after it was pushed
+            for idx, gm in cands:
+                if all(map(_ile, gm, m)):
+                    break
+            else:
+                rem.append((m, c))
+                continue
+            plan = plans.get(idx)
+            if plan is None:
+                g = basis[idx]
+                plan = plans[idx] = (
+                    field.inv(leads[idx][2]),
+                    [(pos, g[pos].terms[1:])]
+                    + [(p2, g[p2].terms) for p2 in range(pos + 1, len(g)) if g[p2].terms],
+                )
+            qmon = tuple(map(_isub, m, gm))
+            qc = fmul(c, plan[0])
+            nqc = fneg(qc)
+            for p2, terms in plan[1]:
+                here = p2 == pos
+                d = acc if here else later.get(p2)
+                if d is None:
+                    d = later[p2] = dict(v[p2].terms)
+                for tm, tc in terms:
+                    mm = tuple(map(_iadd, tm, qmon))
+                    old = d.get(mm)
+                    if old is None:
+                        d[mm] = fmul(tc, nqc)
+                        if here:
+                            heappush(heap, (heap_key(mm), mm))
+                    else:
+                        s = fadd(old, fmul(tc, nqc))
+                        if s == zero:
+                            del d[mm]
+                        else:
+                            d[mm] = s
             if want_combo:
-                combo[idx] = ops.add(combo[idx], ((qmon, qc),))
-        work[pos] = tuple(rem)
-    remainder = tuple(Poly(amb, t) for t in work)
+                quotients[idx].append((qmon, qc))
+        remainder.append(Poly(amb, tuple(rem)))
     if want_combo:
-        return remainder, tuple(Poly(amb, c) for c in combo)
-    return remainder, None
+        return tuple(remainder), tuple(Poly(amb, tuple(q)) for q in quotients)
+    return tuple(remainder), None
 
 
 def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
@@ -121,7 +161,7 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
         if li[0] != lj[0]:
             return
         lcm = mon_lcm(li[1], lj[1])
-        heapq.heappush(pairs, ((sum(lcm), key(lcm), li[0], i, j), i, j))
+        heappush(pairs, ((sum(lcm), key(lcm), li[0], i, j), i, j))
 
     for j in range(len(basis)):
         for i in range(j):
@@ -130,7 +170,7 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
     while pairs:
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("module groebner")
-        _, i, j = heapq.heappop(pairs)
+        _, i, j = heappop(pairs)
         li, lj = leads[i], leads[j]
         lcm = mon_lcm(li[1], lj[1])
         left = vec_shift(basis[i], mon_div(lcm, li[1]), amb.field.inv(li[2]))
@@ -144,10 +184,10 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
             for i_new in range(j_new):
                 push_pair(i_new, j_new)
 
-    return _reduce_module_basis(basis, leads, amb)
+    return _reduce_module_basis(basis, leads, amb, deadline)
 
 
-def _reduce_module_basis(basis, leads, amb):
+def _reduce_module_basis(basis, leads, amb, deadline):
     key = amb.order.key
     minimal: list = []  # indices into basis
     for k in sorted(range(len(basis)), key=lambda k: (leads[k][0], key(leads[k][1]))):
@@ -156,6 +196,8 @@ def _reduce_module_basis(basis, leads, amb):
             minimal.append(k)
     reduced = []
     for k in minimal:
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded("module groebner interreduction")
         others = [h for h in minimal if h != k]
         rem, _ = (
             vec_divmod(basis[k], [basis[h] for h in others], amb, leads=[leads[h] for h in others])

@@ -44,7 +44,7 @@ class MonomialOrder:
 
 
 def _grevlex_key(mon):
-    return (sum(mon), tuple(-e for e in reversed(mon)))
+    return (sum(mon), tuple(map(operator.neg, reversed(mon))))
 
 
 def _grevlex_heap_key(mon):
@@ -199,9 +199,10 @@ class Poly:
         return self.terms[0][1]
 
     def monic(self) -> Poly:
-        if not self.terms:
+        field = self.amb.field
+        if not self.terms or self.lead_coeff == field.one:
             return self
-        return self.scale(self.amb.field.inv(self.lead_coeff))
+        return Poly(self.amb, self.amb.ops.scale(self.terms, field.inv(self.lead_coeff)))
 
     def total_degree(self) -> int:
         if not self.terms:

@@ -181,3 +181,59 @@ def merge_divmod_basis(f, basis, field, key, want_quotients=False):
     if want_quotients:
         return tuple(rem), tuple(tuple(q) for q in quotients)
     return tuple(rem), None
+
+
+def merge_vec_divmod(v, basis, amb, want_combo=False, leads=None):
+    """Classical module division, positions ascending: on every step
+    merge the scaled divisor into the whole working polynomial of the
+    current position and of each later one, take the first basis
+    vector whose same-position lead divides the leading term.
+
+    The reference for ``modgb.vec_divmod``, with the same signature and
+    return shape.
+    """
+    from dfactor._kernel.pure import add, mon_div, mon_divides, shift
+    from dfactor.modgb import vec_lead
+    from dfactor.rings import Poly
+
+    field, key = amb.field, amb.order.key
+    s = len(v)
+    if leads is None:
+        leads = [vec_lead(g) for g in basis]
+    groups: dict = {}
+    for idx, (g, lead) in enumerate(zip(basis, leads)):
+        if lead is not None:
+            groups.setdefault(lead[0], []).append((idx, lead[1], lead[2], g))
+    work = [p.terms for p in v]
+    combo = [() for _ in basis] if want_combo else None
+    for pos in range(s):
+        cur = work[pos]
+        rem: list = []
+        cands = groups.get(pos, ())
+        while cur:
+            lm, lc = cur[0]
+            hit = None
+            for cand in cands:
+                if mon_divides(cand[1], lm):
+                    hit = cand
+                    break
+            if hit is None:
+                rem.append(cur[0])
+                cur = cur[1:]
+                continue
+            idx, gm, gc, gvec = hit
+            qmon = mon_div(lm, gm)
+            qc = field.mul(lc, field.inv(gc))
+            nqc = field.neg(qc)
+            cur = add(cur, shift(gvec[pos].terms, qmon, nqc, field), field, key)
+            for p2 in range(pos + 1, s):
+                t2 = gvec[p2].terms
+                if t2:
+                    work[p2] = add(work[p2], shift(t2, qmon, nqc, field), field, key)
+            if want_combo:
+                combo[idx] = add(combo[idx], ((qmon, qc),), field, key)
+        work[pos] = tuple(rem)
+    remainder = tuple(Poly(amb, t) for t in work)
+    if want_combo:
+        return remainder, tuple(Poly(amb, c) for c in combo)
+    return remainder, None

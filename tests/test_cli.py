@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -455,3 +456,37 @@ def test_deadline_bounds_the_algebra_solve(tmp_path, capsys):
     code, rep = run_cli(["homotopic", phi, psi, "--deadline", "1e-9"], capsys)
     assert code == 1
     assert rep["kind"] == "DeadlineExceeded"
+
+
+def test_piped_input_is_read_once():
+    fixture = FIXTURES / "classical_xy.json"
+    cmd = [sys.executable, "-m", "dfactor.cli", "verify"]
+    by_path = subprocess.run(cmd + [str(fixture)], capture_output=True, text=True)
+    piped = subprocess.run(
+        cmd + ["/dev/stdin"], input=fixture.read_text(), capture_output=True, text=True
+    )
+    assert piped.returncode == by_path.returncode == 0
+    want, got = json.loads(by_path.stdout), json.loads(piped.stdout)
+    assert got["verdict"] == want["verdict"] == "verified"
+    assert list(got["inputs"].values()) == list(want["inputs"].values())
+
+
+def test_huge_characteristic_is_rejected_quickly(tmp_path, capsys):
+    desc = json.loads((FIXTURES / "classical_xy.json").read_text())
+    path = tmp_path / "huge.json"
+    desc["context"]["ring"]["field"]["char"] = 1000000000000000003
+    path.write_text(json.dumps(desc))
+    start = time.monotonic()
+    code, report = run_cli(["verify", path, "--deadline", "1"], capsys)
+    assert time.monotonic() - start < 1.0
+    _assert_parse_error(code, report)
+    desc["context"]["ring"]["field"]["char"] = 2**31 - 1
+    path.write_text(json.dumps(desc))
+    code, report = run_cli(["verify", path], capsys)
+    assert code == 0 and report["verdict"] == "verified"
+
+
+def test_missing_input_file_is_parse_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    _assert_parse_error(*run_cli(["verify", missing], capsys))
+    _assert_parse_error(*run_cli(["axioms", "--ctx", missing], capsys))

@@ -1,12 +1,15 @@
 """Module engine: syzygies, membership lifts, colon ideals, solving."""
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfactor.fields import GF
+from dfactor.errors import DeadlineExceeded
+from dfactor.fields import GF, QQ
 from dfactor.modgb import (
     LinearSolution,
     NoSolutionCertificate,
@@ -18,8 +21,11 @@ from dfactor.modgb import (
     module_groebner,
     solve_linear,
     syzygy_gens,
+    vec_divmod,
+    vec_lead,
 )
-from dfactor.rings import Ambient, Ideal, QuotientRing
+from dfactor.rings import GREVLEX, LEX, Ambient, Ideal, Poly, QuotientRing
+from tests.oracles import merge_vec_divmod
 
 
 @pytest.fixture
@@ -177,3 +183,81 @@ def test_solve_linear_vs_bruteforce(seed):
             assert brute
     else:
         assert not brute
+
+
+def test_module_interreduction_polls_the_deadline(amb):
+    # distinct lead positions queue no pairs: only interreduction can poll
+    x, y = amb.poly("x"), amb.poly("y")
+    vecs = [(x, y), (amb.zero(), y)]
+    assert len(module_groebner(vecs, amb, deadline=time.monotonic() + 60)) == 2
+    with pytest.raises(DeadlineExceeded):
+        module_groebner(vecs, amb, deadline=time.monotonic() - 1)
+
+
+# -- heap division of vectors against the merge reducer -----------------------
+
+
+def _random_poly(rng, amb, max_terms, max_exp):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        mon = tuple(rng.randint(0, max_exp) for _ in range(amb.nvars))
+        if amb.field.char:
+            terms[mon] = rng.randrange(1, amb.field.char)
+        else:
+            terms[mon] = Fraction(rng.choice((1, 2, 3, -1, -2, -5)), rng.randint(1, 4))
+    key = amb.order.key
+    return Poly(amb, tuple(sorted(terms.items(), key=lambda t: key(t[0]), reverse=True)))
+
+
+def _check_vec_division(v, basis, amb):
+    leads = [vec_lead(g) for g in basis]
+    want = merge_vec_divmod(v, basis, amb, want_combo=True)
+    assert vec_divmod(v, basis, amb, want_combo=True) == want
+    assert vec_divmod(v, basis, amb, want_combo=True, leads=leads) == want
+    assert vec_divmod(v, basis, amb) == (want[0], None)
+    assert vec_divmod(v, basis, amb, leads=leads) == merge_vec_divmod(v, basis, amb, leads=leads)
+    rem, combo = want
+    recombined = list(rem)
+    for c, g in zip(combo, basis):
+        recombined = [a + c * b for a, b in zip(recombined, g)]
+    assert tuple(recombined) == tuple(v)
+    for pos, p in enumerate(rem):
+        for lead in leads:
+            if lead is not None and lead[0] == pos:
+                assert not any(all(map(int.__le__, lead[1], m)) for m, _ in p.terms)
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ()], ids=["F7", "Q"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_vec_divmod_matches_merge_reducer(field, order):
+    amb = Ambient(field, ("x", "y", "z"), order)
+    rng = random.Random(9001 + 10 * field.char + order.code)
+    for _ in range(150):
+        size = rng.randint(1, 4)
+        v = tuple(_random_poly(rng, amb, 6, 4) for _ in range(size))
+        basis = []
+        for _ in range(rng.randint(0, 5)):
+            # zero up to a random position, then random (mostly non-monic) entries
+            start = rng.randrange(size)
+            basis.append(
+                tuple(amb.zero() if i < start else _random_poly(rng, amb, 4, 2) for i in range(size))
+            )
+        _check_vec_division(v, basis, amb)
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ()], ids=["F7", "Q"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_vec_divmod_edge_cases(field, order):
+    amb = Ambient(field, ("x", "y"), order)
+    zero, P = amb.zero(), amb.poly
+    v = (P("x^2*y + 2*x + 3"), P("y^2 - x"), P("5*x*y"))
+    _check_vec_division(v, [], amb)
+    _check_vec_division((zero, zero, zero), [(P("x"), zero, P("y"))], amb)
+    _check_vec_division(v, [(zero, zero, zero), (P("3*x + 1"), P("y"), zero)], amb)
+    # non-monic leads whose tails reach later positions, and a later lead
+    basis = [(P("2*x*y + y"), P("3*x"), P("y^2 + 1")), (zero, P("4*y"), P("x - 1"))]
+    _check_vec_division(v, basis, amb)
+    rem, combo = vec_divmod(v, basis, amb, want_combo=True)
+    assert not combo[0].is_zero and not combo[1].is_zero
+    # a position that only a reduction touched, with no lead of its own
+    _check_vec_division((P("x"), zero), [(P("x"), P("y + 2"))], amb)
