@@ -7,7 +7,6 @@ the graded hom complex, and reduce modulo a regular element to
 windowed periodic complexes with certified (total) acyclicity.
 """
 
-from ._kernel import HAVE_SPEEDUPS
 from .context import Context, FreeObj, MatrixMap, compose, eta_map, naturality_check
 from .dg import GradedHom, dg_check, dg_differential, graded_hom, h0_dimension
 from .errors import (

@@ -1,11 +1,9 @@
-"""Reference polynomial term kernel, generic over the coefficient field.
+"""Polynomial term kernel, generic over the coefficient field.
 
 A polynomial is a tuple of ``(monomial, coeff)`` pairs with monomials
 strictly descending in the ambient order and no zero coefficients; a
-monomial is a tuple of nonnegative exponents.  The compiled twin in
-``_speedups`` implements the same functions specialized to prime
-fields; this module is the fallback and the only implementation used
-over the rationals.
+monomial is a tuple of nonnegative exponents.  This module is the only
+implementation, over prime fields and the rationals alike.
 
 ``key`` arguments are monomial sort keys (bigger key = bigger
 monomial) and ``heap_key`` arguments their descending twins (smaller

@@ -294,8 +294,6 @@ def _verb_checktac(args, report, deadline):
 
 def _verb_endring(args, report, deadline):
     ring = QuotientRing.from_json(_load(args, args.input))
-    if args.g is None:
-        raise ParseError("endring requires --g")
     pres = end_ring_cyclic(ring, ring.parse(args.g), deadline=deadline)
     report["verdict"] = "verified"
     report["result"] = {
@@ -307,8 +305,6 @@ def _verb_endring(args, report, deadline):
 
 def _verb_dualq(args, report):
     ring = QuotientRing.from_json(_load(args, args.input))
-    if args.x is None:
-        raise ParseError("dualq requires --x")
     ok = dual_quotient_check(args.n, ring.parse(args.x), ring, seed=args.seed)
     if ok:
         report["verdict"] = "verified"
@@ -410,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     extra = {
         "--window": dict(type=int, default=None, help="window length (default 4d)"),
         "--f": dict(help="reduction element (expression)"),
-        "--g": dict(help="cyclic generator (expression)"),
-        "--x": dict(help="central element (expression)"),
+        "--g": dict(required=True, help="cyclic generator (expression)"),
+        "--x": dict(required=True, help="central element (expression)"),
         "--n": dict(type=int, default=1, help="free rank"),
         "--ctx": dict(help="context JSON"),
         "--d": dict(type=int, default=2),

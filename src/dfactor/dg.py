@@ -104,12 +104,6 @@ def morphism_to_graded(phi: FactMorphism) -> GradedHom:
     return GradedHom(phi.source, phi.target, 0, phi.components)
 
 
-def graded_to_morphism(phi: GradedHom) -> FactMorphism:
-    if phi.degree != 0:
-        raise ShapeMismatch("only degree-0 elements are morphisms")
-    return FactMorphism(phi.source, phi.target, phi.components)
-
-
 def homotopy_to_graded(s: Homotopy) -> GradedHom:
     """s_i: M_{i+1} -> N_i repackaged as a degree -1 element."""
     d = s.source.d

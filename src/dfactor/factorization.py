@@ -237,12 +237,6 @@ def compose_morphisms(psi: FactMorphism, phi: FactMorphism) -> FactMorphism:
     return FactMorphism(phi.source, psi.target, comps)
 
 
-def suspend_morphism(phi: FactMorphism) -> FactMorphism:
-    d = phi.source.d
-    comps = tuple(phi.comp_at(i) for i in range(2, d + 2))
-    return FactMorphism(suspend(phi.source), suspend(phi.target), comps)
-
-
 @dataclass(frozen=True)
 class MorphismCheck:
     ok: bool

@@ -128,7 +128,8 @@ def field_from_json(desc) -> RationalField | PrimeField:
         if isinstance(char, bool) or not isinstance(char, int):
             raise ParseError(f"field characteristic must be an integer, got {char!r}")
         if char >= 2**31:
-            # the compiled kernel multiplies two residues in a C long
+            # keeps PrimeField's trial division under 2^16 steps, so a huge
+            # characteristic fails fast instead of running past --deadline
             raise ParseError(f"field characteristic must be below 2^31, got {char}")
         return GF(char)
     raise ParseError(f"bad field descriptor {desc!r}")

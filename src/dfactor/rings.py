@@ -488,10 +488,6 @@ class QuotientRing:
         mons.sort(key=self.amb.order.key)
         return mons
 
-    def field_dimension(self) -> int | None:
-        mons = self.standard_monomials()
-        return None if mons is None else len(mons)
-
     def extend_ideal(self, extra_gens) -> "QuotientRing":
         """The quotient by the ideal enlarged with ``extra_gens``."""
         return QuotientRing(

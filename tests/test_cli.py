@@ -444,6 +444,14 @@ def test_flag_of_another_verb_is_usage_error(capsys):
     assert "--g" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, flag", [("endring", "--g"), ("dualq", "--x")])
+def test_missing_required_flag_is_usage_error(verb, flag, capsys):
+    with pytest.raises(SystemExit) as usage_error:
+        main([verb, str(FIXTURES / "ring_f7xy_mod_xy.json")])
+    assert usage_error.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_deadline_bounds_the_algebra_solve(tmp_path, capsys):
     quantum = json.loads((FIXTURES / "quantum_context.json").read_text())
     trivial = {"d": 2, "ranks": [1, 1], "maps": [[["1"]], [[quantum["eta"]]]]}
