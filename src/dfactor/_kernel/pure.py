@@ -89,8 +89,15 @@ def shift(ta, mon, c, field):
 
 
 def mul(ta, tb, field, key):
+    """Product of two canonical term tuples.  A one-term operand is a
+    ``shift`` of the other: monomial orders are multiplicative and a
+    field has no zero divisors, so that product needs no sort."""
     if not ta or not tb:
         return ()
+    if len(tb) == 1:
+        return shift(ta, tb[0][0], tb[0][1], field)
+    if len(ta) == 1:
+        return shift(tb, ta[0][0], ta[0][1], field)
     acc = {}
     zero = field.zero
     for ma, ca in ta:

@@ -27,9 +27,8 @@ class MonomialOrder:
     key means bigger monomial, so a min-heap yields the biggest first.
     """
 
-    def __init__(self, name: str, code: int, key, heap_key):
+    def __init__(self, name: str, key, heap_key):
         self.name = name
-        self.code = code
         self.key = key
         self.heap_key = heap_key
 
@@ -59,8 +58,8 @@ def _lex_heap_key(mon):
     return tuple(map(operator.neg, mon))
 
 
-GREVLEX = MonomialOrder("grevlex", 0, _grevlex_key, _grevlex_heap_key)
-LEX = MonomialOrder("lex", 1, _lex_key, _lex_heap_key)
+GREVLEX = MonomialOrder("grevlex", _grevlex_key, _grevlex_heap_key)
+LEX = MonomialOrder("lex", _lex_key, _lex_heap_key)
 
 _ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 

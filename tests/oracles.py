@@ -237,3 +237,69 @@ def merge_vec_divmod(v, basis, amb, want_combo=False, leads=None):
     if want_combo:
         return remainder, tuple(Poly(amb, c) for c in combo)
     return remainder, None
+
+
+def dict_mul(ta, tb, field, key):
+    """Schoolbook product: every pair of terms accumulates in a dict,
+    which is then sorted descending.
+
+    The reference for ``_kernel.pure.mul``; ``key`` is the ascending
+    monomial key of the order.
+    """
+    from dfactor._kernel.pure import mon_mul
+
+    if not ta or not tb:
+        return ()
+    acc = {}
+    zero = field.zero
+    for ma, ca in ta:
+        for mb, cb in tb:
+            m = mon_mul(ma, mb)
+            c = field.add(acc.get(m, zero), field.mul(ca, cb))
+            if c == zero:
+                acc.pop(m, None)
+            else:
+                acc[m] = c
+    return tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True))
+
+
+def all_pairs_module_groebner(vecs, amb):
+    """Buchberger without pair criteria: every same-position pair of
+    every element found is reduced, then each minimal element is
+    reduced by all the others.
+
+    The reference for ``modgb.module_groebner``: for a fixed order the
+    reduced basis is unique, so both must return the same tuple.
+    """
+    from dfactor._kernel.pure import mon_div, mon_divides, mon_lcm
+    from dfactor.modgb import vec_add, vec_is_zero, vec_lead, vec_monic, vec_shift
+
+    field, key = amb.field, amb.order.key
+    basis = [vec_monic(v) for v in vecs if not vec_is_zero(v)]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        (pi, mi, ci), (pj, mj, cj) = vec_lead(basis[i]), vec_lead(basis[j])
+        if pi != pj:
+            continue
+        lcm = mon_lcm(mi, mj)
+        left = vec_shift(basis[i], mon_div(lcm, mi), field.inv(ci))
+        right = vec_shift(basis[j], mon_div(lcm, mj), field.neg(field.inv(cj)))
+        rem, _ = merge_vec_divmod(vec_add(left, right), basis, amb)
+        if not vec_is_zero(rem):
+            basis.append(vec_monic(rem))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    leads = [vec_lead(v) for v in basis]
+    minimal = []
+    for k in sorted(range(len(basis)), key=lambda k: (leads[k][0], key(leads[k][1]))):
+        pos, mon, _ = leads[k]
+        if not any(leads[h][0] == pos and mon_divides(leads[h][1], mon) for h in minimal):
+            minimal.append(k)
+    reduced = []
+    for k in minimal:
+        others = [basis[h] for h in minimal if h != k]
+        reduced.append(vec_monic(merge_vec_divmod(basis[k], others, amb)[0]))
+    # biggest lead first: position ascending, then monomial descending
+    reduced.sort(key=lambda v: key(vec_lead(v)[1]), reverse=True)
+    reduced.sort(key=lambda v: vec_lead(v)[0])
+    return tuple(reduced)

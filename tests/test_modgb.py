@@ -1,5 +1,6 @@
 """Module engine: syzygies, membership lifts, colon ideals, solving."""
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfactor import modgb
 from dfactor.errors import DeadlineExceeded
 from dfactor.fields import GF, QQ
 from dfactor.modgb import (
@@ -25,7 +27,7 @@ from dfactor.modgb import (
     vec_lead,
 )
 from dfactor.rings import GREVLEX, LEX, Ambient, Ideal, Poly, QuotientRing
-from tests.oracles import merge_vec_divmod
+from tests.oracles import all_pairs_module_groebner, merge_vec_divmod
 
 
 @pytest.fixture
@@ -190,7 +192,16 @@ def test_module_interreduction_polls_the_deadline(amb):
     x, y = amb.poly("x"), amb.poly("y")
     vecs = [(x, y), (amb.zero(), y)]
     assert len(module_groebner(vecs, amb, deadline=time.monotonic() + 60)) == 2
-    with pytest.raises(DeadlineExceeded):
+    with pytest.raises(DeadlineExceeded, match=r"^module groebner interreduction: 0 of 2 elements$"):
+        module_groebner(vecs, amb, deadline=time.monotonic() - 1)
+
+
+def test_module_pair_loop_reports_progress_at_the_deadline(amb):
+    # three leads at position 0 queue the pairs (0, 1) and (1, 2); the
+    # chain criterion drops (0, 2), whose lcm x*y equals that of (1, 2)
+    x, y = amb.poly("x"), amb.poly("y")
+    vecs = [(x, y), (y, x), (amb.poly("x*y"), amb.one())]
+    with pytest.raises(DeadlineExceeded, match=r"^module groebner: 0 pairs done, 2 queued$"):
         module_groebner(vecs, amb, deadline=time.monotonic() - 1)
 
 
@@ -231,7 +242,7 @@ def _check_vec_division(v, basis, amb):
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_vec_divmod_matches_merge_reducer(field, order):
     amb = Ambient(field, ("x", "y", "z"), order)
-    rng = random.Random(9001 + 10 * field.char + order.code)
+    rng = random.Random(9001 + 10 * field.char + ("grevlex", "lex").index(order.name))
     for _ in range(150):
         size = rng.randint(1, 4)
         v = tuple(_random_poly(rng, amb, 6, 4) for _ in range(size))
@@ -261,3 +272,131 @@ def test_vec_divmod_edge_cases(field, order):
     assert not combo[0].is_zero and not combo[1].is_zero
     # a position that only a reduction touched, with no lead of its own
     _check_vec_division((P("x"), zero), [(P("x"), P("y + 2"))], amb)
+
+
+# -- the Gebauer–Möller engine against the all-pairs oracle -------------------
+
+
+def _random_module(rng, amb, rank):
+    """Generators with small leads, so that equal lcms are common, plus
+    a duplicate, a scalar multiple and a zero vector, which the
+    augmented system turns into a generator with a zero main block."""
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        start = rng.randrange(rank)
+        gens.append(
+            tuple(amb.zero() if i < start else _random_poly(rng, amb, 2, 2) for i in range(rank))
+        )
+    gens.append(rng.choice(gens))
+    gens.append(tuple(p.scale(3) for p in rng.choice(gens)))
+    gens.insert(rng.randrange(len(gens)), tuple(amb.zero() for _ in range(rank)))
+    return gens
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ()], ids=["F7", "Q"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_module_groebner_matches_all_pairs_oracle(field, order, monkeypatch):
+    amb = Ambient(field, ("x", "y"), order)
+    ring = QuotientRing(amb, Ideal(amb, [amb.poly("x^2*y")]))
+    rng = random.Random(9301 + 10 * field.char + ("grevlex", "lex").index(order.name))
+    for _ in range(12):
+        rank = rng.randint(1, 3)
+        gens = _random_module(rng, amb, rank)
+        target = tuple(_random_poly(rng, amb, 3, 2) for _ in range(rank))
+        rows = [tuple(g[i] for g in gens) for i in range(rank)]
+        member = tuple(g0 + g1 for g0, g1 in zip(gens[0], gens[-1]))
+
+        def outputs():
+            return (
+                modgb.module_groebner(gens, amb),
+                modgb.module_groebner(modgb._augment(gens, amb), amb),
+                syzygy_gens(gens, amb),
+                membership_lift(gens, target, amb),
+                membership_lift(gens, member, amb),
+                matrix_kernel(rows, ring),
+            )
+
+        got = outputs()
+        with monkeypatch.context() as m:
+            m.setattr(modgb, "module_groebner", lambda vecs, amb, deadline=None: (
+                all_pairs_module_groebner(vecs, amb)
+            ))
+            want = outputs()
+        assert got == want
+        assert is_module_groebner(got[1], amb)
+        assert got[4][1] is None  # a sum of two generators is a member
+
+
+_P7 = Ambient(GF(7), ("x", "y", "z"))
+
+
+def _pinned_pair_reductions(monkeypatch, call):
+    calls, at_final_reduction = [0], []
+    divmod, reduce_basis = modgb.vec_divmod, modgb._reduce_module_basis
+
+    def counting_divmod(*args, **kwargs):
+        calls[0] += 1
+        return divmod(*args, **kwargs)
+
+    def recording_reduce(*args):
+        at_final_reduction.append(calls[0])
+        return reduce_basis(*args)
+
+    monkeypatch.setattr(modgb, "vec_divmod", counting_divmod)
+    monkeypatch.setattr(modgb, "_reduce_module_basis", recording_reduce)
+    call()
+    return at_final_reduction
+
+
+def test_syzygy_pair_reductions_pinned(monkeypatch):
+    """S-pair reductions are deterministic: a count, not a timing.
+
+    Without the chain criterion these generators take 83 reductions,
+    not counting the final interreduction.
+    """
+    P = _P7.poly
+    vecs = [(P("x^2"), P("y^2")), (P("x*y"), P("x + y")), (P("y^2"), P("x^2")),
+            (P("x"), P("y")), (P("z"), P("x*z"))]
+    assert _pinned_pair_reductions(monkeypatch, lambda: syzygy_gens(vecs, _P7)) == [22]
+
+
+def test_membership_lift_pair_reductions_pinned(monkeypatch):
+    """Without the chain criterion this lift takes 27 reductions."""
+    P, zero = _P7.poly, _P7.zero()
+    gens = [(P("x"), P("y"), P("z")), (P("y"), P("z"), P("x")), (P("z"), P("x"), P("y")),
+            (P("x*y"), zero, P("z^2"))]
+    target = (P("x^2"), P("y^2"), P("z^2"))
+    got = _pinned_pair_reductions(monkeypatch, lambda: membership_lift(gens, target, _P7))
+    assert got == [15]
+
+
+def test_matrix_kernel_pair_reductions_pinned(monkeypatch):
+    """Without the chain criterion this kernel takes 37 reductions."""
+    P = _P7.poly
+    ring = QuotientRing(_P7, Ideal(_P7, [P("x*y"), P("z^2")]))
+    rows = [(P("x"), P("y"), P("x + z")), (P("y"), P("x^2"), _P7.zero())]
+    assert _pinned_pair_reductions(monkeypatch, lambda: matrix_kernel(rows, ring)) == [19]
+
+
+# -- certificates that a forger cannot pass off ---------------------------------
+
+
+def test_forged_certificates_are_rejected(amb):
+    x, y, one, zero = amb.poly("x"), amb.poly("y"), amb.one(), amb.zero()
+    # the claim 1 is not in <1>, with an empty basis that proves nothing
+    forged = NoSolutionCertificate(
+        gens=((one,),), gb=(), remainder=(one, zero), main_len=1, target=(one, zero)
+    )
+    assert not forged.reverify(amb)
+    _, cert = membership_lift([(x,), (y,)], (one,), amb)
+    assert cert.reverify(amb)
+    for k in range(len(cert.gb)):
+        dropped = cert.gb[:k] + cert.gb[k + 1 :]
+        assert not dataclasses.replace(cert, gb=dropped).reverify(amb)
+    # a true remainder of another vector, not of the target
+    _, other = membership_lift([(x,), (y,)], (amb.poly("2"),), amb)
+    assert other.reverify(amb)
+    assert not dataclasses.replace(cert, remainder=other.remainder).reverify(amb)
+    # a target with a tag block, or of the wrong length
+    assert not dataclasses.replace(cert, target=cert.target[:1] + (one, zero)).reverify(amb)
+    assert not dataclasses.replace(cert, target=cert.target[:2]).reverify(amb)
