@@ -351,8 +351,9 @@ def _pinned_pair_reductions(monkeypatch, call):
 def test_syzygy_pair_reductions_pinned(monkeypatch):
     """S-pair reductions are deterministic: a count, not a timing.
 
-    Without the chain criterion these generators take 83 reductions,
-    not counting the final interreduction.
+    The all-pairs engine this one replaced (no pair criteria, lowest
+    lcm degree first) took 83 reductions for these generators, not
+    counting the final interreduction.
     """
     P = _P7.poly
     vecs = [(P("x^2"), P("y^2")), (P("x*y"), P("x + y")), (P("y^2"), P("x^2")),
@@ -361,7 +362,7 @@ def test_syzygy_pair_reductions_pinned(monkeypatch):
 
 
 def test_membership_lift_pair_reductions_pinned(monkeypatch):
-    """Without the chain criterion this lift takes 27 reductions."""
+    """The all-pairs engine took 27 reductions for this lift."""
     P, zero = _P7.poly, _P7.zero()
     gens = [(P("x"), P("y"), P("z")), (P("y"), P("z"), P("x")), (P("z"), P("x"), P("y")),
             (P("x*y"), zero, P("z^2"))]
@@ -371,7 +372,7 @@ def test_membership_lift_pair_reductions_pinned(monkeypatch):
 
 
 def test_matrix_kernel_pair_reductions_pinned(monkeypatch):
-    """Without the chain criterion this kernel takes 37 reductions."""
+    """The all-pairs engine took 37 reductions for this kernel."""
     P = _P7.poly
     ring = QuotientRing(_P7, Ideal(_P7, [P("x*y"), P("z^2")]))
     rows = [(P("x"), P("y"), P("x + z")), (P("y"), P("x^2"), _P7.zero())]
