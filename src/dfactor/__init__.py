@@ -8,7 +8,7 @@ windowed periodic complexes with certified (total) acyclicity.
 """
 
 from .context import Context, FreeObj, MatrixMap, compose, eta_map, naturality_check
-from .dg import GradedHom, dg_check, dg_differential, graded_hom, h0_dimension
+from .dg import GradedHom, dg_check, dg_differential, graded_hom, h0_dimension, zero_graded
 from .errors import (
     CompositionMismatch,
     DeadlineExceeded,
@@ -20,9 +20,7 @@ from .errors import (
 )
 from .factorization import (
     Cone,
-    FactMorphism,
     FactorizationD,
-    Homotopy,
     NotHomotopic,
     Triangle,
     cone,
@@ -39,7 +37,6 @@ from .factorization import (
     trivial_factorization,
     unsuspend,
     verify_factorization,
-    zero_morphism,
     zero_object,
 )
 from .fdalg import (

@@ -20,7 +20,7 @@ import sys
 import time
 
 from .axioms import run_axiom_suite
-from .dg import dg_check, dg_differential
+from .dg import GradedHom, dg_check, dg_differential
 from .errors import (
     CompositionMismatch,
     DFactorError,
@@ -31,7 +31,6 @@ from .errors import (
     UnsupportedOperation,
 )
 from .factorization import (
-    Homotopy,
     direct_sum,
     homotopy_decide,
     is_morphism,
@@ -95,8 +94,10 @@ def _cert_json(cert):
     return {"kind": type(cert).__name__, "detail": repr(cert)}
 
 
-def _homotopy_json(h: Homotopy, fmt):
-    return {"components": [_matrix_json(c, fmt) for c in h.components]}
+def _witness_json(t: GradedHom, fmt):
+    """A degree -1 witness t, listed as s_i = t_{i+1}: M_{i+1} -> N_i."""
+    d = t.source.d
+    return {"components": [_matrix_json(t.comp_at(i + 1), fmt) for i in range(1, d + 1)]}
 
 
 class _Outcome(Exception):
@@ -197,9 +198,9 @@ def _verb_homotopic(args, report, deadline):
         raise ShapeMismatch("the two morphisms are not parallel")
     verdict = homotopy_decide(phi, psi, deadline=deadline)
     fmt = phi.source.ctx.backend.format
-    if isinstance(verdict, Homotopy):
+    if isinstance(verdict, GradedHom):
         report["verdict"] = "homotopic"
-        report["witness"] = _homotopy_json(verdict, fmt)
+        report["witness"] = _witness_json(verdict, fmt)
         return EXIT_OK
     report["verdict"] = "not_homotopic"
     report["certificate"] = {
@@ -320,10 +321,10 @@ def _verb_faithful(args, report, deadline):
     fmt = theta.source.ctx.backend.format
     report["result"] = {
         "downstairs_null": verdict.downstairs_null,
-        "downstairs_witness": _homotopy_json(verdict.downstairs_witness, fmt)
+        "downstairs_witness": _witness_json(verdict.downstairs_witness, fmt)
         if verdict.downstairs_witness
         else None,
-        "upstairs_witness": _homotopy_json(verdict.upstairs_witness, fmt)
+        "upstairs_witness": _witness_json(verdict.upstairs_witness, fmt)
         if verdict.upstairs_witness
         else None,
     }
@@ -364,7 +365,7 @@ def _verb_lift(args, report, deadline):
         report["verdict"] = "lifted"
         report["result"] = {
             "theta": schemas.morphism_to_json(outcome.theta),
-            "downstairs_witness": _homotopy_json(outcome.downstairs_witness, fmt),
+            "downstairs_witness": _witness_json(outcome.downstairs_witness, fmt),
         }
         return EXIT_OK
     report["verdict"] = "no_lift"

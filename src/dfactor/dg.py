@@ -1,25 +1,39 @@
-"""The graded hom complex between two factorizations.
+"""The graded hom complex between two factorizations, and its one
+element type.
 
-Degree-n elements are d-tuples of maps phi_i: M_i -> N_{i+n} subject
-to the double-square condition; the differential is
-``g . phi + (-1)^(n+1) phi . f`` and squares to zero on elements that
-satisfy it.  Degree-0 cycles are exactly the morphisms, and degree
--1 elements map onto homotopy witnesses.
+A degree-n element phi: X -> Y is a d-tuple of maps phi_i: M_i ->
+N_{i+n}, indices modulo d through twists.  It is valid when every
+double square commutes; the differential is
+``g . phi + (-1)^(n+1) phi . f`` and squares to zero on valid elements.
+Morphisms are the degree-0 cycles, and a homotopy witness for
+phi ~ phi' is a degree -1 element t with phi - phi' = d(t), that is
+phi_i - phi'_i = g_{i-1} t_i + t_{i+1} f_i.  Composition adds degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .context import MatrixMap, compose
 from .errors import ShapeMismatch, UnsupportedOperation
-from .factorization import FactMorphism, FactorizationD, Homotopy, _wrap
 from .fdalg import FDAlgebra
 from .rings import QuotientRing
+
+if TYPE_CHECKING:
+    from .factorization import FactorizationD
+
+
+def _wrap(m: int, d: int):
+    """m = q*d + r with 1 <= r <= d; returns (q, r)."""
+    q, rem = divmod(m - 1, d)
+    return q, rem + 1
 
 
 @dataclass(frozen=True)
 class GradedHom:
+    """Component i (1-based) is a map M_i -> N_{i+degree}."""
+
     source: FactorizationD
     target: FactorizationD
     degree: int
@@ -30,12 +44,7 @@ class GradedHom:
         return self.components[r - 1].twisted(q)
 
     def __add__(self, other: "GradedHom") -> "GradedHom":
-        if (self.source, self.target, self.degree) != (
-            other.source,
-            other.target,
-            other.degree,
-        ):
-            raise ShapeMismatch("graded elements not parallel")
+        self._parallel(other)
         return GradedHom(
             self.source,
             self.target,
@@ -43,10 +52,27 @@ class GradedHom:
             tuple(a + b for a, b in zip(self.components, other.components)),
         )
 
+    def __sub__(self, other: "GradedHom") -> "GradedHom":
+        self._parallel(other)
+        return GradedHom(
+            self.source,
+            self.target,
+            self.degree,
+            tuple(a - b for a, b in zip(self.components, other.components)),
+        )
+
     def __neg__(self) -> "GradedHom":
         return GradedHom(
             self.source, self.target, self.degree, tuple(-c for c in self.components)
         )
+
+    def _parallel(self, other: "GradedHom"):
+        if (self.source, self.target, self.degree) != (
+            other.source,
+            other.target,
+            other.degree,
+        ):
+            raise ShapeMismatch("graded elements not parallel")
 
     @property
     def is_zero(self) -> bool:
@@ -69,12 +95,21 @@ def graded_hom(X: FactorizationD, Y: FactorizationD, degree: int, components) ->
     return GradedHom(X, Y, degree, components)
 
 
-def zero_graded(X: FactorizationD, Y: FactorizationD, degree: int) -> GradedHom:
+def zero_graded(X: FactorizationD, Y: FactorizationD, degree: int = 0) -> GradedHom:
     comps = [
         MatrixMap.zero(X.ctx, X.objects[i - 1], Y.obj_at(i + degree))
         for i in range(1, X.d + 1)
     ]
     return GradedHom(X, Y, degree, tuple(comps))
+
+
+def compose_graded(psi: GradedHom, phi: GradedHom) -> GradedHom:
+    """psi after phi: components psi_{i + deg phi} . phi_i; degrees add."""
+    if phi.target != psi.source:
+        raise ShapeMismatch("graded elements do not compose")
+    n = phi.degree
+    comps = tuple(compose(psi.comp_at(i + n), c) for i, c in enumerate(phi.components, start=1))
+    return GradedHom(phi.source, psi.target, psi.degree + n, comps)
 
 
 def dg_check(phi: GradedHom) -> bool:
@@ -98,25 +133,6 @@ def dg_differential(phi: GradedHom) -> GradedHom:
         term2 = compose(phi.comp_at(i + 1), X.map_at(i))
         comps.append(term1 + term2 if sign > 0 else term1 - term2)
     return GradedHom(X, Y, n + 1, tuple(comps))
-
-
-def morphism_to_graded(phi: FactMorphism) -> GradedHom:
-    return GradedHom(phi.source, phi.target, 0, phi.components)
-
-
-def homotopy_to_graded(s: Homotopy) -> GradedHom:
-    """s_i: M_{i+1} -> N_i repackaged as a degree -1 element."""
-    d = s.source.d
-    comps = [s.comp_at(i - 1) for i in range(1, d + 1)]
-    return GradedHom(s.source, s.target, -1, tuple(comps))
-
-
-def graded_to_homotopy(t: GradedHom) -> Homotopy:
-    if t.degree != -1:
-        raise ShapeMismatch("homotopies are degree -1 elements")
-    d = t.source.d
-    comps = [t.comp_at(i + 1) for i in range(1, d + 1)]
-    return Homotopy(t.source, t.target, tuple(comps))
 
 
 def is_cycle(phi: GradedHom) -> bool:

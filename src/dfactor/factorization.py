@@ -1,7 +1,9 @@
 """Cyclic d-tuples of maps factoring multiplication by w, and their
 homotopy calculus: verification, suspension and its inverse, direct
 sums, mapping cones, comparison isomorphisms, standard triangles, and
-the certified homotopy decision procedure.
+the certified homotopy decision procedure.  Morphisms and homotopy
+witnesses are graded elements (:class:`dg.GradedHom`) of degree 0 and
+-1.
 
 Index convention: positions are 1-based modulo d in the twisted sense.
 For m = q*d + r with 1 <= r <= d, the object at position m is the
@@ -23,15 +25,10 @@ from .context import (
     eta_map,
     row_block,
 )
+from .dg import GradedHom, _wrap, compose_graded, dg_differential, graded_hom
 from .errors import CompositionMismatch, ShapeMismatch
 from .linalg import FredholmCertificate
 from .linsys import LinearSystem
-
-
-def _wrap(m: int, d: int):
-    """m = q*d + r with 1 <= r <= d; returns (q, r)."""
-    q, rem = divmod(m - 1, d)
-    return q, rem + 1
 
 
 @dataclass(frozen=True)
@@ -149,57 +146,11 @@ def suspend_power(X: FactorizationD, k: int) -> FactorizationD:
     return out
 
 
-# -- morphisms ---------------------------------------------------------
+# -- morphisms: degree-0 graded elements ---------------------------------
 
 
-@dataclass(frozen=True)
-class FactMorphism:
-    source: FactorizationD
-    target: FactorizationD
-    components: tuple
-
-    def comp_at(self, m: int) -> MatrixMap:
-        q, r = _wrap(m, self.source.d)
-        return self.components[r - 1].twisted(q)
-
-    def __add__(self, other: "FactMorphism") -> "FactMorphism":
-        self._parallel(other)
-        return FactMorphism(
-            self.source,
-            self.target,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-    def __sub__(self, other: "FactMorphism") -> "FactMorphism":
-        self._parallel(other)
-        return FactMorphism(
-            self.source,
-            self.target,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
-
-    def __neg__(self) -> "FactMorphism":
-        return FactMorphism(self.source, self.target, tuple(-a for a in self.components))
-
-    def _parallel(self, other):
-        if self.source != other.source or self.target != other.target:
-            raise ShapeMismatch("morphisms are not parallel")
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
-
-def morphism(X: FactorizationD, Y: FactorizationD, components, verify: bool = True) -> FactMorphism:
-    if X.ctx != Y.ctx or X.d != Y.d:
-        raise ShapeMismatch("morphism needs matching context and d")
-    components = tuple(components)
-    if len(components) != X.d:
-        raise ShapeMismatch(f"need {X.d} components")
-    for i, c in enumerate(components):
-        if c.source != X.objects[i] or c.target != Y.objects[i]:
-            raise ShapeMismatch(f"component {i+1} has shape {c.source}->{c.target}")
-    phi = FactMorphism(X, Y, components)
+def morphism(X: FactorizationD, Y: FactorizationD, components, verify: bool = True) -> GradedHom:
+    phi = graded_hom(X, Y, 0, components)
     if verify:
         check = is_morphism(phi)
         if not check.ok:
@@ -209,32 +160,18 @@ def morphism(X: FactorizationD, Y: FactorizationD, components, verify: bool = Tr
     return phi
 
 
-def identity_morphism(X: FactorizationD) -> FactMorphism:
+def identity_morphism(X: FactorizationD) -> GradedHom:
     comps = [MatrixMap.identity(X.ctx, obj) for obj in X.objects]
-    return FactMorphism(X, X, tuple(comps))
+    return GradedHom(X, X, 0, tuple(comps))
 
 
-def zero_morphism(X: FactorizationD, Y: FactorizationD) -> FactMorphism:
-    comps = [
-        MatrixMap.zero(X.ctx, a, b) for a, b in zip(X.objects, Y.objects)
-    ]
-    return FactMorphism(X, Y, tuple(comps))
-
-
-def scalar_morphism(X: FactorizationD, elem) -> FactMorphism:
+def scalar_morphism(X: FactorizationD, elem) -> GradedHom:
     """Multiplication by a backend element on every component.
 
     A morphism whenever the element commutes with all map entries
     (always, over a commutative backend)."""
     comps = [MatrixMap.scalar(X.ctx, obj, elem) for obj in X.objects]
-    return FactMorphism(X, X, tuple(comps))
-
-
-def compose_morphisms(psi: FactMorphism, phi: FactMorphism) -> FactMorphism:
-    if phi.target != psi.source:
-        raise ShapeMismatch("morphisms do not compose")
-    comps = tuple(compose(a, b) for a, b in zip(psi.components, phi.components))
-    return FactMorphism(phi.source, psi.target, comps)
+    return GradedHom(X, X, 0, tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -244,7 +181,7 @@ class MorphismCheck:
     residual: MatrixMap | None = None
 
 
-def is_morphism(phi: FactMorphism) -> MorphismCheck:
+def is_morphism(phi: GradedHom) -> MorphismCheck:
     """All d squares commute; reports the first failure."""
     X, Y = phi.source, phi.target
     for i in range(1, X.d + 1):
@@ -255,78 +192,13 @@ def is_morphism(phi: FactMorphism) -> MorphismCheck:
     return MorphismCheck(True)
 
 
-# -- homotopy ----------------------------------------------------------
+# -- homotopy: degree -1 witnesses ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Homotopy:
-    """Diagonal witness: s_i: M_{i+1} -> N_i (s_d from the twist of M_1)."""
-
-    source: FactorizationD
-    target: FactorizationD
-    components: tuple
-
-    def comp_at(self, m: int) -> MatrixMap:
-        q, r = _wrap(m, self.source.d)
-        return self.components[r - 1].twisted(q)
-
-    def __neg__(self):
-        return Homotopy(self.source, self.target, tuple(-c for c in self.components))
-
-    def __add__(self, other: "Homotopy"):
-        return Homotopy(
-            self.source,
-            self.target,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-
-def homotopy_shapes(X: FactorizationD, Y: FactorizationD):
-    """(source, target) pairs for the d witness components."""
-    d = X.d
-    return [(X.obj_at(i + 1), Y.objects[i - 1]) for i in range(1, d + 1)]
-
-
-def boundary_of_homotopy(s: Homotopy) -> FactMorphism:
-    """The morphism with components s_i f_i + g_{i-1} s_{i-1}."""
-    X, Y = s.source, s.target
-    comps = []
-    for i in range(1, X.d + 1):
-        term1 = compose(s.comp_at(i), X.map_at(i))
-        term2 = compose(Y.map_at(i - 1), s.comp_at(i - 1))
-        comps.append(term1 + term2)
-    return FactMorphism(X, Y, tuple(comps))
-
-
-def verify_witness(s: Homotopy, phi: FactMorphism, phi2: FactMorphism) -> bool:
+def verify_witness(t: GradedHom, phi: GradedHom, phi2: GradedHom) -> bool:
+    """phi - phi2 = d(t) for a degree -1 element t."""
     diff = phi - phi2
-    bound = boundary_of_homotopy(s)
-    return all(a == b for a, b in zip(diff.components, bound.components))
-
-
-def homotopy_commutes_with_squares(s: Homotopy) -> bool:
-    """Witnesses commute with the square of the maps:
-    g_{i+1} g_i s_i = s_{i+2} f_{i+2} f_{i+1} for every i."""
-    X, Y = s.source, s.target
-    for i in range(1, X.d + 1):
-        lhs = compose_chain([s.comp_at(i), Y.map_at(i), Y.map_at(i + 1)])
-        rhs = compose_chain([X.map_at(i + 1), X.map_at(i + 2), s.comp_at(i + 2)])
-        if lhs != rhs:
-            return False
-    return True
-
-
-def composite_homotopy(psi: FactMorphism, s: Homotopy, t: Homotopy, phi2: FactMorphism) -> Homotopy:
-    """Witness for psi.phi ~ psi2.phi2 from witnesses s: phi ~ phi2 and
-    t: psi ~ psi2, namely psi_i s_i + t_i phi2_{i+1}."""
-    comps = []
-    d = psi.source.d
-    for i in range(1, d + 1):
-        comps.append(
-            compose(psi.comp_at(i), s.comp_at(i))
-            + compose(t.comp_at(i), phi2.comp_at(i + 1))
-        )
-    return Homotopy(s.source, t.target, tuple(comps))
+    return t.degree == -1 and diff.components == dg_differential(t).components
 
 
 @dataclass(frozen=True)
@@ -337,19 +209,20 @@ class NotHomotopic:
     detail: str = ""
 
 
-def homotopy_decide(phi: FactMorphism, phi2: FactMorphism, deadline: float | None = None):
-    """Homotopy witness or a certified NOT_HOMOTOPIC.
+def homotopy_decide(phi: GradedHom, phi2: GradedHom, deadline: float | None = None):
+    """Degree -1 witness t with phi - phi2 = d(t), or a certified
+    NOT_HOMOTOPIC.
 
-    The d defining equations s_i f_i + g_{i-1} s_{i-1} = phi_i - phi2_i
+    The unknowns are s_i = t_{i+1}: M_{i+1} -> N_i for i = 1..d, and the
+    d defining equations s_i f_i + g_{i-1} s_{i-1} = phi_i - phi2_i
     form one linear system over the backend: a module Gröbner
     membership over a quotient ring, plain field linear algebra over a
     finite-dimensional algebra.  A returned witness has been
     re-verified entrywise.
     """
-    phi._parallel(phi2)
     X, Y = phi.source, phi.target
     psi = phi - phi2
-    shapes = homotopy_shapes(X, Y)
+    shapes = [(X.obj_at(i + 1), Y.objects[i - 1]) for i in range(1, X.d + 1)]
     system = LinearSystem(X.ctx.backend)
     s = [system.unknown(tgt.rank, src.rank) for src, tgt in shapes]
     for i in range(1, X.d + 1):
@@ -363,7 +236,8 @@ def homotopy_decide(phi: FactMorphism, phi2: FactMorphism, deadline: float | Non
             return NotHomotopic(cert, "field-linear homotopy system is inconsistent")
         return NotHomotopic(cert, "membership of the flattened system failed")
     comps = [MatrixMap.make(X.ctx, src, tgt, grid) for (src, tgt), grid in zip(shapes, grids)]
-    witness = Homotopy(X, Y, tuple(comps))
+    # t_1 = s_0 is s_d untwisted, and t_i = s_{i-1} for i >= 2
+    witness = GradedHom(X, Y, -1, (comps[-1].twisted(-1), *comps[:-1]))
     if not verify_witness(witness, phi, phi2):
         raise AssertionError("solver returned an invalid homotopy witness")
     return witness
@@ -375,11 +249,11 @@ def homotopy_decide(phi: FactMorphism, phi2: FactMorphism, deadline: float | Non
 @dataclass(frozen=True)
 class Cone:
     cone: FactorizationD
-    include: FactMorphism
-    project: FactMorphism
+    include: GradedHom
+    project: GradedHom
 
 
-def cone(phi: FactMorphism) -> Cone:
+def cone(phi: GradedHom) -> Cone:
     """Mapping cone with its inclusion and projection.
 
     Objects M_{i+1} + N_i, maps [[-f_{i+1}, 0], [phi_{i+1}, g_i]];
@@ -418,14 +292,14 @@ def cone(phi: FactMorphism) -> Cone:
     return Cone(C, include, project)
 
 
-def cone_comparison(phi: FactMorphism, phi2: FactMorphism, s: Homotopy):
-    """The strict isomorphism [[1,0],[s_i,1]]: C_phi -> C_phi2.
+def cone_comparison(phi: GradedHom, phi2: GradedHom, t: GradedHom):
+    """The strict isomorphism [[1,0],[t_{i+1},1]]: C_phi -> C_phi2.
 
     Verifies the witness, that both directions are morphisms inverse
     to each other on the nose, and the strict identities
     i_{phi2} = lambda . i_phi and pi_{phi2} . lambda = pi_phi.
     """
-    if not verify_witness(s, phi, phi2):
+    if not verify_witness(t, phi, phi2):
         raise ShapeMismatch("homotopy does not witness the two morphisms")
     c1 = cone(phi)
     c2 = cone(phi2)
@@ -437,12 +311,12 @@ def cone_comparison(phi: FactMorphism, phi2: FactMorphism, s: Homotopy):
         for i in range(1, d + 1):
             m_next = phi.source.obj_at(i + 1)
             n_obj = phi.target.objects[i - 1]
-            s_i = s.comp_at(i) if sign > 0 else -s.comp_at(i)
+            t_next = t.comp_at(i + 1) if sign > 0 else -t.comp_at(i + 1)
             comps.append(
                 block2x2(
                     MatrixMap.identity(ctx, m_next),
                     MatrixMap.zero(ctx, n_obj, m_next),
-                    s_i,
+                    t_next,
                     MatrixMap.identity(ctx, n_obj),
                 )
             )
@@ -452,13 +326,13 @@ def cone_comparison(phi: FactMorphism, phi2: FactMorphism, s: Homotopy):
     lam_inv = morphism(c2.cone, c1.cone, lam_comps(-1))
     ident1 = identity_morphism(c1.cone)
     ident2 = identity_morphism(c2.cone)
-    if compose_morphisms(lam_inv, lam).components != ident1.components:
+    if compose_graded(lam_inv, lam).components != ident1.components:
         raise AssertionError("cone comparison: lambda^-1 . lambda is not the identity")
-    if compose_morphisms(lam, lam_inv).components != ident2.components:
+    if compose_graded(lam, lam_inv).components != ident2.components:
         raise AssertionError("cone comparison: lambda . lambda^-1 is not the identity")
-    if compose_morphisms(lam, c1.include).components != c2.include.components:
+    if compose_graded(lam, c1.include).components != c2.include.components:
         raise AssertionError("cone comparison: lambda does not carry i_phi to i_phi2")
-    if compose_morphisms(c2.project, lam).components != c1.project.components:
+    if compose_graded(c2.project, lam).components != c1.project.components:
         raise AssertionError("cone comparison: pi_phi2 . lambda is not pi_phi")
     return lam, lam_inv
 
@@ -469,12 +343,12 @@ class Triangle:
     y: FactorizationD
     z: FactorizationD
     sx: FactorizationD
-    u: FactMorphism
-    v: FactMorphism
-    w: FactMorphism
+    u: GradedHom
+    v: GradedHom
+    w: GradedHom
 
 
-def standard_triangle(phi: FactMorphism) -> Triangle:
+def standard_triangle(phi: GradedHom) -> Triangle:
     c = cone(phi)
     return Triangle(
         x=phi.source,

@@ -17,22 +17,21 @@ verdict).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from . import linalg
 from .context import Context, FreeObj, MatrixMap, compose, compose_chain
-from .errors import HypothesesUnmet, ShapeMismatch, UnsupportedOperation
+from .dg import GradedHom, zero_graded
+from .errors import DeadlineExceeded, HypothesesUnmet, ShapeMismatch, UnsupportedOperation
 from .factorization import (
-    FactMorphism,
     FactorizationD,
-    Homotopy,
     NotHomotopic,
     homotopy_decide,
     is_morphism,
     make_factorization,
     morphism,
     verify_witness,
-    zero_morphism,
 )
 from .fdalg import CentralElement, FDAlgebra, quotient_by_central
 from .linsys import LinearSystem
@@ -186,13 +185,19 @@ def _reduce_ring(X: FactorizationD, f: Poly, length: int, deadline) -> Reduction
     return Reduction(window, downstairs, h, f)
 
 
-def _reduce_algebra(X: FactorizationD, f, length: int) -> Reduction:
+def _poll_field_elimination(deadline):
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded("field elimination")
+
+
+def _reduce_algebra(X: FactorizationD, f, length: int, deadline) -> Reduction:
     alg: FDAlgebra = X.ctx.backend
     f = alg.canon(f)
     if alg.is_zero(f):
         raise HypothesesUnmet("cannot reduce modulo zero")
     # certify eta = f*h for some h: left multiplication by f, solved exactly
     mat = alg.left_mult_matrix(f)
+    _poll_field_elimination(deadline)
     h, cert = linalg.solve(mat, list(X.ctx.eta), alg.field)
     if cert is not None:
         raise HypothesesUnmet("eta does not factor through f over the algebra")
@@ -221,14 +226,14 @@ def reduce_full(X: FactorizationD, f, length: int | None = None, deadline=None) 
         raise ValueError(f"window length {length} is below 2*d")
     if isinstance(X.ctx.backend, QuotientRing):
         return _reduce_ring(X, f, length, deadline)
-    return _reduce_algebra(X, f, length)
+    return _reduce_algebra(X, f, length, deadline)
 
 
 def reduce_mod_f(X: FactorizationD, f, length: int | None = None, deadline=None) -> ComplexWindow:
     return reduce_full(X, f, length, deadline).window
 
 
-def reduce_morphism(theta: FactMorphism, red_src: Reduction, red_tgt: Reduction) -> FactMorphism:
+def reduce_morphism(theta: GradedHom, red_src: Reduction, red_tgt: Reduction) -> GradedHom:
     """Image of a morphism under the reduction functor (periodic model)."""
     ctx_bar = red_src.downstairs.ctx
     backend = ctx_bar.backend
@@ -283,7 +288,7 @@ def window_exact(C: ComplexWindow, deadline=None) -> ExactnessReport:
                     False, p, "kernel not covered by image", witness=witness, certificate=cert
                 )
         elif isinstance(backend, FDAlgebra):
-            if not _exact_at_algebra(incoming, outgoing, backend):
+            if not _exact_at_algebra(incoming, outgoing, backend, deadline):
                 return ExactnessReport(False, p, "field ranks disagree")
         else:
             raise UnsupportedOperation("unknown backend")
@@ -315,12 +320,14 @@ def _field_matrix_of_map(m: MatrixMap, alg: FDAlgebra):
     return alg.block_matrix(entries, m.target.rank, m.source.rank)
 
 
-def _exact_at_algebra(incoming: MatrixMap, outgoing: MatrixMap, alg: FDAlgebra) -> bool:
+def _exact_at_algebra(incoming: MatrixMap, outgoing: MatrixMap, alg: FDAlgebra, deadline) -> bool:
     d = alg.dim
     out_mat = _field_matrix_of_map(outgoing, alg)
     in_mat = _field_matrix_of_map(incoming, alg)
     dim_source = outgoing.source.rank * d
+    _poll_field_elimination(deadline)
     rank_out = linalg.rank(out_mat, alg.field) if out_mat else 0
+    _poll_field_elimination(deadline)
     rank_in = linalg.rank(in_mat, alg.field) if in_mat else 0
     return dim_source - rank_out == rank_in
 
@@ -458,8 +465,8 @@ def dual_quotient_check(n: int, x: Poly, gamma: QuotientRing, seed: int = 0) -> 
 @dataclass(frozen=True)
 class FaithfulVerdict:
     downstairs_null: bool
-    downstairs_witness: Homotopy | None
-    upstairs_witness: Homotopy | None
+    downstairs_witness: GradedHom | None
+    upstairs_witness: GradedHom | None
     contradiction: bool
 
     @property
@@ -479,7 +486,7 @@ def _require_d2_regular(X: FactorizationD, f, deadline):
     return f
 
 
-def faithful_check(theta: FactMorphism, f, deadline=None) -> FaithfulVerdict:
+def faithful_check(theta: GradedHom, f, deadline=None) -> FaithfulVerdict:
     """Reduce, decide periodic null-homotopy downstairs; when null,
     the upstairs witness must exist (the faithfulness direction)."""
     X, U = theta.source, theta.target
@@ -487,10 +494,10 @@ def faithful_check(theta: FactMorphism, f, deadline=None) -> FaithfulVerdict:
     red_x = reduce_full(X, f, deadline=deadline)
     red_u = reduce_full(U, f, deadline=deadline)
     theta_bar = reduce_morphism(theta, red_x, red_u)
-    down = homotopy_decide(theta_bar, zero_morphism(red_x.downstairs, red_u.downstairs), deadline)
+    down = homotopy_decide(theta_bar, zero_graded(red_x.downstairs, red_u.downstairs), deadline)
     if isinstance(down, NotHomotopic):
         return FaithfulVerdict(False, None, None, False)
-    up = homotopy_decide(theta, zero_morphism(X, U), deadline)
+    up = homotopy_decide(theta, zero_graded(X, U), deadline)
     if isinstance(up, NotHomotopic):
         return FaithfulVerdict(True, down, None, True)
     return FaithfulVerdict(True, down, up, False)
@@ -508,11 +515,11 @@ class NoLift:
 
 @dataclass(frozen=True)
 class Lift:
-    theta: FactMorphism
-    downstairs_witness: Homotopy
+    theta: GradedHom
+    downstairs_witness: GradedHom
 
 
-def full_lift(phibar: FactMorphism, X: FactorizationD, U: FactorizationD, f, deadline=None):
+def full_lift(phibar: GradedHom, X: FactorizationD, U: FactorizationD, f, deadline=None):
     """Find theta upstairs with F(theta) homotopic to the given periodic
     chain map, by one combined membership solve over the ambient ring.
 
@@ -578,12 +585,13 @@ def full_lift(phibar: FactMorphism, X: FactorizationD, U: FactorizationD, f, dea
         )
         sigma2_map = MatrixMap.make(
             ctx_bar,
-            red_x.downstairs.objects[0].twist(1),
-            red_u.downstairs.objects[1],
+            red_x.downstairs.objects[0],
+            red_u.downstairs.objects[1].twist(-1),
             [[rbar.nf(e) for e in row] for row in grids[sigma2]],
         )
         theta_bar = reduce_morphism(theta, red_x, red_u)
-        witness = Homotopy(red_x.downstairs, red_u.downstairs, (sigma1_map, sigma2_map))
+        # the degree -1 witness t has t_1 = sigma2 (untwisted) and t_2 = sigma1
+        witness = GradedHom(red_x.downstairs, red_u.downstairs, -1, (sigma2_map, sigma1_map))
         if not verify_witness(witness, theta_bar, phibar):
             raise AssertionError("lift solver produced an invalid downstairs witness")
         return Lift(theta, witness)

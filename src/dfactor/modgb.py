@@ -495,14 +495,16 @@ def solve_linear(rows, rhs, ring: QuotientRing, deadline: float | None = None, m
     if cert is not None:
         return cert
     solution = tuple(ring.nf(c) for c in coeffs[:n])
+    live = [(j, s) for j, s in enumerate(solution) if not s.is_zero]
     reducers = {(): ring}
     for i in range(m):
         extra = modulo[i] if modulo is not None else ()
         if extra not in reducers:
             reducers[extra] = ring.extend_ideal(extra)
         acc = ring.amb.zero()
-        for j in range(n):
-            acc = acc + rows[i][j] * solution[j]
+        for j, s in live:  # products with a zero factor are skipped
+            if not rows[i][j].is_zero:
+                acc = acc + rows[i][j] * s
         if not reducers[extra].nf(acc - rhs[i]).is_zero:
             raise AssertionError("solver returned an invalid solution")
     return LinearSolution(solution)

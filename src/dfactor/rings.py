@@ -311,12 +311,14 @@ def groebner(gens, strategy: str = "normal", deadline: float | None = None):
     for h in range(len(basis)):
         install(h)
 
+    done = 0
     while pairs:
         if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded("groebner")
+            raise DeadlineExceeded(f"groebner: {done} pairs done, {len(live)} queued")
         (rank, i, j) = heapq.heappop(pairs)
         if live.pop((i, j), None) is None:
             continue
+        done += 1
         s = _spoly(basis[i], basis[j])
         rem, _ = amb.ops.divmod_basis(s.terms, [b.terms for b in basis])
         if rem:

@@ -15,9 +15,11 @@ double squares), computed once per space; an elementary unknown then
 contributes one row of the first term and one column of the second,
 without evaluating the whole defect.
 
-Sampling a random element means drawing a random combination of the
-kernel basis, so samples are valid by construction and re-checked by
-the callers' verifiers.  Spaces are not cached across calls, so
+Every element here is a :class:`dg.GradedHom`: morphisms are the
+degree-0 cycles, homotopy witnesses degree -1 elements.  Sampling a
+random element means drawing a random combination of the kernel basis,
+so samples are valid by construction and re-checked by the callers'
+verifiers.  Spaces are not cached across calls, so
 sampling keeps no factorization alive.
 """
 
@@ -28,12 +30,10 @@ from dataclasses import dataclass
 
 from . import linalg
 from .context import Context, MatrixMap, compose
-from .dg import GradedHom, graded_to_homotopy, zero_graded
+from .dg import GradedHom, dg_differential, zero_graded
 from .errors import UnsupportedOperation
 from .factorization import (
-    FactMorphism,
     FactorizationD,
-    boundary_of_homotopy,
     cone,
     direct_sum,
     identity_morphism,
@@ -43,7 +43,6 @@ from .factorization import (
     suspend,
     trivial_factorization,
     unsuspend,
-    zero_morphism,
 )
 from .fdalg import FDAlgebra
 from .rings import QuotientRing
@@ -272,12 +271,6 @@ def graded_space(X, Y, degree, cap=None) -> GradedSpace:
     return GradedSpace(X, Y, degree, cap)
 
 
-def morphism_space_basis(X, Y, cap=2):
-    """Basis of the space of morphisms X -> Y (bounded degree slice)."""
-    space = graded_space(X, Y, 0, _cap_for(X, cap))
-    return [FactMorphism(X, Y, gh.components) for gh in space.cycle_basis()]
-
-
 def _cap_for(X, cap):
     backend = X.ctx.backend
     if isinstance(backend, FDAlgebra):
@@ -285,20 +278,17 @@ def _cap_for(X, cap):
     return None if backend.standard_monomials() is not None else cap
 
 
-def random_morphism(rng: random.Random, X, Y, cap=2) -> FactMorphism:
-    """Random element of the (degree-capped) morphism space; verified."""
-    basis = morphism_space_basis(X, Y, cap)
-    phi = zero_morphism(X, Y)
-    if not basis:
-        return phi
-    span = X.ctx.backend.field.char if isinstance(X.ctx.backend, FDAlgebra) else X.ctx.backend.amb.field.char
-    span = span or 7
+def _random_combination(rng: random.Random, space: GradedSpace, basis) -> GradedHom:
+    """Sum of the basis elements, each scaled by a random field element."""
+    out = zero_graded(space.X, space.Y, space.degree)
+    span = space.field.char or 7
     for elem in basis:
         c = rng.randrange(span)
         if c:
-            scaled = FactMorphism(X, Y, tuple(_scale_map(m, c) for m in elem.components))
-            phi = phi + scaled
-    return morphism(X, Y, phi.components)
+            out = out + GradedHom(
+                space.X, space.Y, space.degree, tuple(_scale_map(m, c) for m in elem.components)
+            )
+    return out
 
 
 def _scale_map(m: MatrixMap, c):
@@ -307,30 +297,25 @@ def _scale_map(m: MatrixMap, c):
     return MatrixMap.make(m.ctx, m.source, m.target, rows)
 
 
+def random_morphism(rng: random.Random, X, Y, cap=2) -> GradedHom:
+    """Random element of the (degree-capped) morphism space; verified."""
+    space = graded_space(X, Y, 0, _cap_for(X, cap))
+    phi = _random_combination(rng, space, space.cycle_basis())
+    return morphism(X, Y, phi.components)
+
+
 def random_graded(rng: random.Random, X, Y, degree, cap=2) -> GradedHom:
     """Random dg-valid element of the given degree."""
     space = graded_space(X, Y, degree, _cap_for(X, cap))
-    basis = space.valid_basis()
-    out = zero_graded(X, Y, degree)
-    span = (space.field.char or 7)
-    for elem in basis:
-        c = rng.randrange(span)
-        if c:
-            out = out + GradedHom(
-                X, Y, degree, tuple(_scale_map(m, c) for m in elem.components)
-            )
-    return out
+    return _random_combination(rng, space, space.valid_basis())
 
 
-def random_homotopy_pair(rng: random.Random, phi: FactMorphism, cap=2):
-    """(phi, phi + boundary(s), witness): a homotopic pair.
-
-    The returned witness is -s, since the convention reads
-    phi - phi2 = boundary(witness)."""
+def random_homotopy_pair(rng: random.Random, phi: GradedHom, cap=2):
+    """(phi, phi + d(t), -t) for a random valid degree -1 element t: a
+    homotopic pair and its witness, since the convention reads
+    phi - phi2 = d(witness)."""
     t = random_graded(rng, phi.source, phi.target, -1, cap)
-    s = graded_to_homotopy(t)
-    phi2 = phi + boundary_of_homotopy(s)
-    return phi, phi2, -s
+    return phi, phi + dg_differential(t), -t
 
 
 # -- pools of random factorizations --------------------------------------
@@ -372,9 +357,11 @@ class FixturePool:
 
 
 def seeds_for_ring_fixture(ctx: Context, d: int):
-    """Known splittings for the workhorse contexts over F_7[x,y].
+    """Known splittings for w = x*y, x^2 + y^2 and x^4.
 
-    Unknown contexts just get the trivial seeds that FixturePool adds.
+    A candidate w matches only in a ring that has its variables, so
+    x^4 is recognised in one variable too.  Unknown contexts just get
+    the trivial seeds that FixturePool adds.
     """
     backend = ctx.backend
     if not isinstance(backend, QuotientRing):
@@ -394,29 +381,29 @@ def seeds_for_ring_fixture(ctx: Context, d: int):
             maps.append(MatrixMap.from_strings(ctx, src, tgt, m))
         return make_factorization(ctx, d, objects, maps)
 
-    try:
-        if w == backend.parse("x*y"):
-            if d == 2:
-                seeds = [fact_from_strings([[["x"]], [["y"]]]),
-                         fact_from_strings([[["y"]], [["x"]]])]
-            elif d == 4:
-                seeds = [fact_from_strings([[["x"]], [["y"]], [["1"]], [["1"]]]),
-                         fact_from_strings([[["1"]], [["x"]], [["1"]], [["y"]]])]
-        elif w == backend.parse("x^2 + y^2"):
-            pair = [[["x", "y"], ["-y", "x"]], [["x", "-y"], ["y", "x"]]]
-            if d == 2:
-                seeds = [fact_from_strings(pair)]
-            elif d == 4:
-                ident = [["1", "0"], ["0", "1"]]
-                seeds = [fact_from_strings([pair[0], pair[1], ident, ident])]
-        elif w == backend.parse("x^4"):
-            if d == 2:
-                seeds = [fact_from_strings([[["x"]], [["x^3"]]]),
-                         fact_from_strings([[["x^2"]], [["x^2"]]])]
-            elif d == 4:
-                seeds = [fact_from_strings([[["x"]], [["x"]], [["x"]], [["x"]]])]
-    except Exception:
-        seeds = []
+    def is_eta(text, variables):
+        return set(variables) <= set(amb.vars) and w == backend.parse(text)
+
+    if is_eta("x*y", "xy"):
+        if d == 2:
+            seeds = [fact_from_strings([[["x"]], [["y"]]]),
+                     fact_from_strings([[["y"]], [["x"]]])]
+        elif d == 4:
+            seeds = [fact_from_strings([[["x"]], [["y"]], [["1"]], [["1"]]]),
+                     fact_from_strings([[["1"]], [["x"]], [["1"]], [["y"]]])]
+    elif is_eta("x^2 + y^2", "xy"):
+        pair = [[["x", "y"], ["-y", "x"]], [["x", "-y"], ["y", "x"]]]
+        if d == 2:
+            seeds = [fact_from_strings(pair)]
+        elif d == 4:
+            ident = [["1", "0"], ["0", "1"]]
+            seeds = [fact_from_strings([pair[0], pair[1], ident, ident])]
+    elif is_eta("x^4", "x"):
+        if d == 2:
+            seeds = [fact_from_strings([[["x"]], [["x^3"]]]),
+                     fact_from_strings([[["x^2"]], [["x^2"]]])]
+        elif d == 4:
+            seeds = [fact_from_strings([[["x"]], [["x"]], [["x"]], [["x"]]])]
     return seeds
 
 

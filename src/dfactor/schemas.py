@@ -9,8 +9,9 @@ deterministic structures: plain dicts of sorted-key-stable content.
 from __future__ import annotations
 
 from .context import Context, FreeObj, MatrixMap
+from .dg import GradedHom, graded_hom
 from .errors import ParseError
-from .factorization import FactMorphism, FactorizationD, make_factorization
+from .factorization import FactorizationD, make_factorization
 from .fdalg import AlgebraMap, FDAlgebra, algebra_from_json
 from .functors import ComplexWindow
 from .rings import QuotientRing
@@ -180,10 +181,10 @@ def morphism_from_json(desc: dict, allow_odd_d=False):
         raise ParseError(f"need {src.d} components")
     for i, m in enumerate(mats):
         comps.append(MatrixMap.from_strings(ctx, src.objects[i], tgt.objects[i], m))
-    return FactMorphism(src, tgt, tuple(comps))
+    return GradedHom(src, tgt, 0, tuple(comps))
 
 
-def morphism_to_json(phi: FactMorphism) -> dict:
+def morphism_to_json(phi: GradedHom) -> dict:
     fmt = phi.source.ctx.backend.format
     return {
         "context": context_to_json(phi.source.ctx),
@@ -195,8 +196,6 @@ def morphism_to_json(phi: FactMorphism) -> dict:
 
 
 def graded_from_json(desc: dict):
-    from .dg import graded_hom
-
     ctx, src, tgt = ends_from_json(desc)
     degree = _int(desc.get("degree", 0), "\"degree\"")
     comps = []
@@ -207,7 +206,7 @@ def graded_from_json(desc: dict):
     return graded_hom(src, tgt, degree, comps)
 
 
-def graded_to_json(gh) -> dict:
+def graded_to_json(gh: GradedHom) -> dict:
     fmt = gh.source.ctx.backend.format
     return {
         "context": context_to_json(gh.source.ctx),

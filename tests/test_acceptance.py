@@ -11,13 +11,11 @@ import time
 
 import pytest
 
-from dfactor.context import Context, FreeObj, MatrixMap, compose_chain, eta_map
-from dfactor.dg import dg_check, dg_differential, graded_to_homotopy
+from dfactor.context import Context, FreeObj, MatrixMap, compose, compose_chain, eta_map
+from dfactor.dg import GradedHom, dg_check, dg_differential, zero_graded
 from dfactor.errors import CompositionMismatch, HypothesesUnmet
 from dfactor.factorization import (
-    Homotopy,
     NotHomotopic,
-    boundary_of_homotopy,
     cone,
     cone_comparison,
     direct_sum,
@@ -30,7 +28,6 @@ from dfactor.factorization import (
     trivial_factorization,
     unsuspend,
     verify_factorization,
-    zero_morphism,
 )
 from dfactor.fdalg import (
     AlgebraMap,
@@ -145,9 +142,9 @@ def test_criterion_3():
         a, b, s = random_homotopy_pair(rng, phi)
         assert is_morphism(b).ok
         decided = homotopy_decide(a, b)
-        assert isinstance(decided, Homotopy)
+        assert isinstance(decided, GradedHom) and decided.degree == -1
     X = mk_fact(ctx, 2, [[["x"]], [["y"]]])
-    verdict = homotopy_decide(identity_morphism(X), zero_morphism(X, X))
+    verdict = homotopy_decide(identity_morphism(X), zero_graded(X, X))
     assert isinstance(verdict, NotHomotopic)
     assert isinstance(verdict.certificate, NoSolutionCertificate)
     assert verdict.certificate.reverify(ctx.backend.amb)
@@ -177,11 +174,15 @@ def test_criterion_4():
         assert dg_differential(dg).is_zero
         count += 1
     # degree -1 boundaries are exactly the homotopy combinations
+    # s_i f_i + g_{i-1} s_{i-1}, with s_i = t_{i+1}
     X = mk_fact(ctx, 2, [[["x"]], [["y"]]])
     for _ in range(20):
         t = random_graded(rng, X, X, -1)
-        s = graded_to_homotopy(t)
-        assert dg_differential(t).components == boundary_of_homotopy(s).components
+        combos = tuple(
+            compose(t.comp_at(i + 1), X.map_at(i)) + compose(X.map_at(i - 1), t.comp_at(i))
+            for i in range(1, X.d + 1)
+        )
+        assert dg_differential(t).components == combos
 
 
 @criterion(5, "Eisenbud correspondence at desk scale under 30s")

@@ -466,6 +466,19 @@ def test_deadline_bounds_the_algebra_solve(tmp_path, capsys):
     assert rep["kind"] == "DeadlineExceeded"
 
 
+def test_deadline_bounds_the_algebra_reduction(tmp_path, capsys):
+    quantum = json.loads((FIXTURES / "quantum_context.json").read_text())
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(
+        {"context": quantum, "d": 2, "ranks": [1, 1], "maps": [[["1"]], [[quantum["eta"]]]]}
+    ))
+    code, rep = run_cli(["reduce", path, "--f", quantum["eta"]], capsys)
+    assert code == 0 and rep["verdict"] == "verified"
+    code, rep = run_cli(["reduce", path, "--f", quantum["eta"], "--deadline", "1e-9"], capsys)
+    assert code == 1
+    assert rep["kind"] == "DeadlineExceeded" and rep["error"] == "field elimination"
+
+
 def test_piped_input_is_read_once():
     fixture = FIXTURES / "classical_xy.json"
     cmd = [sys.executable, "-m", "dfactor.cli", "verify"]

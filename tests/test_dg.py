@@ -4,20 +4,17 @@ import random
 
 import pytest
 
-from dfactor.context import MatrixMap
+from dfactor.context import MatrixMap, compose
 from dfactor.dg import (
+    GradedHom,
     dg_check,
     dg_differential,
     graded_hom,
-    graded_to_homotopy,
     h0_dimension,
-    homotopy_to_graded,
     is_cycle,
-    morphism_to_graded,
 )
 from dfactor.errors import UnsupportedOperation
 from dfactor.factorization import (
-    boundary_of_homotopy,
     homotopy_decide,
     identity_morphism,
     scalar_morphism,
@@ -45,7 +42,8 @@ def _graded_from_strings(X, Y, degree, entries):
 
 
 def test_degree0_morphism_has_zero_differential(X_xy):
-    phi = morphism_to_graded(scalar_morphism(X_xy, X_xy.ctx.backend.parse("y")))
+    phi = scalar_morphism(X_xy, X_xy.ctx.backend.parse("y"))
+    assert phi.degree == 0
     assert dg_check(phi)
     assert dg_differential(phi).is_zero
     assert is_cycle(phi)
@@ -66,15 +64,17 @@ def test_differential_shapes_and_degree(X_xy):
 
 
 def test_boundary_of_degree_minus_one_is_homotopy_combination(X_xy):
-    """Degree -1 boundaries reproduce the witness combination s.f + g.s."""
+    """Degree -1 boundaries reproduce the witness combination
+    s_i f_i + g_{i-1} s_{i-1}, with s_i = t_{i+1}: M_{i+1} -> N_i."""
     rng = random.Random(7)
+    X = X_xy
     for _ in range(20):
-        t = random_graded(rng, X_xy, X_xy, -1)
-        s = graded_to_homotopy(t)
-        lhs = dg_differential(t)
-        rhs = boundary_of_homotopy(s)
-        assert lhs.components == rhs.components
-        assert homotopy_to_graded(s).components == t.components
+        t = random_graded(rng, X, X, -1)
+        for i in range(1, X.d + 1):
+            s_i, s_prev = t.comp_at(i + 1), t.comp_at(i)
+            assert (s_i.source, s_i.target) == (X.obj_at(i + 1), X.objects[i - 1])
+            combo = compose(s_i, X.map_at(i)) + compose(X.map_at(i - 1), s_prev)
+            assert dg_differential(t).components[i - 1] == combo
 
 
 def test_d_squared_zero_on_valid_elements(X_xy):
@@ -136,12 +136,12 @@ def test_homotopy_pairs_roundtrip(X_xy):
     ident = identity_morphism(X_xy)
     for _ in range(10):
         phi, phi2, s = random_homotopy_pair(rng, ident)
-        from dfactor.factorization import Homotopy, is_morphism, verify_witness
+        from dfactor.factorization import is_morphism, verify_witness
 
         assert is_morphism(phi2).ok
         assert verify_witness(s, phi, phi2)
         found = homotopy_decide(phi, phi2)
-        assert isinstance(found, Homotopy)
+        assert isinstance(found, GradedHom) and found.degree == -1
 
 
 def test_h0_dimension_finite_ring():

@@ -3,9 +3,9 @@
 import pytest
 
 from dfactor.context import Context, FreeObj, MatrixMap, compose_chain
+from dfactor.dg import GradedHom, graded_hom, zero_graded
 from dfactor.errors import CompositionMismatch, ShapeMismatch
 from dfactor.factorization import (
-    FactMorphism,
     cone,
     cone_comparison,
     direct_sum,
@@ -21,7 +21,6 @@ from dfactor.factorization import (
     trivial_factorization,
     unsuspend,
     verify_factorization,
-    zero_morphism,
     zero_object,
 )
 from dfactor.fields import GF
@@ -170,9 +169,10 @@ def test_is_morphism(ctx_xy, X_xy):
     assert is_morphism(ident).ok
     yy = scalar_morphism(X_xy, ctx_xy.backend.parse("y"))
     assert is_morphism(yy).ok
-    bad = FactMorphism(
+    bad = GradedHom(
         X_xy,
         X_xy,
+        0,
         (
             MatrixMap.from_strings(ctx_xy, FreeObj.of(1), FreeObj.of(1), [["y"]]),
             MatrixMap.zero(ctx_xy, FreeObj.of(1), FreeObj.of(1)),
@@ -194,7 +194,7 @@ def test_homotopy_trivial_witness(X_xy):
 def test_homotopy_id_not_nullhomotopic(X_xy):
     from dfactor.factorization import NotHomotopic
 
-    verdict = homotopy_decide(identity_morphism(X_xy), zero_morphism(X_xy, X_xy))
+    verdict = homotopy_decide(identity_morphism(X_xy), zero_graded(X_xy, X_xy))
     assert isinstance(verdict, NotHomotopic)
     # certificate re-verifies: 1 is not in (x, y)
     amb = X_xy.ctx.backend.amb
@@ -204,20 +204,20 @@ def test_homotopy_id_not_nullhomotopic(X_xy):
 def test_homotopy_yy_nullhomotopic(X_xy):
     b = X_xy.ctx.backend
     yy = scalar_morphism(X_xy, b.parse("y"))
-    h = homotopy_decide(yy, zero_morphism(X_xy, X_xy))
+    h = homotopy_decide(yy, zero_graded(X_xy, X_xy))
     # e.g. s1 = 0, s2 = 1 works; whatever the solver found was re-verified
     from dfactor.factorization import verify_witness
 
-    assert verify_witness(h, yy, zero_morphism(X_xy, X_xy))
+    assert verify_witness(h, yy, zero_graded(X_xy, X_xy))
 
 
 def test_homotopy_witness_arithmetic(X_xy):
     """Reflexivity, symmetry, transitivity at the witness level."""
-    from dfactor.factorization import boundary_of_homotopy, verify_witness
+    from dfactor.factorization import verify_witness
 
     b = X_xy.ctx.backend
     yy = scalar_morphism(X_xy, b.parse("y"))
-    zero = zero_morphism(X_xy, X_xy)
+    zero = zero_graded(X_xy, X_xy)
     h = homotopy_decide(yy, zero)
     assert verify_witness(-h, zero, yy)
     two_yy = yy + yy
@@ -235,7 +235,7 @@ def test_cone_of_identity_values(ctx_xy, X_xy):
 
 def test_cone_of_zero_from_zero_object(ctx_xy, X_xy):
     Z = zero_object(ctx_xy, 2)
-    c = cone(zero_morphism(Z, X_xy))
+    c = cone(zero_graded(Z, X_xy))
     assert c.cone.total_rank == X_xy.total_rank
     assert [m.rows for m in c.cone.maps] == [m.rows for m in X_xy.maps]
 
@@ -248,11 +248,9 @@ def test_cone_d4_even_sign_check():
 
 
 def test_cone_identity_contractible(X_xy):
-    from dfactor.factorization import Homotopy
-
     c = cone(identity_morphism(X_xy))
-    h = homotopy_decide(identity_morphism(c.cone), zero_morphism(c.cone, c.cone))
-    assert isinstance(h, Homotopy)
+    h = homotopy_decide(identity_morphism(c.cone), zero_graded(c.cone, c.cone))
+    assert isinstance(h, GradedHom) and h.degree == -1
 
 
 def test_odd_d_cone_residual():
@@ -273,25 +271,20 @@ def test_odd_d_cone_residual():
 def test_cone_comparison_identities(X_xy):
     b = X_xy.ctx.backend
     yy = scalar_morphism(X_xy, b.parse("y"))
-    zero = zero_morphism(X_xy, X_xy)
+    zero = zero_graded(X_xy, X_xy)
     s = homotopy_decide(yy, zero)
     lam, lam_inv = cone_comparison(yy, zero, s)
     assert is_morphism(lam).ok and is_morphism(lam_inv).ok
 
 
 def test_cone_comparison_rejects_bad_witness(X_xy):
-    from dfactor.factorization import Homotopy, homotopy_shapes
-
     b = X_xy.ctx.backend
     yy = scalar_morphism(X_xy, b.parse("y"))
-    zero = zero_morphism(X_xy, X_xy)
-    shapes = homotopy_shapes(X_xy, X_xy)
-    bad = Homotopy(
-        X_xy, X_xy, tuple(MatrixMap.scalar(X_xy.ctx, FreeObj.of(1), b.parse("3")).twisted(0)
-                          if src.offsets == tgt.offsets else
-                          MatrixMap.make(X_xy.ctx, src, tgt, [[b.parse("3")]])
-                          for src, tgt in shapes),
-    )
+    zero = zero_graded(X_xy, X_xy)
+    bad = graded_hom(X_xy, X_xy, -1, [
+        MatrixMap.make(X_xy.ctx, X_xy.objects[i - 1], X_xy.obj_at(i - 1), [[b.parse("3")]])
+        for i in range(1, X_xy.d + 1)
+    ])
     with pytest.raises(ShapeMismatch):
         cone_comparison(yy, zero, bad)
 
@@ -301,5 +294,5 @@ def test_standard_triangle_shapes(X_xy):
     assert tri.x == X_xy and tri.y == X_xy
     assert tri.z.total_rank == 2 * X_xy.total_rank
     assert tri.sx == suspend(X_xy)
-    tri0 = standard_triangle(zero_morphism(X_xy, zero_object(X_xy.ctx, 2)))
+    tri0 = standard_triangle(zero_graded(X_xy, zero_object(X_xy.ctx, 2)))
     assert tri0.z.total_rank == X_xy.total_rank

@@ -3,13 +3,12 @@
 import pytest
 
 from dfactor.context import Context, FreeObj, MatrixMap
+from dfactor.dg import GradedHom, zero_graded
 from dfactor.errors import HypothesesUnmet, UnsupportedOperation
 from dfactor.factorization import (
-    Homotopy,
     direct_sum,
     identity_morphism,
     scalar_morphism,
-    zero_morphism,
 )
 from dfactor.fields import GF
 from dfactor.functors import (
@@ -302,7 +301,8 @@ def test_faithful_yy_null_both_ways(X_xy):
     theta = scalar_morphism(X_xy, X_xy.ctx.backend.parse("y"))
     verdict = faithful_check(theta, "x*y")
     assert verdict.downstairs_null and verdict.consistent
-    assert isinstance(verdict.upstairs_witness, Homotopy)
+    assert isinstance(verdict.upstairs_witness, GradedHom)
+    assert verdict.upstairs_witness.degree == -1
 
 
 def test_faithful_identity_not_null(X_xy):
@@ -311,7 +311,7 @@ def test_faithful_identity_not_null(X_xy):
 
 
 def test_faithful_zero_trivial(X_xy):
-    verdict = faithful_check(zero_morphism(X_xy, X_xy), "x*y")
+    verdict = faithful_check(zero_graded(X_xy, X_xy), "x*y")
     assert verdict.downstairs_null and verdict.consistent
 
 

@@ -1,9 +1,11 @@
 """CLI reports compared byte for byte with stored copies.
 
 ``golden/reports`` holds the reports these calls wrote before the
-homotopy and lifting systems moved onto ``LinearSystem``; any change in
-the layout of rows, columns or ideal injections changes a witness or a
-certificate and shows here.  The calls run inside ``golden/inputs`` with
+homotopy and lifting systems moved onto ``LinearSystem`` (the ``dg``,
+``cone``, ``triangle`` and ``axioms`` cases: before morphisms and
+homotopies became graded elements); any change in the layout of rows,
+columns or ideal injections changes a witness or a certificate and shows
+here.  The calls run inside ``golden/inputs`` with
 relative paths, so the input keys of a report do not depend on where the
 repository lives.
 """
@@ -44,6 +46,17 @@ CASES = {
     "exact_neg": ["exact", "exact_neg.json"],
     "checktac_pos": ["checktac", "checktac_pos.json", "--f", "x*y"],
     "checktac_neg": ["checktac", "checktac_neg.json", "--f", "x"],
+    # graded elements at d = 4, where the double squares are not automatic
+    "dg_minus1": ["dg", "dg_minus1.json"],
+    "dg_plus1": ["dg", "dg_plus1.json"],
+    "dg_bad": ["dg", "dg_bad.json"],
+    "cone": ["cone", "cone_phi.json"],
+    "triangle": ["triangle", "cone_phi.json"],
+    # sampled morphisms, homotopy witnesses and graded elements
+    "axioms_d2": ["axioms", "--ctx", "ctx_f7xy_xy.json", "--trials", "10", "--seed", "1"],
+    "axioms_d4": [
+        "axioms", "--ctx", "ctx_f7xy_xy.json", "--trials", "10", "--seed", "1", "--d", "4"
+    ],
 }
 
 

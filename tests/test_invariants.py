@@ -5,14 +5,8 @@ import random
 import pytest
 
 from dfactor.context import MatrixMap, naturality_check
-from dfactor.factorization import (
-    Homotopy,
-    composite_homotopy,
-    compose_morphisms,
-    homotopy_commutes_with_squares,
-    homotopy_decide,
-    verify_witness,
-)
+from dfactor.dg import GradedHom, compose_graded, dg_check
+from dfactor.factorization import homotopy_decide, verify_witness
 from dfactor.fields import GF
 from dfactor.functors import reduce_full
 from dfactor.sampling import (
@@ -48,9 +42,10 @@ def test_homotopy_compatible_with_composition():
         phi_a, phi_b, s = random_homotopy_pair(rng, phi)
         psi = random_morphism(rng, X, X)
         psi_a, psi_b, t = random_homotopy_pair(rng, psi)
-        u = composite_homotopy(psi_a, s, t, phi_b)
-        left = compose_morphisms(psi_a, phi_a)
-        right = compose_morphisms(psi_b, phi_b)
+        # psi_a phi_a - psi_b phi_b = psi_a d(s) + d(t) phi_b
+        u = compose_graded(psi_a, s) + compose_graded(t, phi_b)
+        left = compose_graded(psi_a, phi_a)
+        right = compose_graded(psi_b, phi_b)
         assert verify_witness(u, left, right)
 
 
@@ -61,10 +56,10 @@ def test_witnesses_commute_with_squares():
     for _ in range(25):
         phi = random_morphism(rng, X, X)
         a, b, s = random_homotopy_pair(rng, phi)
-        assert homotopy_commutes_with_squares(s)
+        assert dg_check(s)
         decided = homotopy_decide(a, b)
-        assert isinstance(decided, Homotopy)
-        assert homotopy_commutes_with_squares(decided)
+        assert isinstance(decided, GradedHom) and decided.degree == -1
+        assert dg_check(decided)
 
 
 def test_eta_natural_for_all_maps_in_fixture_contexts():

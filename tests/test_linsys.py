@@ -1,7 +1,8 @@
 """LinearSystem: per-row extra moduli, and systems without equations."""
 
 from dfactor.context import Context, FreeObj, MatrixMap
-from dfactor.factorization import Homotopy, homotopy_decide, make_factorization, zero_morphism
+from dfactor.dg import GradedHom, zero_graded
+from dfactor.factorization import homotopy_decide, make_factorization
 from dfactor.fields import GF
 from dfactor.linsys import LinearSystem
 from dfactor.modgb import NoSolutionCertificate
@@ -16,9 +17,9 @@ def test_unknowns_without_equations_are_zero():
     z, o = FreeObj.of(0), FreeObj.of(1)
     X = make_factorization(ctx, 2, [z, o], [MatrixMap.zero(ctx, z, o), MatrixMap.zero(ctx, o, z.twist(1))])
     Y = make_factorization(ctx, 2, [o, z], [MatrixMap.zero(ctx, o, z), MatrixMap.zero(ctx, z, o.twist(1))])
-    witness = homotopy_decide(zero_morphism(X, Y), zero_morphism(X, Y))
-    assert isinstance(witness, Homotopy)
-    assert witness.components[0].rows == ((R.zero(),),)
+    witness = homotopy_decide(zero_graded(X, Y), zero_graded(X, Y))
+    assert isinstance(witness, GradedHom)
+    assert witness.comp_at(2).rows == ((R.zero(),),)
 
 
 def test_extra_modulus_applies_to_its_own_rows_only():

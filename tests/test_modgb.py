@@ -135,6 +135,25 @@ def test_solve_linear_examples(amb, R):
     assert list(res3.solution) == rhs
 
 
+@pytest.mark.parametrize("wrong", [(0, "0"), (1, "1")])
+def test_solve_linear_rejects_a_wrong_solution(amb, R, monkeypatch, wrong):
+    # the solution is (x, 0); either a dropped entry or a spurious nonzero
+    # one, met by a zero matrix entry in the other row, fails the check
+    x, y, zero = amb.poly("x"), amb.poly("y"), amb.zero()
+    rows, rhs = [(x, zero), (zero, y)], [amb.poly("x^2"), zero]
+    assert solve_linear(rows, rhs, R).solution == (x, zero)
+    real = modgb.membership_lift
+    k, value = wrong
+
+    def lift(gens, target, amb, deadline=None):
+        coeffs, cert = real(gens, target, amb, deadline)
+        return coeffs[:k] + (amb.poly(value),) + coeffs[k + 1:], cert
+
+    monkeypatch.setattr(modgb, "membership_lift", lift)
+    with pytest.raises(AssertionError, match="invalid solution"):
+        solve_linear(rows, rhs, R)
+
+
 def test_solve_linear_respects_quotient(amb, R_xy):
     # x*s = x^2*y has solution in the quotient (rhs is 0 there)
     res = solve_linear([(amb.poly("x"),)], [amb.poly("x^2*y")], R_xy)

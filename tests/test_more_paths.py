@@ -4,16 +4,18 @@ matrices, triangles over cones, perturbed lifts, CLI deadlines."""
 
 import json
 import random
+import time
 from pathlib import Path
 
+import pytest
+
 from dfactor.context import Context, FreeObj, MatrixMap
+from dfactor.dg import GradedHom, graded_hom, zero_graded
 from dfactor.factorization import (
-    Homotopy,
     NotHomotopic,
     cone,
     cone_comparison,
     homotopy_decide,
-    homotopy_shapes,
     identity_morphism,
     is_morphism,
     make_factorization,
@@ -21,11 +23,11 @@ from dfactor.factorization import (
     standard_triangle,
     trivial_factorization,
     verify_witness,
-    zero_morphism,
 )
 from dfactor.fdalg import AlgebraMap, CentralElement, monomial_algebra, quotient_by_central
 from dfactor.fields import GF
-from dfactor.functors import Lift, full_lift, reduce_full, reduce_morphism
+from dfactor.errors import DeadlineExceeded
+from dfactor.functors import Lift, full_lift, reduce_full, reduce_morphism, window_exact
 from dfactor.linalg import FredholmCertificate
 from dfactor.rings import Ambient, groebner
 from dfactor.sampling import random_homotopy_pair, random_morphism
@@ -48,9 +50,9 @@ def _quantum_ctx():
 def test_algebra_homotopy_trivial_object_contractible():
     ctx = _quantum_ctx()
     T = trivial_factorization(ctx, 2)
-    h = homotopy_decide(identity_morphism(T), zero_morphism(T, T))
-    assert isinstance(h, Homotopy)
-    assert verify_witness(h, identity_morphism(T), zero_morphism(T, T))
+    h = homotopy_decide(identity_morphism(T), zero_graded(T, T))
+    assert isinstance(h, GradedHom)
+    assert verify_witness(h, identity_morphism(T), zero_graded(T, T))
 
 
 def test_algebra_homotopy_negative_with_fredholm_certificate():
@@ -66,20 +68,29 @@ def test_algebra_homotopy_negative_with_fredholm_certificate():
         MatrixMap.make(ctx, obj, obj.twist(1), [[A.parse("x")]]),
     ]
     X = make_factorization(ctx, 2, [obj, obj], maps)
-    verdict = homotopy_decide(identity_morphism(X), zero_morphism(X, X))
+    verdict = homotopy_decide(identity_morphism(X), zero_graded(X, X))
     assert isinstance(verdict, NotHomotopic)
     assert isinstance(verdict.certificate, FredholmCertificate)
-    # re-verify the certificate against the very field system it refutes
-    shapes = homotopy_shapes(X, X)
-    assert shapes[0][0].rank == 1
+    # the first witness unknown s_1 = t_2 runs M_2 -> N_1, both of rank 1
+    s_1 = zero_graded(X, X, -1).comp_at(2)
+    assert (s_1.source.rank, s_1.target.rank) == (1, 1)
 
 
 def test_algebra_cone_of_identity_contractible():
     ctx = _quantum_ctx()
     T = trivial_factorization(ctx, 2)
     c = cone(identity_morphism(T))
-    h = homotopy_decide(identity_morphism(c.cone), zero_morphism(c.cone, c.cone))
-    assert isinstance(h, Homotopy)
+    h = homotopy_decide(identity_morphism(c.cone), zero_graded(c.cone, c.cone))
+    assert isinstance(h, GradedHom)
+
+
+def test_algebra_window_exactness_polls_the_deadline():
+    ctx = _quantum_ctx()
+    window = reduce_full(trivial_factorization(ctx, 2), ctx.eta).window
+    assert window.nilpotency == 2
+    assert window_exact(window, deadline=time.monotonic() + 60).ok == window_exact(window).ok
+    with pytest.raises(DeadlineExceeded, match="field elimination"):
+        window_exact(window, deadline=time.monotonic() - 1)
 
 
 def test_groebner_spolys_and_generators_reduce_to_zero():
@@ -128,15 +139,16 @@ def test_cone_comparison_exact_matrices():
     ctx = ctx_with("x*y")
     X = mk_fact(ctx, 2, [[["x"]], [["y"]]])
     yy = scalar_morphism(X, ctx.backend.parse("y"))
-    zero = zero_morphism(X, X)
-    # hand witness: s1 = 0, s2 = 1 (y = 0*x + y*1 and y = 1*y + x*0)
-    shapes = homotopy_shapes(X, X)
-    s = Homotopy(
+    zero = zero_graded(X, X)
+    # hand witness: s1 = 0, s2 = 1 (y = 0*x + y*1 and y = 1*y + x*0),
+    # as the degree -1 element t_1 = s_2 (untwisted), t_2 = s_1
+    s = graded_hom(
         X,
         X,
+        -1,
         (
-            MatrixMap.zero(ctx, shapes[0][0], shapes[0][1]),
-            MatrixMap.make(ctx, shapes[1][0], shapes[1][1], [[ctx.backend.one()]]),
+            MatrixMap.make(ctx, X.objects[0], X.obj_at(0), [[ctx.backend.one()]]),
+            MatrixMap.zero(ctx, X.objects[1], X.objects[0]),
         ),
     )
     assert verify_witness(s, yy, zero)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dfactor import rings
 from dfactor._kernel import pure
+from dfactor.errors import DeadlineExceeded
 from dfactor.exprs import format_poly, parse_poly
 from dfactor.fields import GF, QQ
 from dfactor.rings import GREVLEX, LEX, Ambient, Ideal, QuotientRing, groebner
@@ -336,3 +338,13 @@ def test_groebner_pair_reductions_pinned(monkeypatch, name, gens, reductions):
         del at_final_reduction[:]
         groebner([amb.poly(g) for g in gens], strategy=strategy)
         assert at_final_reduction == [reductions]
+
+
+def test_groebner_deadline_reports_progress():
+    # leads x^2, x*y, y^2: the pairs (0, 1) and (1, 2) are queued, and the
+    # product criterion drops the coprime pair (0, 2)
+    amb = Ambient(GF(7), ("x", "y"))
+    gens = [amb.poly("x^2 - y"), amb.poly("x*y - 1"), amb.poly("y^2 - x")]
+    assert groebner(gens, deadline=time.monotonic() + 60)
+    with pytest.raises(DeadlineExceeded, match=r"^groebner: 0 pairs done, 2 queued$"):
+        groebner(gens, deadline=time.monotonic() - 1)

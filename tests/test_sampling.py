@@ -145,3 +145,12 @@ def test_compose_matches_triple_loop(name):
         h = compose(g, f)
         assert (h.source, h.target) == (a, c)
         assert h.rows == tuple(naive_compose(g, f))
+
+
+@pytest.mark.parametrize("variables", [("x",), ("x", "y")])
+def test_x4_seeds_in_one_and_two_variables(variables):
+    # a candidate w in variables the ring lacks (x*y over F_7[x]) does
+    # not match, and the x^4 splittings are still found
+    ctx = ctx_with("x^4", variables)
+    assert [len(sampling.seeds_for_ring_fixture(ctx, d)) for d in (2, 4)] == [2, 1]
+    assert sampling.seeds_for_ring_fixture(ctx_with("x^3", variables), 2) == []
