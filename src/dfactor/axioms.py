@@ -7,9 +7,11 @@ so a fixed seed yields an identical report every run.
 from __future__ import annotations
 
 import random
+import time
 
 from .context import Context
 from .dg import GradedHom, dg_check, dg_differential
+from .errors import DeadlineExceeded
 from .factorization import (
     cone,
     direct_sum,
@@ -34,7 +36,11 @@ def run_axiom_suite(
     max_rank: int = 8,
     deadline=None,
 ):
-    """Returns (all_passed, report_dict)."""
+    """Returns (all_passed, report_dict).
+
+    The deadline is polled before each trial, outside the per-check
+    wrapper, so an expired deadline is an error and never a failed check.
+    """
     rng = random.Random(seed)
     pool = make_pool(ctx, d, extra_seeds, max_rank)
     commutative = isinstance(ctx.backend, QuotientRing)
@@ -42,6 +48,8 @@ def run_axiom_suite(
     records = []
 
     for trial in range(trials):
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded(f"axioms: {trial} of {trials} trials")
         entry = {"trial": trial, "checks": {}}
 
         def check(name, thunk):

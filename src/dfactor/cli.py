@@ -233,7 +233,7 @@ def _verb_reduce(args, report, deadline):
     red = reduce_full(X, f, length=args.window, deadline=deadline)
     report["verdict"] = "verified"
     report["result"] = schemas.window_to_json(red.window)
-    report["certificate"] = {"factors_through": _scalar_str(X.ctx.backend, red.h)}
+    report["certificate"] = {"factors_through": X.ctx.backend.format(red.h)}
     return EXIT_OK
 
 
@@ -241,13 +241,6 @@ def _parse_scalar(backend, text):
     if text is None:
         raise ParseError("this verb requires --f")
     return backend.parse(text)
-
-
-def _scalar_str(backend, value):
-    try:
-        return backend.format(value)
-    except Exception:
-        return str(value)
 
 
 def _exactness_cert(outcome, fmt):

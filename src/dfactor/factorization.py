@@ -209,16 +209,12 @@ class NotHomotopic:
     detail: str = ""
 
 
-def homotopy_decide(phi: GradedHom, phi2: GradedHom, deadline: float | None = None):
-    """Degree -1 witness t with phi - phi2 = d(t), or a certified
-    NOT_HOMOTOPIC.
+def homotopy_system(phi: GradedHom, phi2: GradedHom):
+    """The homotopy equations as one :class:`LinearSystem`, with the
+    (source, target) shapes of its unknowns.
 
-    The unknowns are s_i = t_{i+1}: M_{i+1} -> N_i for i = 1..d, and the
-    d defining equations s_i f_i + g_{i-1} s_{i-1} = phi_i - phi2_i
-    form one linear system over the backend: a module Gröbner
-    membership over a quotient ring, plain field linear algebra over a
-    finite-dimensional algebra.  A returned witness has been
-    re-verified entrywise.
+    The unknowns are s_i = t_{i+1}: M_{i+1} -> N_i for i = 1..d, and
+    equation i is s_i f_i + g_{i-1} s_{i-1} = phi_i - phi2_i.
     """
     X, Y = phi.source, phi.target
     psi = phi - phi2
@@ -230,6 +226,20 @@ def homotopy_decide(phi: GradedHom, phi2: GradedHom, deadline: float | None = No
             [(s[i - 1], X.map_at(i).rows, "right"), (s[i - 2], Y.map_at(i - 1).rows, "left")],
             psi.components[i - 1].rows,
         )
+    return system, shapes
+
+
+def homotopy_decide(phi: GradedHom, phi2: GradedHom, deadline: float | None = None):
+    """Degree -1 witness t with phi - phi2 = d(t), or a certified
+    NOT_HOMOTOPIC.
+
+    The system of :func:`homotopy_system` is solved by a module Gröbner
+    membership over a quotient ring and by plain field linear algebra
+    over a finite-dimensional algebra.  A returned witness has been
+    re-verified entrywise.
+    """
+    X, Y = phi.source, phi.target
+    system, shapes = homotopy_system(phi, phi2)
     grids, cert = system.solve(deadline)
     if cert is not None:
         if isinstance(cert, FredholmCertificate):

@@ -123,30 +123,6 @@ class FDAlgebra:
         cols = [self.mul(a, self.basis(j)) for j in range(self.dim)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
-    def right_mult_matrix(self, a):
-        cols = [self.mul(self.basis(j), a) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
-    def block_matrix(self, entries, nrows: int, ncols: int):
-        """Field matrix of an nrows x ncols grid of multiplication maps.
-
-        Each ``(i, j, a, side)`` in ``entries`` adds the matrix of
-        v -> a*v (side "left") or v -> v*a (side "right") to block
-        (i, j); zero elements are skipped.
-        """
-        f = self.field
-        dim = self.dim
-        out = [[f.zero] * (ncols * dim) for _ in range(nrows * dim)]
-        for i, j, a, side in entries:
-            if self.is_zero(a):
-                continue
-            block = self.left_mult_matrix(a) if side == "left" else self.right_mult_matrix(a)
-            for r in range(dim):
-                row = out[i * dim + r]
-                for c in range(dim):
-                    row[j * dim + c] = f.add(row[j * dim + c], block[r][c])
-        return out
-
     # -- parsing and printing ---------------------------------------------
 
     def parse(self, text: str):

@@ -116,26 +116,12 @@ class ComplexWindow:
         return self
 
 
-def window_from_factorization(X: FactorizationD, ctx, lo: int, hi: int, nilpotency):
+def window_from_factorization(X: FactorizationD, lo: int, hi: int, nilpotency):
     """Unroll positions lo..hi; position p carries X's map at index p+1."""
-    maps = []
-    backend = ctx.backend
-    for p in range(lo, hi):
-        m = X.map_at(p + 1)
-        if ctx is X.ctx:
-            maps.append(m)
-        else:
-            rows = [[_transport(backend, X.ctx.backend, e) for e in row] for row in m.rows]
-            maps.append(MatrixMap.make(ctx, m.source, m.target, rows))
+    maps = tuple(X.map_at(p + 1) for p in range(lo, hi))
     return ComplexWindow(
-        ctx=ctx, lo=lo, hi=hi, maps=tuple(maps), period=X.d, nilpotency=nilpotency
+        ctx=X.ctx, lo=lo, hi=hi, maps=maps, period=X.d, nilpotency=nilpotency
     ).validate()
-
-
-def _transport(target_backend, source_backend, entry):
-    if isinstance(target_backend, QuotientRing):
-        return target_backend.nf(entry)
-    raise TypeError("entry transport only defined for ring quotients here")
 
 
 def to_sequence(X: FactorizationD, length: int | None = None) -> ComplexWindow:
@@ -146,7 +132,7 @@ def to_sequence(X: FactorizationD, length: int | None = None) -> ComplexWindow:
     if length < 2 * X.d:
         raise ValueError(f"window length {length} is below 2*d")
     half = length // 2
-    return window_from_factorization(X, X.ctx, -half, length - half, None)
+    return window_from_factorization(X, -half, length - half, None)
 
 
 @dataclass(frozen=True)
@@ -160,73 +146,45 @@ class Reduction:
     f: object
 
 
-def _reduce_ring(X: FactorizationD, f: Poly, length: int, deadline) -> Reduction:
-    ring: QuotientRing = X.ctx.backend
-    f = ring.nf(f)
-    if f.is_zero:
-        raise HypothesesUnmet("cannot reduce modulo zero")
-    outcome = solve_linear([(f,)], [X.ctx.eta], ring, deadline=deadline)
-    if not isinstance(outcome, LinearSolution):
-        raise HypothesesUnmet(
-            "eta does not factor through f (membership certificate not found)"
-        )
-    h = outcome.solution[0]
-    rbar = ring.extend_ideal([f])
-    ctx_bar = Context(rbar, eta=rbar.nf(X.ctx.eta))
-    if not ctx_bar.eta_is_zero:
-        raise AssertionError("eta must die in the quotient by f")
-    maps = []
-    for m in X.maps:
-        rows = [[rbar.nf(e) for e in row] for row in m.rows]
-        maps.append(MatrixMap.make(ctx_bar, m.source, m.target, rows))
-    downstairs = make_factorization(ctx_bar, X.d, X.objects, maps)
-    half = length // 2
-    window = window_from_factorization(downstairs, ctx_bar, -half, length - half, X.d)
-    return Reduction(window, downstairs, h, f)
-
-
-def _poll_field_elimination(deadline):
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded("field elimination")
-
-
-def _reduce_algebra(X: FactorizationD, f, length: int, deadline) -> Reduction:
-    alg: FDAlgebra = X.ctx.backend
-    f = alg.canon(f)
-    if alg.is_zero(f):
-        raise HypothesesUnmet("cannot reduce modulo zero")
-    # certify eta = f*h for some h: left multiplication by f, solved exactly
-    mat = alg.left_mult_matrix(f)
-    _poll_field_elimination(deadline)
-    h, cert = linalg.solve(mat, list(X.ctx.eta), alg.field)
-    if cert is not None:
-        raise HypothesesUnmet("eta does not factor through f over the algebra")
-    A, proj = quotient_by_central(alg, CentralElement(alg, f), nu=X.ctx.twist)
-    ctx_bar = Context(A, eta=A.zero())
-    maps = []
-    for m in X.maps:
-        rows = [[proj.apply(e) for e in row] for row in m.rows]
-        maps.append(MatrixMap.make(ctx_bar, m.source, m.target, rows))
-    downstairs = make_factorization(ctx_bar, X.d, X.objects, maps)
-    half = length // 2
-    window = ComplexWindow(
-        ctx=ctx_bar,
-        lo=-half,
-        hi=length - half,
-        maps=tuple(downstairs.map_at(p + 1) for p in range(-half, length - half)),
-        period=X.d,
-        nilpotency=X.d,
-    ).validate()
-    return Reduction(window, downstairs, tuple(h), f)
-
-
 def reduce_full(X: FactorizationD, f, length: int | None = None, deadline=None) -> Reduction:
+    """Reduce X modulo f, certified by h with eta = h f (f applied
+    first, so the algebra product f*h), found by a 1x1 system.
+
+    The backend only picks the quotient: R/(f) over a ring, B/(BfB)
+    over an algebra, where f must be central under the context's twist.
+    """
     length = length if length is not None else 4 * X.d
     if length < 2 * X.d:
         raise ValueError(f"window length {length} is below 2*d")
-    if isinstance(X.ctx.backend, QuotientRing):
-        return _reduce_ring(X, f, length, deadline)
-    return _reduce_algebra(X, f, length, deadline)
+    backend = X.ctx.backend
+    f = backend.canon(f)
+    if backend.is_zero(f):
+        raise HypothesesUnmet("cannot reduce modulo zero")
+    system = LinearSystem(backend)
+    h = system.unknown(1, 1)
+    system.equation([(h, ((f,),), "right")], ((X.ctx.eta,),))
+    grids, cert = system.solve(deadline)
+    if cert is not None:
+        how = ("over the algebra" if isinstance(backend, FDAlgebra)
+               else "(membership certificate not found)")
+        raise HypothesesUnmet(f"eta does not factor through f {how}")
+    if isinstance(backend, QuotientRing):
+        quotient = backend.extend_ideal([f])
+        project = quotient.nf
+    else:
+        quotient, proj = quotient_by_central(backend, CentralElement(backend, f), nu=X.ctx.twist)
+        project = proj.apply
+    ctx_bar = Context(quotient, eta=project(X.ctx.eta))
+    if not ctx_bar.eta_is_zero:
+        raise AssertionError("eta must die in the quotient by f")
+    maps = [
+        MatrixMap.make(ctx_bar, m.source, m.target, [[project(e) for e in row] for row in m.rows])
+        for m in X.maps
+    ]
+    downstairs = make_factorization(ctx_bar, X.d, X.objects, maps)
+    half = length // 2
+    window = window_from_factorization(downstairs, -half, length - half, X.d)
+    return Reduction(window, downstairs, grids[h][0][0], f)
 
 
 def reduce_mod_f(X: FactorizationD, f, length: int | None = None, deadline=None) -> ComplexWindow:
@@ -312,24 +270,21 @@ def _exact_at_ring(incoming: MatrixMap, outgoing: MatrixMap, ring: QuotientRing,
     return True, None, None
 
 
-def _field_matrix_of_map(m: MatrixMap, alg: FDAlgebra):
-    """Coordinates of v -> m(v): right multiplication blockwise."""
-    entries = (
-        (j, k, e, "right") for j, row in enumerate(m.rows) for k, e in enumerate(row)
-    )
-    return alg.block_matrix(entries, m.target.rank, m.source.rank)
+def _field_rank(m: MatrixMap, alg: FDAlgebra, deadline) -> int:
+    """Field rank of v -> m(v) on columns v: one equation ``m v = 0``."""
+    system = LinearSystem(alg)
+    v = system.unknown(m.source.rank, 1)
+    system.equation([(v, m.rows, "left")], [[alg.zero()]] * m.target.rank)
+    mat, _ = system.algebra_matrix()
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded("field elimination")
+    return linalg.rank(mat, alg.field)
 
 
 def _exact_at_algebra(incoming: MatrixMap, outgoing: MatrixMap, alg: FDAlgebra, deadline) -> bool:
-    d = alg.dim
-    out_mat = _field_matrix_of_map(outgoing, alg)
-    in_mat = _field_matrix_of_map(incoming, alg)
-    dim_source = outgoing.source.rank * d
-    _poll_field_elimination(deadline)
-    rank_out = linalg.rank(out_mat, alg.field) if out_mat else 0
-    _poll_field_elimination(deadline)
-    rank_in = linalg.rank(in_mat, alg.field) if in_mat else 0
-    return dim_source - rank_out == rank_in
+    dim_source = outgoing.source.rank * alg.dim
+    rank_out = _field_rank(outgoing, alg, deadline)
+    return dim_source - rank_out == _field_rank(incoming, alg, deadline)
 
 
 def dual_window(C: ComplexWindow) -> ComplexWindow:

@@ -1,16 +1,24 @@
 """Linear systems over a backend, written as matrix equations.
 
-Homotopy decision and the lifting problem of the reduction functor both
-ask for matrices of unknowns satisfying equations such as
-``s_i f_i + g_{i-1} s_{i-1} = phi_i - phi'_i``.  A :class:`LinearSystem`
-holds such unknown blocks and equations once and lays them out as one
-flat system: unknown blocks in the order they were added, each row-major;
-equations in the order they were added, each entry row-major.
+Every linear problem of the package is one of these: homotopy decision
+(``s_i f_i + g_{i-1} s_{i-1} = phi_i - phi'_i``), the lifting problem of
+the reduction functor, the factors-through certificate eta = h*f of a
+reduction, the defining squares of a hom space, and the field rank of
+an algebra map.  A :class:`LinearSystem` holds unknown blocks and
+equations once and lays them out as one flat system: unknown blocks in
+the order they were added, each row-major; equations in the order they
+were added, each entry row-major.
 
 Over a quotient ring the flat system goes to the module Gröbner solver
-(:func:`modgb.solve_linear`); over a finite-dimensional algebra each
-coefficient becomes its multiplication matrix and the field system goes
-to :func:`linalg.solve`.
+(:func:`modgb.solve_linear`).  Every field matrix comes from one field
+lowering (:meth:`LinearSystem._field_columns`): each unknown is set in
+turn to each element of a field basis of the backend, the products one
+equation gets from it are summed in the backend, and the sum is
+expanded into (equation, unit) coordinates.  Over a finite-dimensional
+algebra the columns are placed densely (:meth:`algebra_matrix`) and the
+system goes to :func:`linalg.solve`; hom spaces number the rows in
+order of first appearance (:meth:`field_matrix`) and take a kernel
+(:meth:`field_kernel`).
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ class LinearSystem:
 
     def __init__(self, backend):
         self.backend = backend
+        self.field = backend.field if isinstance(backend, FDAlgebra) else backend.amb.field
         self.blocks = []  # (rows, cols, flat index of entry (0, 0))
         self.size = 0
         self.terms = []  # per scalar equation: its (flat unknown index, coefficient, side)
@@ -66,24 +75,111 @@ class LinearSystem:
                 self.rhs.append(value)
                 self.modulo.append(tuple(modulo))
 
+    # -- the field lowering ---------------------------------------------
+
+    def _field_columns(self, basis):
+        """One column per (unknown, basis element), unknown-major.
+
+        The unknown is set to the basis element e.  Its products with
+        the coefficients of one equation (``c e`` for a right term and
+        ``e c`` for a left one: compose multiplies entries with the map
+        applied first on the left) are summed in the backend, and a
+        nonzero sum is expanded into its field coordinates.  A column
+        is a list of ``(equation, unit, coefficient)``, equations
+        ascending; units are coordinate indices over an algebra and
+        monomials over a ring.
+        """
+        backend, zero = self.backend, self.field.zero
+        add, mul, is_zero = backend.add, backend.mul, backend.is_zero
+        if isinstance(backend, FDAlgebra):
+            def units(a):
+                return [(t, cf) for t, cf in enumerate(a) if cf != zero]
+        else:
+            def units(a):
+                return a.terms
+        touches = [[] for _ in range(self.size)]  # per unknown: (equation, coefficient, side)
+        for i, terms in enumerate(self.terms):
+            for k, c, side in terms:
+                touches[k].append((i, c, side))
+        for touched in touches:
+            for e in basis:
+                sums = {}
+                for i, c, side in touched:
+                    p = mul(c, e) if side == "right" else mul(e, c)
+                    sums[i] = add(sums[i], p) if i in sums else p
+                yield [(i, unit, cf) for i, s in sums.items() if not is_zero(s)
+                       for unit, cf in units(s)]
+
+    def field_matrix(self, basis):
+        """Field matrix of the homogeneous system, unknowns expanded over
+        ``basis``: rows are the (equation, unit) pairs in order of first
+        appearance, scanning columns in order."""
+        index: dict = {}
+        cols = [
+            {index.setdefault((i, unit), len(index)): cf for i, unit, cf in column}
+            for column in self._field_columns(basis)
+        ]
+        mat = [[self.field.zero] * len(cols) for _ in range(len(index))]
+        for j, col in enumerate(cols):
+            for i, cf in col.items():
+                mat[i][j] = cf
+        return mat
+
+    def field_kernel(self, basis):
+        """Coordinate vectors (see :meth:`decode`) of a basis of the
+        solutions of the homogeneous system with every unknown in the
+        field span of ``basis``."""
+        mat = self.field_matrix(basis) or [[self.field.zero] * (self.size * len(basis))]
+        return linalg.kernel_basis(mat, self.field)
+
+    def algebra_matrix(self):
+        """``(mat, rhs)``: the whole system over a finite-dimensional
+        algebra as one field system.  Row ``i*dim + t`` is coordinate t
+        of scalar equation i, column ``k*dim + b`` is unknown k set to
+        basis element b."""
+        alg: FDAlgebra = self.backend
+        if any(self.modulo):
+            raise TypeError("extra moduli need a quotient-ring backend")
+        dim = alg.dim
+        mat = [[self.field.zero] * (self.size * dim) for _ in range(len(self.terms) * dim)]
+        basis = [alg.basis(b) for b in range(dim)]
+        for j, column in enumerate(self._field_columns(basis)):
+            for i, t, cf in column:
+                mat[i * dim + t][j] = cf
+        return mat, [v for value in self.rhs for v in value]
+
+    def decode(self, vec, basis):
+        """Grids per block of the unknowns whose coordinates over
+        ``basis`` are ``vec`` (unknown-major)."""
+        backend, zero = self.backend, self.field.zero
+        nb = len(basis)
+        values = []
+        for k in range(self.size):
+            acc = backend.zero()
+            for e, coeff in zip(basis, vec[k * nb: (k + 1) * nb]):
+                if coeff != zero:
+                    acc = backend.add(acc, backend.scale(e, coeff))
+            values.append(acc)
+        return self._grids(values)
+
+    def _grids(self, values):
+        return [
+            [values[offset + a * cols: offset + (a + 1) * cols] for a in range(rows)]
+            for rows, cols, offset in self.blocks
+        ]
+
+    # -- solving ----------------------------------------------------------
+
     def solve(self, deadline: float | None = None):
         """``(grids, None)`` with one grid per unknown block, or
         ``(None, certificate)`` when the system has no solution."""
         if not self.terms:  # no equations: zero solves them
-            values, cert = [self.backend.zero()] * self.size, None
-        elif isinstance(self.backend, QuotientRing):
-            values, cert = self._solve_ring(deadline)
-        elif isinstance(self.backend, FDAlgebra):
-            values, cert = self._solve_algebra(deadline)
-        else:
-            raise TypeError("unsupported backend")
-        if cert is not None:
-            return None, cert
-        grids = [
-            [values[offset + a * cols: offset + (a + 1) * cols] for a in range(rows)]
-            for rows, cols, offset in self.blocks
-        ]
-        return grids, None
+            return self._grids([self.backend.zero()] * self.size), None
+        if isinstance(self.backend, QuotientRing):
+            return self._solve_ring(deadline)
+        if isinstance(self.backend, FDAlgebra):
+            return self._solve_algebra(deadline)
+        raise TypeError("unsupported backend")
 
     def _solve_ring(self, deadline):
         ring: QuotientRing = self.backend
@@ -97,25 +193,13 @@ class LinearSystem:
         outcome = solve_linear(rows, self.rhs, ring, deadline=deadline, modulo=self.modulo)
         if not isinstance(outcome, LinearSolution):
             return None, outcome
-        return list(outcome.solution), None
+        return self._grids(list(outcome.solution)), None
 
     def _solve_algebra(self, deadline):
-        alg: FDAlgebra = self.backend
-        if any(self.modulo):
-            raise TypeError("extra moduli need a quotient-ring backend")
-        # compose multiplies entries with the map applied first on the
-        # left, so u C multiplies u's entries by C's on the left
-        mult = {"right": "left", "left": "right"}
-        mat = alg.block_matrix(
-            ((i, k, c, mult[side]) for i, terms in enumerate(self.terms) for k, c, side in terms),
-            len(self.terms),
-            self.size,
-        )
-        rhs = [v for value in self.rhs for v in value]
+        mat, rhs = self.algebra_matrix()
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded("field elimination")
-        x, cert = linalg.solve(mat, rhs, alg.field)
+        x, cert = linalg.solve(mat, rhs, self.field)
         if cert is not None:
             return None, cert
-        dim = alg.dim
-        return [tuple(x[k * dim: (k + 1) * dim]) for k in range(self.size)], None
+        return self.decode(x, [self.backend.basis(b) for b in range(self.backend.dim)]), None

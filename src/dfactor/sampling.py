@@ -2,18 +2,15 @@
 
 Everything here is deterministic given the seed (``random.Random``,
 whose algorithm is stable across platforms).  Morphism and graded-hom
-spaces are computed exactly: entries are expanded over a finite field
-basis of the backend (all of it when the backend is finite
-dimensional, a degree-truncated slice otherwise), one unknown per
-(component, row, column, basis element), and the defining squares
-become one field-linear system whose kernel is the space.
-
-The system is assembled from the defect's linear structure.  Each
-block of the defect is ``comp . Q - P . comp`` with fixed maps Q and P
-(the factorizations' maps, or their two-step composites for the
-double squares), computed once per space; an elementary unknown then
-contributes one row of the first term and one column of the second,
-without evaluating the whole defect.
+spaces are computed exactly.  The defining squares of a space are one
+homogeneous :class:`linsys.LinearSystem` with an unknown block per
+component: each square ``comp . Q - P . comp`` uses fixed maps Q and P
+(the factorizations' maps, or their two-step composites for the double
+squares), computed once per space.  The system's field lowering expands
+the unknowns over a finite field basis of the backend (all of it when
+the backend is finite dimensional, a degree-truncated slice otherwise),
+one unknown per (component, row, column, basis element), and the kernel
+of the resulting field matrix is the space.
 
 Every element here is a :class:`dg.GradedHom`: morphisms are the
 degree-0 cycles, homotopy witnesses degree -1 elements.  Sampling a
@@ -28,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import linalg
 from .context import Context, MatrixMap, compose
 from .dg import GradedHom, dg_differential, zero_graded
 from .errors import UnsupportedOperation
@@ -45,6 +41,7 @@ from .factorization import (
     unsuspend,
 )
 from .fdalg import FDAlgebra
+from .linsys import LinearSystem
 from .rings import QuotientRing
 
 
@@ -141,25 +138,12 @@ class GradedSpace:
         self._cycles = None
 
     def decode(self, vec) -> GradedHom:
-        comps = []
-        pos = 0
-        nb = len(self.base_elems)
-        backend = self.backend
-        for src, tgt in self.shapes:
-            rows = []
-            for r in range(tgt.rank):
-                row = []
-                for c in range(src.rank):
-                    acc = backend.zero()
-                    for b in range(nb):
-                        coeff = vec[pos]
-                        pos += 1
-                        if coeff != self.field.zero:
-                            acc = backend.add(acc, backend.scale(self.base_elems[b], coeff))
-                    row.append(acc)
-                rows.append(row)
-            comps.append(MatrixMap.make(self.X.ctx, src, tgt, rows))
-        return GradedHom(self.X, self.Y, self.degree, tuple(comps))
+        """The element whose coordinates, in ``layout`` order, are ``vec``."""
+        grids = self._unknowns()[0].decode(vec, self.base_elems)
+        comps = tuple(
+            MatrixMap.make(self.X.ctx, src, tgt, g) for (src, tgt), g in zip(self.shapes, grids)
+        )
+        return GradedHom(self.X, self.Y, self.degree, comps)
 
     def encode(self, gh: GradedHom):
         out = []
@@ -169,101 +153,45 @@ class GradedSpace:
                     out.extend(self._encode_elem(comp.rows[r][c]))
         return out
 
-    def _blocks(self, dg: bool):
-        """The defect, one block per i = 1..d, as (ka, Q, kb, P).
+    def _unknowns(self):
+        """A system with one unknown block per component, in layout order."""
+        system = LinearSystem(self.backend)
+        return system, [system.unknown(tgt.rank, src.rank) for src, tgt in self.shapes]
 
-        Block i is ``comp_at(a) . Q - P . comp_at(b)`` for double
-        squares (``dg``) and ``P . comp_at(b) - comp_at(a) . Q`` for
-        single squares; ka and kb are the component indices of a and b.
-        Double squares take a = i+2 with the two-step composites of X
-        and Y, single squares a = i+1 with the maps themselves; b = i.
+    def system(self, dg: bool) -> LinearSystem:
+        """The defining squares as a homogeneous system, one equation
+        per i = 1..d.
+
+        Double squares (``dg``): ``comp_at(i+2) . Q - P . comp_at(i) = 0``
+        with the two-step composites Q of X and P of Y.  Single squares:
+        ``P . comp_at(i) - comp_at(i+1) . Q = 0`` with the maps themselves.
         """
         X, Y, n, d = self.X, self.Y, self.degree, self.X.d
-        out = []
+        system, comp = self._unknowns()
         for i in range(1, d + 1):
+            comp_i = comp[(i - 1) % d]
             if dg:
-                a = i + 2
                 Q = compose(X.map_at(i + 1), X.map_at(i))
                 P = compose(Y.map_at(i + n + 1), Y.map_at(i + n))
+                terms = [(comp[(i + 1) % d], Q.rows, "right"), (comp_i, (-P).rows, "left")]
             else:
-                a, Q, P = i + 1, X.map_at(i), Y.map_at(i + n)
-            out.append(((a - 1) % d, Q, (i - 1) % d, P))
-        return out
-
-    def _defect_rows(self, dg: bool):
-        """Constraint matrix: one column per unknown, one row per
-        (block, row, column, basis unit) in order of first appearance.
-
-        The defect is linear in the unknowns, so the unknown (k, r, c, b)
-        with value e = base_elems[b] touches only row r of
-        ``comp_at(a) . Q`` (entries ``Q[c][kk] * e``) and column c of
-        ``P . comp_at(b)`` (entries ``e * P[ii][r]``).
-        """
-        backend, field = self.backend, self.field
-        is_zero, mul = backend.is_zero, backend.mul
-        if isinstance(backend, FDAlgebra):
-            def units(entry):
-                return [(t, cf) for t, cf in enumerate(entry) if cf != field.zero]
-        else:
-            def units(entry):
-                return entry.terms
-        blocks = []
-        for ka, Q, kb, P in self._blocks(dg):
-            q_rows = [[(kk, q) for kk, q in enumerate(row) if not is_zero(q)] for row in Q.rows]
-            p_cols = [
-                [(ii, row[r]) for ii, row in enumerate(P.rows) if not is_zero(row[r])]
-                for r in range(P.source.rank)
-            ]
-            blocks.append((ka, q_rows, kb, p_cols))
-        eq, pe = (0, 1) if dg else (1, 0)  # slot of each term in [lhs, rhs]
-        rows_index: dict = {}
-        cols = []
-        for k, r, c, b in self.layout:
-            e = self.base_elems[b]
-            col = {}
-            for block, (ka, q_rows, kb, p_cols) in enumerate(blocks):
-                terms: dict = {}  # position -> [lhs, rhs], None for a zero term
-                if ka == k:
-                    for kk, q in q_rows[c]:
-                        terms.setdefault((r, kk), [None, None])[eq] = mul(q, e)
-                if kb == k:
-                    for ii, p in p_cols[r]:
-                        terms.setdefault((ii, c), [None, None])[pe] = mul(e, p)
-                for pos in sorted(terms):
-                    lhs, rhs = terms[pos]
-                    if rhs is None:
-                        entry = lhs
-                    elif lhs is None:
-                        entry = backend.neg(rhs)
-                    else:
-                        entry = backend.sub(lhs, rhs)
-                    if is_zero(entry):
-                        continue
-                    for unit, cf in units(entry):
-                        col[rows_index.setdefault((block, *pos, unit), len(rows_index))] = cf
-            cols.append(col)
-        mat = [[field.zero] * len(cols) for _ in range(len(rows_index))]
-        for jcol, col in enumerate(cols):
-            for irow, cf in col.items():
-                mat[irow][jcol] = cf
-        return mat
-
-    def _kernel(self, dg: bool):
-        if not self.layout:
-            return []
-        mat = self._defect_rows(dg) or [[self.field.zero] * len(self.layout)]
-        return [self.decode(v) for v in linalg.kernel_basis(mat, self.field)]
+                Q, P = X.map_at(i), Y.map_at(i + n)
+                terms = [(comp_i, P.rows, "left"), (comp[i % d], (-Q).rows, "right")]
+            system.equation(terms, MatrixMap.zero(X.ctx, Q.source, P.target).rows)
+        return system
 
     def valid_basis(self):
         if self._valid is None:
-            self._valid = self._kernel(dg=True)
+            kernel = self.system(dg=True).field_kernel(self.base_elems)
+            self._valid = [self.decode(v) for v in kernel]
         return self._valid
 
     def cycle_basis(self):
         if self.degree != 0:
             raise ValueError("cycles are a degree-0 notion here")
         if self._cycles is None:
-            self._cycles = self._kernel(dg=False)
+            kernel = self.system(dg=False).field_kernel(self.base_elems)
+            self._cycles = [self.decode(v) for v in kernel]
         return self._cycles
 
 

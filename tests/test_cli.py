@@ -479,6 +479,16 @@ def test_deadline_bounds_the_algebra_reduction(tmp_path, capsys):
     assert rep["kind"] == "DeadlineExceeded" and rep["error"] == "field elimination"
 
 
+def test_deadline_bounds_the_axiom_suite(capsys):
+    # the quantum context never reaches a solver poll: the trial loop polls
+    ctx = FIXTURES / "quantum_context.json"
+    args = ["axioms", "--ctx", ctx, "--trials", "300", "--seed", "1", "--deadline", "0.01"]
+    code, rep = run_cli(args, capsys)
+    assert code == 1
+    assert rep["kind"] == "DeadlineExceeded"
+    assert rep["error"].startswith("axioms: ") and rep["error"].endswith(" of 300 trials")
+
+
 def test_piped_input_is_read_once():
     fixture = FIXTURES / "classical_xy.json"
     cmd = [sys.executable, "-m", "dfactor.cli", "verify"]

@@ -16,6 +16,7 @@ from dfactor.factorization import (
     cone,
     cone_comparison,
     homotopy_decide,
+    homotopy_system,
     identity_morphism,
     is_morphism,
     make_factorization,
@@ -74,6 +75,24 @@ def test_algebra_homotopy_negative_with_fredholm_certificate():
     # the first witness unknown s_1 = t_2 runs M_2 -> N_1, both of rank 1
     s_1 = zero_graded(X, X, -1).comp_at(2)
     assert (s_1.source.rank, s_1.target.rank) == (1, 1)
+    # re-check the certificate against the field system it refutes
+    cert, field = verdict.certificate, A.field
+    system, _ = homotopy_system(identity_morphism(X), zero_graded(X, X))
+    mat, rhs = system.algebra_matrix()
+    assert cert.reverify(mat, rhs, field)
+    # one coordinate of y on a nonzero row of A: y*A is no longer zero
+    i = next(i for i, row in enumerate(mat) if any(c != field.zero for c in row))
+    y = list(cert.y)
+    y[i] = field.add(y[i], field.one)
+    assert not FredholmCertificate(tuple(y)).reverify(mat, rhs, field)
+    # one rhs entry, moved so that y*b becomes zero
+    pairing = field.zero
+    for yi, bi in zip(cert.y, rhs):
+        pairing = field.add(pairing, field.mul(yi, bi))
+    i = next(i for i, yi in enumerate(cert.y) if yi != field.zero)
+    moved = list(rhs)
+    moved[i] = field.sub(moved[i], field.mul(pairing, field.inv(cert.y[i])))
+    assert not cert.reverify(mat, moved, field)
 
 
 def test_algebra_cone_of_identity_contractible():

@@ -1,9 +1,11 @@
-"""The kernel interface the benchmark harness reads.
+"""The kernel and hom-space interface the benchmark harness reads.
 
 ``perfbench/`` reads ``_kernel.HAVE_SPEEDUPS`` and ``KernelOps.name``
 for its run environment, and its tracer patches ``_kernel.ops_for`` and
-wraps the returned ops with ``KernelOps._replace``.  A short traced run
-breaks here, not at the next benchmark run, if any of them goes.
+wraps the returned ops with ``KernelOps._replace``; it counts hom-space
+unknowns from ``GradedSpace.layout``, ``_valid``, ``_cycles`` and
+``degree``.  A short traced run breaks here, not at the next benchmark
+run, if any of them goes.
 """
 
 import json
@@ -14,14 +16,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_groebner_run_sees_the_kernel():
+def _traced_run(workload, ops):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "groebner", "--seed", "5", "--trace", "1", "--ops", "3"],
+         "--workload", workload, "--seed", "5", "--trace", "1", "--ops", str(ops)],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_traced_groebner_run_sees_the_kernel():
+    lines = _traced_run("groebner", 3)
     env = json.loads(lines[0].removeprefix("env: "))
     assert env["kernel_lane_f7"] == "pure"
     result = json.loads(lines[-1])
@@ -29,3 +35,12 @@ def test_traced_groebner_run_sees_the_kernel():
     metrics = result["metrics"]
     assert metrics["kernel.add.calls"]["value"] > 0
     assert metrics["kernel.divmod.calls"]["value"] > 0
+
+
+def test_traced_axioms_run_sees_the_hom_spaces():
+    # the tracer reads GradedSpace's layout, _valid, _cycles and degree
+    result = json.loads(_traced_run("axioms", 2)[-1])
+    assert result["correct"] and result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["sampling.graded_space.unknowns"]["value"] > 0
+    assert metrics["linalg.kernel_basis.calls"]["value"] > 0
