@@ -94,9 +94,6 @@ class Context:
     def eta_is_zero(self) -> bool:
         return self.backend.is_zero(self.eta)
 
-    def obj(self, rank: int, offset: int = 0) -> FreeObj:
-        return FreeObj.of(rank, offset)
-
     def __eq__(self, other):
         return (
             isinstance(other, Context)

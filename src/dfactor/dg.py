@@ -158,7 +158,6 @@ def h0_dimension(X: FactorizationD, Y: FactorizationD) -> int:
 
     from . import linalg, sampling
 
-    field = backend.field if isinstance(backend, FDAlgebra) else backend.amb.field
     space0 = sampling.graded_space(X, Y, 0, None)
     z0 = space0.cycle_basis()
     if not z0:
@@ -167,4 +166,4 @@ def h0_dimension(X: FactorizationD, Y: FactorizationD) -> int:
     if not vminus1:
         return len(z0)
     boundary_rows = [space0.encode(dg_differential(t)) for t in vminus1]
-    return len(z0) - linalg.rank(boundary_rows, field)
+    return len(z0) - linalg.rank(boundary_rows, backend.field)

@@ -47,8 +47,10 @@ def _tokenize(text: str):
 class _Parser:
     """Recursive descent over a small arithmetic interface.
 
-    ``alg`` provides const(Fraction), atom(name), add(a,b), neg(a),
-    mul(a,b) and power(a,n).
+    ``alg`` provides const(Fraction), atom(name), add(a,b), neg(a) and
+    mul(a,b).  Powers are square-and-multiply, so an exponent costs
+    about 2*log2(n) products; powers of one element commute, so the
+    product order does not matter in an associative algebra.
     """
 
     def __init__(self, tokens, alg):
@@ -99,7 +101,18 @@ class _Parser:
             kind, n = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer")
-            value = self.alg.power(value, n)
+            value = self.power(value, n)
+        return value
+
+    def power(self, base, n):
+        mul = self.alg.mul
+        value = self.alg.const(Fraction(1))
+        while n:
+            if n & 1:
+                value = mul(value, base)
+            n >>= 1
+            if n:
+                base = mul(base, base)
         return value
 
     def atom(self):
@@ -147,9 +160,6 @@ class _PolyAlg:
 
     def mul(self, a, b):
         return a * b
-
-    def power(self, a, n):
-        return a**n
 
 
 def parse_poly(text: str, amb):

@@ -115,9 +115,6 @@ class FDAlgebra:
     def is_zero(self, a) -> bool:
         return all(x == self.field.zero for x in a)
 
-    def eq(self, a, b) -> bool:
-        return tuple(a) == tuple(b)
-
     def left_mult_matrix(self, a):
         """Columns are a * basis_j, i.e. the matrix of v -> a*v."""
         cols = [self.mul(a, self.basis(j)) for j in range(self.dim)]
@@ -147,12 +144,6 @@ class FDAlgebra:
 
             def mul(self, a, b):
                 return alg.mul(a, b)
-
-            def power(self, a, n):
-                out = alg.one()
-                for _ in range(n):
-                    out = alg.mul(out, a)
-                return out
 
         return parse_with_alg(text, _Alg())
 

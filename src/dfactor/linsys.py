@@ -43,7 +43,7 @@ class LinearSystem:
 
     def __init__(self, backend):
         self.backend = backend
-        self.field = backend.field if isinstance(backend, FDAlgebra) else backend.amb.field
+        self.field = backend.field
         self.blocks = []  # (rows, cols, flat index of entry (0, 0))
         self.size = 0
         self.terms = []  # per scalar equation: its (flat unknown index, coefficient, side)

@@ -1,21 +1,22 @@
-"""Polynomial rings over exact fields, Gröbner bases, and quotient rings.
+"""Polynomial rings over exact fields, ideals, and quotient rings.
 
 The commutative backend of the whole package.  Elements of a
 :class:`QuotientRing` are :class:`Poly` values kept in normal form
 (the unique remainder modulo the reduced Gröbner basis of the defining
-ideal), so equality of ring elements is term-tuple equality.
+ideal), so equality of ring elements is term-tuple equality.  Gröbner
+bases of ideals come from the module engine in :mod:`dfactor.modgb`,
+run on rank-1 vectors; normal forms are heap division
+(``_kernel.pure.divmod_basis``).
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
-import time
 from fractions import Fraction
 
 from . import _kernel
-from ._kernel.pure import mon_div, mon_divides, mon_lcm, mon_mul
-from .errors import DeadlineExceeded, ParseError
+from ._kernel.pure import mon_divides
+from .errors import ParseError
 from .fields import GF, QQ, field_from_json, field_to_json
 
 
@@ -170,18 +171,6 @@ class Poly:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = self.amb.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale(self, c) -> Poly:
         return Poly(self.amb, self.amb.ops.scale(self.terms, self.amb.coeff(c)))
 
@@ -222,129 +211,20 @@ class Poly:
         return format_poly(self)
 
 
-def _spoly(f: Poly, g: Poly) -> Poly:
-    amb = f.amb
-    ops = amb.ops
-    fm, fc = f.terms[0]
-    gm, gc = g.terms[0]
-    lcm = mon_lcm(fm, gm)
-    left = ops.shift(f.terms, mon_div(lcm, fm), amb.field.inv(fc))
-    right = ops.shift(g.terms, mon_div(lcm, gm), amb.field.inv(gc))
-    return Poly(amb, ops.add(left, ops.neg(right)))
-
-
-def groebner(gens, strategy: str = "normal", deadline: float | None = None):
+def groebner(gens, deadline: float | None = None):
     """Reduced monic Gröbner basis of the ideal generated by ``gens``.
 
-    Buchberger with the normal pair-selection strategy (lowest lcm
-    degree first); ``strategy="sugar"`` orders pairs by the sugar
-    degree instead.  The result is the unique reduced basis for the
-    ambient order, sorted with descending lead terms.
-
-    Pairs are installed with the Gebauer–Möller update (Becker &
-    Weispfenning, *Gröbner Bases*, p. 230): a new element's pairs are
-    filtered by the chain and product criteria, queued pairs whose lcm
-    the new lead splits are dropped, and elements whose lead the new
-    lead divides leave the active set G that forms pairs and becomes
-    the basis.  S-polynomials reduce against every element found so
-    far, in the order found, redundant ones included: reduced by G
-    alone, some lex completions over the rationals ran through far
-    longer chains of swollen coefficients.
+    An ideal is a submodule of the rank-1 free module, so this is
+    :func:`dfactor.modgb.module_groebner` on one-entry vectors.  The
+    result is the unique reduced basis for the ambient order, sorted
+    with descending lead terms.
     """
+    from .modgb import module_groebner  # modgb imports this module
+
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return ()
-    amb = gens[0].amb
-    key = amb.order.key
-    basis = []
-    sugars = []
-    for g in gens:
-        if g.monic() not in basis:
-            basis.append(g.monic())
-            sugars.append(g.total_degree())
-
-    leads = []
-    active: list = []  # G: indices of the non-redundant elements, ascending
-    live: dict = {}  # queued pairs (i, j) -> lcm of their leads; pruned pairs leave
-    pairs: list = []  # heap over the ranks of queued and pruned pairs
-
-    def push_pair(i, j, lcm):
-        deg = sum(lcm)
-        if strategy == "sugar":
-            sugar = max(
-                sugars[i] + deg - sum(leads[i]),
-                sugars[j] + deg - sum(leads[j]),
-            )
-            rank = (sugar, deg, key(lcm), i, j)
-        else:
-            rank = (deg, key(lcm), i, j)
-        live[i, j] = lcm
-        heapq.heappush(pairs, (rank, i, j))
-
-    def install(h):
-        mh = basis[h].lead_mon
-        leads.append(mh)
-        new = [(g, mon_lcm(leads[g], mh)) for g in active]
-        kept = []
-        for n, (g, lcm) in enumerate(new):
-            coprime = lcm == mon_mul(leads[g], mh)
-            # chain criterion among the new pairs; coprime pairs stay in
-            # ``kept`` to prune others and are dropped below (product criterion)
-            if coprime or not (
-                any(mon_divides(other, lcm) for _, other in new[n + 1 :])
-                or any(mon_divides(other, lcm) for _, other, _ in kept)
-            ):
-                kept.append((g, lcm, coprime))
-        for (i, j), lcm in list(live.items()):
-            if (
-                mon_divides(mh, lcm)
-                and mon_lcm(leads[i], mh) != lcm
-                and mon_lcm(leads[j], mh) != lcm
-            ):
-                del live[i, j]
-        for g, lcm, coprime in kept:
-            if not coprime:
-                push_pair(g, h, lcm)
-        active[:] = [g for g in active if not mon_divides(mh, leads[g])]
-        active.append(h)
-
-    for h in range(len(basis)):
-        install(h)
-
-    done = 0
-    while pairs:
-        if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded(f"groebner: {done} pairs done, {len(live)} queued")
-        (rank, i, j) = heapq.heappop(pairs)
-        if live.pop((i, j), None) is None:
-            continue
-        done += 1
-        s = _spoly(basis[i], basis[j])
-        rem, _ = amb.ops.divmod_basis(s.terms, [b.terms for b in basis])
-        if rem:
-            basis.append(Poly(amb, rem).monic())
-            sugars.append(rank[0] if strategy == "sugar" else Poly(amb, rem).total_degree())
-            install(len(basis) - 1)
-
-    return _reduce_basis([basis[g] for g in active])
-
-
-def _reduce_basis(basis):
-    """Minimalize and tail-reduce; unique for a fixed order."""
-    amb = basis[0].amb
-    key = amb.order.key
-    minimal = []
-    for g in sorted(basis, key=lambda b: key(b.lead_mon)):
-        if not any(mon_divides(h.lead_mon, g.lead_mon) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = [h.terms for j, h in enumerate(minimal) if j != i]
-        rem, _ = amb.ops.divmod_basis(g.terms, others) if others else (g.terms, None)
-        if rem:
-            reduced.append(Poly(amb, rem).monic())
-    reduced.sort(key=lambda b: key(b.lead_mon), reverse=True)
-    return tuple(reduced)
+    return tuple(v[0] for v in module_groebner([(g,) for g in gens], gens[0].amb, deadline))
 
 
 class Ideal:
@@ -354,10 +234,6 @@ class Ideal:
         self.amb = amb
         self.gens = tuple(g for g in gens if not g.is_zero)
         self.basis = groebner(self.gens, deadline=deadline)
-
-    def contains(self, p: Poly) -> bool:
-        rem, _ = self.amb.ops.divmod_basis(p.terms, [b.terms for b in self.basis])
-        return not rem
 
     def __eq__(self, other):
         return isinstance(other, Ideal) and other.amb is self.amb and other.basis == self.basis
@@ -385,6 +261,7 @@ class QuotientRing:
 
     def __init__(self, amb: Ambient, ideal: Ideal | None = None):
         self.amb = amb
+        self.field = amb.field
         self.ideal = ideal if ideal is not None else Ideal(amb, ())
         if self.ideal.amb is not amb:
             raise ValueError("ideal lives in a different ambient ring")
@@ -434,9 +311,6 @@ class QuotientRing:
 
     def is_zero(self, a) -> bool:
         return a.is_zero
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def parse(self, text: str) -> Poly:
         return self.nf(self.amb.poly(text))

@@ -123,7 +123,7 @@ class GradedSpace:
         self.X, self.Y, self.degree = X, Y, degree
         backend = X.ctx.backend
         self.backend = backend
-        self.field = backend.field if isinstance(backend, FDAlgebra) else backend.amb.field
+        self.field = backend.field
         self.base_elems, self._encode_elem = element_basis(backend, cap)
         self.shapes = [
             (X.objects[i - 1], Y.obj_at(i + degree)) for i in range(1, X.d + 1)

@@ -51,10 +51,6 @@ def backend_from_json(desc: dict):
     return QuotientRing.from_json(desc)
 
 
-def backend_to_json(backend) -> dict:
-    return backend.to_json()
-
-
 def context_from_json(desc: dict) -> Context:
     """An explicit "twist" wins; otherwise an algebra description's own
     "nu" is adopted.  Likewise "eta" falls back to the algebra's "w"."""
@@ -88,7 +84,7 @@ def context_from_json(desc: dict) -> Context:
 
 
 def context_to_json(ctx: Context) -> dict:
-    out = {"ring": backend_to_json(ctx.backend)}
+    out = {"ring": ctx.backend.to_json()}
     if ctx.twist is None:
         out["twist"] = "identity"
     else:
@@ -231,7 +227,7 @@ def window_to_json(W: ComplexWindow) -> dict:
         else:
             offsets.append(list(W.maps[-1].target.offsets))
     return {
-        "ring": backend_to_json(W.backend),
+        "ring": W.backend.to_json(),
         "lo": W.lo,
         "hi": W.hi,
         "period": W.period,

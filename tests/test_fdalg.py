@@ -1,5 +1,9 @@
 """Finite-dimensional algebras: the quantum-plane family and friends."""
 
+import itertools
+import math
+import time
+
 import pytest
 
 from dfactor.fdalg import (
@@ -51,6 +55,23 @@ def test_multiplication_annihilates(B):
     xy = B.mul(x, y)
     assert xy == B.parse("x*y")
     assert B.mul(xy, x) == B.zero()  # xyx is a relation
+
+
+def test_exponents_parse_in_logarithmic_time():
+    # every word of length 6 is a relation: x^6 = 0 and (x + 2*y)^5 != 0
+    words = ["".join(w) for w in itertools.product("xy", repeat=6)]
+    A = monomial_algebra(("x", "y"), words, F7)
+    f = "(x + 2*y)"
+    assert A.parse(f"{f}^5") == A.parse("*".join([f] * 5)) != A.zero()
+    assert A.parse("x^5") == A.parse("x*x*x*x*x") != A.zero()
+    assert A.parse(f"{f}^0") == A.one()
+    n = 10**9
+    start = time.perf_counter()
+    assert A.parse(f"x^{n}") == A.zero()
+    big = A.parse(f"(1 + x)^{n}")
+    assert time.perf_counter() - start < 0.5
+    binomial = " + ".join(f"{math.comb(n, k) % 7}*x^{k}" for k in range(6))
+    assert big == A.parse(binomial)
 
 
 def test_central_element_is_plainly_central(B, w):

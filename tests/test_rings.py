@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfactor import rings
+from dfactor import modgb
 from dfactor._kernel import pure
 from dfactor.errors import DeadlineExceeded
 from dfactor.exprs import format_poly, parse_poly
@@ -155,12 +155,6 @@ def test_groebner_permutation_and_scaling_invariance(seed):
     assert printed_a == printed_b
 
 
-def test_groebner_sugar_matches_normal():
-    amb = Ambient(GF(7), ("x", "y", "z"))
-    gens = [amb.poly("x^2 + y*z"), amb.poly("y^2 - x*z"), amb.poly("z^2 + x*y")]
-    assert groebner(gens, strategy="sugar") == groebner(gens)
-
-
 def test_rational_groebner():
     amb = Ambient(QQ(), ("x", "y"))
     basis = groebner([amb.poly("2*x^2 - y"), amb.poly("3*x*y - x")])
@@ -294,15 +288,14 @@ def test_groebner_matches_sympy(field, order):
                     for m, c in g.terms()
                 )
             )
-        for strategy in ("normal", "sugar"):
-            basis = groebner(gens, strategy=strategy)
-            assert all(b.lead_coeff == field.one for b in basis)
-            assert {_monic_key(b.terms, field.char) for b in basis} == theirs
+        basis = groebner(gens)
+        assert all(b.lead_coeff == field.one for b in basis)
+        assert {_monic_key(b.terms, field.char) for b in basis} == theirs
 
 
 PAIR_COUNT_IDEALS = [
-    ("cyclic-3", ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"], 2),
-    ("katsura-3", ["x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x", "2*x*y + 2*y*z - y"], 4),
+    ("cyclic-3", ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"], 5),
+    ("katsura-3", ["x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x", "2*x*y + 2*y*z - y"], 7),
     ("twisted", ["x^2*y - z^2 + x", "y^2*z - x*y + 1", "z^2*x - y^2 + z"], 13),
 ]
 
@@ -313,38 +306,38 @@ PAIR_COUNT_IDEALS = [
 def test_groebner_pair_reductions_pinned(monkeypatch, name, gens, reductions):
     """S-pair reductions are deterministic: a count, not a timing.
 
-    Without the Gebauer–Möller criteria these ideals take 6, 7 and 20
-    reductions, not counting the final interreduction.
+    Counted as ``modgb.vec_divmod`` calls before the final
+    interreduction.  The chain criterion and sugar selection of the
+    module engine give 5, 7 and 13; the ring engine this replaced also
+    applied the product criterion and took 2, 4 and 13.  Without the
+    Gebauer–Möller update, every pair formed and reduced, these ideals
+    take 10, 15 and 28.
     """
     amb = Ambient(GF(7), ("x", "y", "z"))
     calls = [0]
-    ops = amb.ops
     at_final_reduction = []
+    vec_divmod = modgb.vec_divmod
+    reduce_basis = modgb._reduce_module_basis
 
-    def counting_divmod(f, basis, want_quotients=False):
+    def counting_divmod(*args, **kwargs):
         calls[0] += 1
-        return ops.divmod_basis(f, basis, want_quotients)
+        return vec_divmod(*args, **kwargs)
 
-    reduce_basis = rings._reduce_basis
-
-    def recording_reduce(basis):
+    def recording_reduce(*args):
         at_final_reduction.append(calls[0])
-        return reduce_basis(basis)
+        return reduce_basis(*args)
 
-    monkeypatch.setattr(amb, "ops", ops._replace(divmod_basis=counting_divmod))
-    monkeypatch.setattr(rings, "_reduce_basis", recording_reduce)
-    for strategy in ("normal", "sugar"):
-        calls[0] = 0
-        del at_final_reduction[:]
-        groebner([amb.poly(g) for g in gens], strategy=strategy)
-        assert at_final_reduction == [reductions]
+    monkeypatch.setattr(modgb, "vec_divmod", counting_divmod)
+    monkeypatch.setattr(modgb, "_reduce_module_basis", recording_reduce)
+    groebner([amb.poly(g) for g in gens])
+    assert at_final_reduction == [reductions]
 
 
 def test_groebner_deadline_reports_progress():
     # leads x^2, x*y, y^2: the pairs (0, 1) and (1, 2) are queued, and the
-    # product criterion drops the coprime pair (0, 2)
+    # chain criterion drops (0, 2), whose lcm x^2*y^2 the lead x*y divides
     amb = Ambient(GF(7), ("x", "y"))
     gens = [amb.poly("x^2 - y"), amb.poly("x*y - 1"), amb.poly("y^2 - x")]
     assert groebner(gens, deadline=time.monotonic() + 60)
-    with pytest.raises(DeadlineExceeded, match=r"^groebner: 0 pairs done, 2 queued$"):
+    with pytest.raises(DeadlineExceeded, match=r"^module groebner: 0 pairs done, 2 queued$"):
         groebner(gens, deadline=time.monotonic() - 1)
