@@ -123,12 +123,17 @@ class MatrixMap:
     def make(cls, ctx: Context, source: FreeObj, target: FreeObj, rows) -> "MatrixMap":
         backend = ctx.backend
         rows = tuple(tuple(backend.canon(e) for e in row) for row in rows)
-        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
+        cls.check_shape(rows, target.rank, source.rank)
+        return cls(ctx, source, target, rows)
+
+    @staticmethod
+    def check_shape(rows, target_rank: int, source_rank: int):
+        """ShapeMismatch unless ``rows`` is target_rank x source_rank."""
+        if len(rows) != target_rank or any(len(r) != source_rank for r in rows):
             raise ShapeMismatch(
-                f"grid must be {target.rank} x {source.rank}, got "
+                f"grid must be {target_rank} x {source_rank}, got "
                 f"{len(rows)} x {[len(r) for r in rows]}"
             )
-        return cls(ctx, source, target, rows)
 
     @staticmethod
     def check_grid(rows):

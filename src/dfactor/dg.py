@@ -135,10 +135,6 @@ def dg_differential(phi: GradedHom) -> GradedHom:
     return GradedHom(X, Y, n + 1, tuple(comps))
 
 
-def is_cycle(phi: GradedHom) -> bool:
-    return dg_differential(phi).is_zero
-
-
 def h0_dimension(X: FactorizationD, Y: FactorizationD) -> int:
     """dim over the field of degree-0 cohomology: morphisms modulo
     boundaries of valid degree -1 elements.

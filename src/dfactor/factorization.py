@@ -135,17 +135,6 @@ def unsuspend(X: FactorizationD) -> FactorizationD:
     return make_factorization(X.ctx, d, objects, maps, allow_odd_d=d % 2 == 1)
 
 
-def suspend_power(X: FactorizationD, k: int) -> FactorizationD:
-    out = X
-    while k > 0:
-        out = suspend(out)
-        k -= 1
-    while k < 0:
-        out = unsuspend(out)
-        k += 1
-    return out
-
-
 # -- morphisms: degree-0 graded elements ---------------------------------
 
 

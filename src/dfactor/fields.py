@@ -1,19 +1,73 @@
-"""Exact coefficient fields: the rationals and prime fields F_p.
+"""Exact coefficient fields, the rationals and prime fields F_p, and
+the integers ZZ as the coefficient ring of fraction-free elimination.
 
-Elements are plain Python values: ``Fraction`` for the rationals and
-``int`` canonical representatives in ``[0, p)`` for F_p.  The field
-objects only bundle the arithmetic; keeping elements unboxed is what
-makes the term kernels cheap.
+Elements are plain Python values: ``Fraction`` for the rationals,
+``int`` canonical representatives in ``[0, p)`` for F_p and ``int`` for
+ZZ.  The domain objects only bundle the arithmetic; keeping elements
+unboxed is what makes the term kernels cheap.
+
+A reduction step cancels the term c*m of h against a divisor g with
+lead a*m' by h <- s*h - t*(m/m')*g, where ``reducer(a)`` maps c to the
+pair (s, t) with s*c = t*a.  A field gives (1, c/a), the classical
+step.  ZZ has no inverses and gives (a/e, c/e), with e = gcd(c, a)
+signed like a so that s > 0.  That result is s times the field step's,
+so a division over ZZ runs the same steps as over Q and ends at a
+positive multiple of its remainder.  A Fraction product costs a gcd and
+a new object, dozens of int products, which is why
+:func:`dfactor.modgb.module_groebner` runs over ZZ when the field is Q.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
 
-class RationalField:
+class _Field:
+    def reducer(self, a):
+        """The reduction step by the lead coefficient a: c -> (1, c/a)."""
+        one, inv, mul = self.one, self.inv(a), self.mul
+        return lambda c: (one, mul(c, inv))
+
+
+class IntegerRing:
+    """The ring ZZ of fraction-free Gröbner runs over Q.  Elements are
+    ``int``; there is no ``inv``."""
+
+    char = 0
+    zero = 0
+    one = 1
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+
+    def reducer(self, a):
+        """The reduction step by the lead coefficient a: c -> (a/e, c/e)
+        with e = gcd(c, a) signed like a, so that s = a/e is positive."""
+        if a == 1:
+            return lambda c: (1, c)
+        sign = 1 if a > 0 else -1
+
+        def step(c):
+            e = gcd(c, a) * sign
+            return a // e, c // e
+
+        return step
+
+    def format(self, a: int) -> str:
+        return str(a)
+
+    def __repr__(self):
+        return "ZZ"
+
+
+ZZ = IntegerRing()
+
+
+class RationalField(_Field):
     """The field Q.  Elements are ``Fraction`` in lowest terms."""
 
     char = 0
@@ -54,7 +108,7 @@ class RationalField:
         return hash("QQ")
 
 
-class PrimeField:
+class PrimeField(_Field):
     """The field F_p for a machine-word prime p.
 
     Elements are ints in ``[0, p)``.

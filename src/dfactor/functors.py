@@ -55,11 +55,6 @@ class EndRingPresentation:
     gamma: QuotientRing
     colon_basis: tuple
 
-    def induced_context(self, u) -> Context:
-        """Context over gamma with eta = multiplication by the image of u."""
-        u = self.gamma.nf(u if isinstance(u, Poly) else self.gamma.amb.poly(u))
-        return Context(self.gamma, eta=u)
-
 
 def end_ring_cyclic(R: QuotientRing, g: Poly, deadline: float | None = None) -> EndRingPresentation:
     g = R.nf(g)

@@ -8,17 +8,27 @@ rings, and certified linear solving.  Vectors are tuples of
 with position 0 dominant, so elimination of the leading block computes
 syzygies and the tag block of any member records its expression in the
 generators.
+
+Over Q the completion is fraction-free: it runs on primitive integer
+vectors over ``Ambient(ZZ, vars, order)`` and returns monic ``Fraction``
+vectors, so no ``Fraction`` is made inside the pair loop.  The checks
+that do not trust the engine, :func:`is_module_groebner`,
+:meth:`NoSolutionCertificate.reverify` and the division of the target
+in :func:`membership_lift`, stay over the field.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm as int_lcm
 from operator import add as _iadd, le as _ile, sub as _isub
 
 from ._kernel.pure import mon_div, mon_divides, mon_lcm
 from .errors import DeadlineExceeded
+from .fields import ZZ
 from .rings import Ambient, Poly, QuotientRing, groebner
 
 Vec = tuple  # tuple[Poly, ...]
@@ -46,13 +56,59 @@ def vec_shift(v: Vec, mon, c) -> Vec:
     return tuple(Poly(amb, shift(p.terms, mon, c)) if p.terms else p for p in v)
 
 
-def vec_monic(v: Vec) -> Vec:
-    lead = vec_lead(v)
+def vec_monic(v: Vec, lead=None) -> Vec:
+    """v over a field scaled to lead coefficient 1; ``lead`` is its
+    ``vec_lead`` when known."""
+    lead = lead or vec_lead(v)
     if lead is None or lead[2] == v[0].amb.field.one:
         return v
     amb = v[0].amb
     inv, scale = amb.field.inv(lead[2]), amb.ops.scale
     return tuple(Poly(amb, scale(p.terms, inv)) if p.terms else p for p in v)
+
+
+def _primitive(v: Vec, lead=None) -> Vec:
+    """v over ZZ divided by the gcd of its coefficients, signed so that
+    its lead is positive; ``lead`` is its ``vec_lead`` when known.  The
+    gcd divides the lead, so a lead of 1 or -1 needs no gcd walk."""
+    a = (lead or vec_lead(v))[2]
+    if a == 1:
+        return v
+    g = 1
+    if a != -1:
+        g = 0
+        for p in v:
+            if p.terms:
+                g = gcd(g, *(c for _, c in p.terms))
+                if g == 1:
+                    break
+    if a < 0:
+        g = -g
+    if g == 1:
+        return v
+    amb = v[0].amb
+    return tuple(Poly(amb, tuple((m, c // g) for m, c in p.terms)) if p.terms else p for p in v)
+
+
+def _integer_vec(v: Vec, zz: Ambient, zero: Poly) -> Vec:
+    """The primitive vector over ZZ on the line of v over Q; its zero
+    entries are all ``zero``."""
+    den = int_lcm(*[c.denominator for p in v for _, c in p.terms])
+    return _primitive(tuple(
+        Poly(zz, tuple((m, c.numerator * (den // c.denominator)) for m, c in p.terms))
+        if p.terms else zero
+        for p in v
+    ))
+
+
+def _monic_rational(v: Vec, amb: Ambient, zero: Poly) -> Vec:
+    """The monic vector over Q on the line of v over ZZ; its zero
+    entries are all ``zero``."""
+    a = next(p.terms[0][1] for p in v if p.terms)
+    return tuple(
+        Poly(amb, tuple((m, Fraction(c, a)) for m, c in p.terms)) if p.terms else zero
+        for p in v
+    )
 
 
 def vec_divmod(
@@ -73,18 +129,29 @@ def vec_divmod(
     their own until the loop reaches them.  Each step divides by the
     first same-position basis vector whose lead divides the current
     term, so the result does not depend on the data structure.
+
+    Each step is h <- s*h - t*m*g with (s, t) from the coefficient
+    domain's ``reducer``.  Over a field s is 1.  Over ZZ s is a positive
+    integer, the remainder is the product of the s's times the
+    remainder over Q, and ``combo`` is not available.  The scaling is lazy: the current position's terms
+    are scaled at once, and every other position is brought to the
+    running product ``scale`` when the loop next writes it (a later
+    position) or at the end (a finished or untouched position).
     """
-    field = amb.field
+    ring = amb.field
     heap_key = amb.order.heap_key
-    zero, fmul, fadd, fneg = field.zero, field.mul, field.add, field.neg
+    zero, one, fmul, fadd, fneg = ring.zero, ring.one, ring.mul, ring.add, ring.neg
     if leads is None:
         leads = [vec_lead(g) for g in basis]
     groups: dict[int, list] = {}
     for idx, lead in enumerate(leads):
         if lead is not None:
             groups.setdefault(lead[0], []).append((idx, lead[1]))
-    plans: dict = {}  # idx -> (lead inverse, [(position, terms to subtract)])
+    plans: dict = {}  # idx -> (reduction step, [(position, terms to subtract)])
     later: dict[int, dict] = {}  # position ahead of the loop -> its terms so far
+    later_at: dict[int, object] = {}  # ... -> the scale they are at, when not one
+    scale = one  # product of the steps' s
+    finished_at: dict[int, object] = {}  # finished position -> its scale, when not one
     quotients = [[] for _ in basis] if want_combo else None
     remainder = []
     for pos, p in enumerate(v):
@@ -92,9 +159,14 @@ def vec_divmod(
         acc = later.pop(pos, None)
         if acc is None:
             if not cands:
-                remainder.append(p)
+                remainder.append(p)  # untouched, at scale one
                 continue
             acc = dict(p.terms)
+            at = one
+        else:
+            at = later_at.pop(pos, one)
+        if at != scale:
+            _rescale(acc, scale // at, fmul)
         heap = [(heap_key(m), m) for m in acc]
         heapify(heap)
         rem = []
@@ -113,18 +185,30 @@ def vec_divmod(
             if plan is None:
                 g = basis[idx]
                 plan = plans[idx] = (
-                    field.inv(leads[idx][2]),
+                    ring.reducer(leads[idx][2]),
                     [(pos, g[pos].terms[1:])]
                     + [(p2, g[p2].terms) for p2 in range(pos + 1, len(g)) if g[p2].terms],
                 )
+            s, t = plan[0](c)
+            if s != one:
+                if want_combo:
+                    raise ValueError("expressing coefficients need a field")
+                scale = fmul(scale, s)
+                _rescale(acc, s, fmul)
+                rem = [(rm, fmul(rc, s)) for rm, rc in rem]
             qmon = tuple(map(_isub, m, gm))
-            qc = fmul(c, plan[0])
-            nqc = fneg(qc)
+            nqc = fneg(t)
             for p2, terms in plan[1]:
                 here = p2 == pos
                 d = acc if here else later.get(p2)
                 if d is None:
                     d = later[p2] = dict(v[p2].terms)
+                    if scale != one:
+                        _rescale(d, scale, fmul)
+                        later_at[p2] = scale
+                elif scale != one and not here and later_at.get(p2, one) != scale:
+                    _rescale(d, scale // later_at.get(p2, one), fmul)
+                    later_at[p2] = scale
                 for tm, tc in terms:
                     mm = tuple(map(_iadd, tm, qmon))
                     old = d.get(mm)
@@ -133,17 +217,30 @@ def vec_divmod(
                         if here:
                             heappush(heap, (heap_key(mm), mm))
                     else:
-                        s = fadd(old, fmul(tc, nqc))
-                        if s == zero:
+                        new = fadd(old, fmul(tc, nqc))
+                        if new == zero:
                             del d[mm]
                         else:
-                            d[mm] = s
+                            d[mm] = new
             if want_combo:
-                quotients[idx].append((qmon, qc))
+                quotients[idx].append((qmon, t))
         remainder.append(Poly(amb, tuple(rem)))
+        if scale != one:
+            finished_at[pos] = scale
+    if scale != one:
+        for pos, p in enumerate(remainder):
+            at = finished_at.get(pos, one)
+            if at != scale and p.terms:
+                k = scale // at
+                remainder[pos] = Poly(amb, tuple((m, fmul(c, k)) for m, c in p.terms))
     if want_combo:
         return tuple(remainder), tuple(Poly(amb, tuple(q)) for q in quotients)
     return tuple(remainder), None
+
+
+def _rescale(d: dict, k, fmul) -> None:
+    for m in d:
+        d[m] = fmul(d[m], k)
 
 
 def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
@@ -184,9 +281,29 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
     For a fixed order the reduced basis is unique, so which pairs were
     skipped cannot change the result, nor any certificate or witness
     computed from it.
+
+    Over Q the run is fraction-free: each generator becomes the
+    primitive integer vector on its line, each element found is made
+    primitive instead of monic, and S-vectors and reductions take
+    their (s, t) steps over ZZ (see :mod:`dfactor.fields`).  Each
+    integer vector is a positive multiple of the monic vector the run
+    over Q would hold at that point: an S-vector is a_i*a_j/gcd(a_i,
+    a_j) times the field one, and a pseudo-remainder a nonzero multiple
+    of the field remainder with the same terms, reached by the same
+    divisor choices.  So the pairs, leads, sugars, criteria and
+    ``vec_divmod`` calls are step for step those of the run over Q,
+    and the reduced basis, made monic once on return, is the unique
+    one.
     """
+    vecs = [v for v in vecs if not vec_is_zero(v)]
+    if amb.field.char:
+        work, normalize = amb, vec_monic
+        basis = [vec_monic(v) for v in vecs]
+    else:
+        work, normalize = Ambient(ZZ, amb.vars, amb.order), _primitive
+        zero = Poly(work, ())
+        basis = [_integer_vec(v, work, zero) for v in vecs]
     key = amb.order.key
-    basis = [vec_monic(v) for v in vecs if not vec_is_zero(v)]
     leads: list = []
     sugars = [max(p.total_degree() for p in v) for v in basis]
     active: list = []  # indices of the non-redundant elements, ascending
@@ -224,7 +341,7 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
     for h in range(len(basis)):
         install(h)
 
-    field = amb.field
+    ring = work.field
     done = 0
     while pairs:
         if deadline is not None and time.monotonic() > deadline:
@@ -235,25 +352,33 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
             continue
         done += 1
         li, lj = leads[i], leads[j]
-        left = vec_shift(basis[i], mon_div(lcm, li[1]), field.inv(li[2]))
-        right = vec_shift(basis[j], mon_div(lcm, lj[1]), field.neg(field.inv(lj[2])))
-        rem, _ = vec_divmod(vec_add(left, right), basis, amb, leads=leads)
+        s, t = ring.reducer(li[2])(lj[2])  # s*a_j = t*a_i
+        left = vec_shift(basis[i], mon_div(lcm, li[1]), t)
+        right = vec_shift(basis[j], mon_div(lcm, lj[1]), ring.neg(s))
+        rem, _ = vec_divmod(vec_add(left, right), basis, work, leads=leads)
         if not vec_is_zero(rem):
-            basis.append(vec_monic(rem))
+            basis.append(normalize(rem))
             sugars.append(rank[0])
             install(len(basis) - 1)
 
-    return _reduce_module_basis([basis[g] for g in active], [leads[g] for g in active], amb, deadline)
+    reduced = _reduce_module_basis(
+        [basis[g] for g in active], [leads[g] for g in active], work, deadline, normalize
+    )
+    if work is amb:
+        return reduced
+    zero = amb.zero()
+    return tuple(_monic_rational(v, amb, zero) for v in reduced)
 
 
-def _reduce_module_basis(basis, leads, amb, deadline):
+def _reduce_module_basis(basis, leads, amb, deadline, normalize=vec_monic):
     """Minimalize and tail-reduce; returns the biggest lead first.
 
     The minimal elements are reduced in ascending order (position
     descending, then monomial ascending), each against those already
     reduced: a tail term sits below its element's lead, so only a
     smaller lead can divide it.  The lead itself is never reduced, so
-    each result stays monic and keeps its lead.
+    each result keeps its lead; ``normalize`` (monic over a field,
+    primitive over ZZ) is applied to each.
     """
     key = amb.order.key
     minimal: list = []  # indices into basis, ascending
@@ -268,12 +393,13 @@ def _reduce_module_basis(basis, leads, amb, deadline):
             raise DeadlineExceeded(
                 f"module groebner interreduction: {len(reduced)} of {len(minimal)} elements"
             )
+        pos, mon, _ = leads[k]
+        rem = basis[k]
         if reduced:
-            rem, _ = vec_divmod(basis[k], reduced, amb, leads=reduced_leads)
-        else:
-            rem = basis[k]
+            rem, _ = vec_divmod(rem, reduced, amb, leads=reduced_leads)
+            rem = normalize(rem, (pos, mon, rem[pos].lead_coeff))
         reduced.append(rem)
-        reduced_leads.append(leads[k])
+        reduced_leads.append((pos, mon, rem[pos].lead_coeff))
     return tuple(reversed(reduced))
 
 

@@ -111,24 +111,40 @@ def _offset_objects(offsets, count: int):
     ]
 
 
-def _objects_from_json(desc: dict, d: int):
+def _objects_from_json(desc: dict, d: int, ctx, mats):
+    """The free objects and the parsed maps of a factorization.
+
+    Each rank is checked against the shape of its maps before
+    ``FreeObj.of`` runs: rank k must be the row count of the map into
+    object k (map k - 1, and map d - 1 for object 0), so every object
+    built is as long as a list in the input, and a rank such as 10**30
+    gives a ShapeMismatch report instead of an allocation.  The maps are
+    checked in order, each by grid, entries and then shape, so the first
+    error is the one that building them one by one would raise.
+    """
     if "offsets" in desc:
-        return _offset_objects(desc["offsets"], d)
-    ranks = desc.get("ranks")
-    if not isinstance(ranks, list) or len(ranks) != d:
-        raise ParseError("need \"ranks\" (one per position) or explicit \"offsets\"")
-    return [FreeObj.of(_int(r, "a rank", 0)) for r in ranks]
-
-
-def _maps_from_json(ctx, objects, d, mats):
+        objects = _offset_objects(desc["offsets"], d)
+        ranks = [obj.rank for obj in objects]
+    else:
+        ranks = desc.get("ranks")
+        if not isinstance(ranks, list) or len(ranks) != d:
+            raise ParseError("need \"ranks\" (one per position) or explicit \"offsets\"")
+        ranks = [_int(r, "a rank", 0) for r in ranks]
+        objects = None
     if not isinstance(mats, list) or len(mats) != d:
         raise ParseError(f"need {d} matrices")
-    maps = []
+    grids = []
     for i, m in enumerate(mats):
-        src = objects[i]
-        tgt = objects[i + 1] if i < d - 1 else objects[0].twist(1)
-        maps.append(MatrixMap.from_strings(ctx, src, tgt, m))
-    return maps
+        MatrixMap.check_grid(m)
+        grid = [[ctx.backend.parse(e) for e in row] for row in m]
+        MatrixMap.check_shape(grid, ranks[(i + 1) % d], ranks[i])
+        grids.append(grid)
+    if objects is None:
+        objects = [FreeObj.of(r) for r in ranks]
+    targets = objects[1:] + [objects[0].twist(1)]
+    return objects, [
+        MatrixMap.make(ctx, src, tgt, grid) for src, tgt, grid in zip(objects, targets, grids)
+    ]
 
 
 def factorization_from_json(desc: dict, ctx: Context | None = None, allow_odd_d=False) -> FactorizationD:
@@ -136,8 +152,7 @@ def factorization_from_json(desc: dict, ctx: Context | None = None, allow_odd_d=
     if ctx is None:
         ctx = context_from_json(desc.get("context", {}))
     d = _int(desc.get("d"), "factorization \"d\"", 2)
-    objects = _objects_from_json(desc, d)
-    maps = _maps_from_json(ctx, objects, d, desc.get("maps", []))
+    objects, maps = _objects_from_json(desc, d, ctx, desc.get("maps", []))
     return make_factorization(ctx, d, objects, maps, allow_odd_d=allow_odd_d)
 
 

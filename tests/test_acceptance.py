@@ -238,7 +238,7 @@ def test_criterion_7():
     pres3 = end_ring_cyclic(S, S.parse("x"))
     assert [repr(b) for b in pres3.gamma.ideal.basis] == ["z"]
     for n in (2, 3):
-        ctx = pres.induced_context(f"x^{n}")
+        ctx = Context(pres.gamma, eta=pres.gamma.parse(f"x^{n}"))
         for a in range(1, n):
             X = mk_fact(ctx, 2, [[[f"x^{a}"]], [[f"x^{n-a}"]]])
             assert is_totally_acyclic(X, f"x^{n}")

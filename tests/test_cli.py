@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dfactor.cli import build_parser, main
+from dfactor.context import FreeObj
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -435,6 +436,38 @@ def test_wrong_json_type_is_parse_error(tmp_path, capsys):
     desc["ranks"] = "ab"
     bad.write_text(json.dumps(desc))
     _assert_parse_error(*run_cli(["verify", bad], capsys))
+
+
+@pytest.mark.parametrize("rank", [10**30, 10**9, 3])
+def test_rank_out_of_shape_is_shape_mismatch(tmp_path, capsys, monkeypatch, rank):
+    # every rank is checked against its maps before FreeObj.of runs; a
+    # guard stands in for it, so that a rank of 10**9 allocates nothing
+    built = []
+
+    def guarded_of(cls, r, offset=0):
+        built.append(r)
+        if r > 2:
+            raise AssertionError(f"FreeObj.of reached with rank {r}")
+        return cls(offsets=(offset,) * r)
+
+    monkeypatch.setattr(FreeObj, "of", classmethod(guarded_of))
+    fact = json.loads((FIXTURES / "classical_xy.json").read_text())
+    bad_fact = dict(fact, ranks=[rank, 1])
+    morph = json.loads(_morphism_file(tmp_path, "m.json", [[["1"]], [["1"]]]).read_text())
+    morph["source"]["ranks"] = [rank, 1]
+    path, other = tmp_path / "bad.json", tmp_path / "other.json"
+    other.write_text(json.dumps(json.loads((tmp_path / "m.json").read_text())))
+    for argv, doc in (
+        (["verify", path], bad_fact),
+        (["homotopic", path, other], morph),
+        (["dg", path], dict(morph, degree=-1)),
+    ):
+        path.write_text(json.dumps(doc))
+        code, report = run_cli(argv, capsys)
+        assert code == 1
+        assert report["kind"] == "ShapeMismatch"
+        assert report["error"] == f"grid must be 1 x {rank}, got 1 x [1]"
+    assert max(built, default=0) <= 2
 
 
 def test_flag_of_another_verb_is_usage_error(capsys):

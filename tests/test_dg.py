@@ -11,7 +11,6 @@ from dfactor.dg import (
     dg_differential,
     graded_hom,
     h0_dimension,
-    is_cycle,
 )
 from dfactor.errors import UnsupportedOperation
 from dfactor.factorization import (
@@ -46,7 +45,6 @@ def test_degree0_morphism_has_zero_differential(X_xy):
     assert phi.degree == 0
     assert dg_check(phi)
     assert dg_differential(phi).is_zero
-    assert is_cycle(phi)
 
 
 def test_degree0_noncycle_detected(X_xy):

@@ -17,7 +17,6 @@ from dfactor.factorization import (
     scalar_morphism,
     standard_triangle,
     suspend,
-    suspend_power,
     trivial_factorization,
     unsuspend,
     verify_factorization,
@@ -158,10 +157,14 @@ def test_suspend_unsuspend_roundtrip(ctx_xy, X_xy, X_sos):
 
 
 def test_suspend_d_times_is_twist(ctx_xy, X_xy):
-    S = suspend_power(X_xy, X_xy.d)
+    S = U = X_xy
+    for _ in range(X_xy.d):
+        S, U = suspend(S), unsuspend(U)
     assert [o.offsets for o in S.objects] == [(1,), (1,)]
+    assert [o.offsets for o in U.objects] == [(-1,), (-1,)]
     # map entries unchanged, signs restored (d even)
     assert [m.rows for m in S.maps] == [m.rows for m in X_xy.maps]
+    assert [m.rows for m in U.maps] == [m.rows for m in X_xy.maps]
 
 
 def test_is_morphism(ctx_xy, X_xy):

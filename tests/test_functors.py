@@ -274,7 +274,7 @@ def test_totally_acyclic_end_ring_powers():
     R = QuotientRing.make(F7, ("x", "y"), ["x*y"])
     pres = end_ring_cyclic(R, R.parse("x"))
     for n in (2, 3):
-        ctx = pres.induced_context(f"x^{n}")
+        ctx = Context(pres.gamma, eta=pres.gamma.parse(f"x^{n}"))
         for a in range(1, n):
             X = mk_fact(ctx, 2, [[[f"x^{a}"]], [[f"x^{n-a}"]]])
             assert is_totally_acyclic(X, f"x^{n}")

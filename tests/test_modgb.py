@@ -1,6 +1,7 @@
 """Module engine: syzygies, membership lifts, colon ideals, solving."""
 
 import dataclasses
+import math
 import random
 import time
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from dfactor import modgb
 from dfactor.errors import DeadlineExceeded
-from dfactor.fields import GF, QQ
+from dfactor.fields import GF, QQ, ZZ
 from dfactor.modgb import (
     LinearSolution,
     NoSolutionCertificate,
@@ -255,6 +256,30 @@ def _check_vec_division(v, basis, amb):
         for lead in leads:
             if lead is not None and lead[0] == pos:
                 assert not any(all(map(int.__le__, lead[1], m)) for m, _ in p.terms)
+    if not amb.field.char:
+        _check_integer_division(v, basis, amb)
+
+
+def _integer_form(v, zz):
+    """v over Q times the lcm of its denominators, over ZZ."""
+    den = math.lcm(*[c.denominator for p in v for _, c in p.terms])
+    return tuple(Poly(zz, tuple((m, int(c * den)) for m, c in p.terms)) for p in v)
+
+
+def _check_integer_division(v, basis, amb):
+    """Division over ZZ ends at one positive rational multiple of the
+    remainder over Q; returns that multiple (None for a zero remainder)."""
+    zz = Ambient(ZZ, amb.vars, amb.order)
+    rem, combo = vec_divmod(_integer_form(v, zz), [_integer_form(g, zz) for g in basis], zz)
+    want, _ = merge_vec_divmod(v, basis, amb)
+    assert combo is None
+    assert [[m for m, _ in p.terms] for p in rem] == [[m for m, _ in p.terms] for p in want]
+    assert all(type(c) is int for p in rem for _, c in p.terms)
+    ratios = {
+        Fraction(c) / w for p, q in zip(rem, want) for (_, c), (_, w) in zip(p.terms, q.terms)
+    }
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+    return ratios.pop() if ratios else None
 
 
 @pytest.mark.parametrize("field", [GF(7), QQ()], ids=["F7", "Q"])
@@ -291,6 +316,33 @@ def test_vec_divmod_edge_cases(field, order):
     assert not combo[0].is_zero and not combo[1].is_zero
     # a position that only a reduction touched, with no lead of its own
     _check_vec_division((P("x"), zero), [(P("x"), P("y + 2"))], amb)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_integer_vec_divmod_lazy_scaling(order):
+    """Over ZZ a step by a lead 2 doubles the whole vector, but only the
+    current position at once: each case reaches one other position late."""
+    amb = Ambient(QQ(), ("x", "y"), order)
+    zero, P = amb.zero(), amb.poly
+    cases = [
+        # a later position first read after the scaling, by the second step
+        ((P("x*y + y"), P("x + 1")), [(P("2*x*y"), zero), (P("y"), P("x"))]),
+        # a later position written before the scaling and again after it
+        ((P("x + y"), zero), [(P("x"), P("y")), (P("2*y"), P("x"))]),
+        # a position no step touches
+        ((P("x + 1"), P("y")), [(P("2*x"), zero)]),
+        # a finished position, and one read from v after the scaling
+        ((P("x + 1"), P("y + 1")), [(P("2*x"), zero), (zero, P("3*y"))]),
+        # a remainder term of the current position found before the scaling
+        ((P("x^2 + x*y"), zero), [(P("2*x*y"), P("1"))]),
+    ]
+    for v, basis in cases:
+        _check_vec_division(v, basis, amb)
+        assert _check_integer_division(v, basis, amb) not in (None, 1)
+    zz = Ambient(ZZ, amb.vars, amb.order)
+    v, basis = cases[2]
+    with pytest.raises(ValueError, match="need a field"):
+        vec_divmod(_integer_form(v, zz), [_integer_form(g, zz) for g in basis], zz, True)
 
 
 # -- the Gebauer–Möller engine against the all-pairs oracle -------------------

@@ -268,16 +268,30 @@ def test_groebner_matches_sympy(field, order):
     opts = {"modulus": field.char} if field.char else {"domain": sympy.QQ}
     amb = Ambient(field, ("x", "y", "z"), order)
     rng = random.Random(9100 + field.char + ("grevlex", "lex").index(order.name))
-    for _ in range(30):
+    for case in range(30 if field.char else 36):
+        big = case >= 30  # over Q: 20-bit numerators over denominators up to 60
+
+        def coeff():
+            if big:
+                return Fraction(rng.choice((1, -1)) * rng.randrange(2**19, 2**20), rng.randint(2, 60))
+            return rng.choice((1, 2, 3, -1, -2, -3))
+
         raw = []
-        for _ in range(rng.randint(2, 4)):
+        for _ in range(rng.randint(2, 3 if big else 4)):  # 4 big ones mostly give (1)
             mons = rng.sample(_DEG2, rng.randint(2, 5))
-            raw.append({m: rng.choice((1, 2, 3, -1, -2, -3)) for m in mons})
+            raw.append({m: coeff() for m in mons})
         gens = [amb.zero() for _ in raw]
         for k, terms in enumerate(raw):
             for m, c in terms.items():
                 gens[k] = gens[k] + amb.monomial(m, c)
-        polys = [sympy.Poly.from_dict(terms, *gens_sym, **opts) for terms in raw]
+        polys = [
+            sympy.Poly.from_dict(
+                {m: sympy.Rational(c.numerator, c.denominator) for m, c in terms.items()},
+                *gens_sym,
+                **opts,
+            )
+            for terms in raw
+        ]
         want = sympy.groebner(polys, *gens_sym, order=order.name, **opts)
         theirs = set()
         for g in want.polys:
@@ -294,26 +308,40 @@ def test_groebner_matches_sympy(field, order):
 
 
 PAIR_COUNT_IDEALS = [
-    ("cyclic-3", ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"], 5),
-    ("katsura-3", ["x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x", "2*x*y + 2*y*z - y"], 7),
-    ("twisted", ["x^2*y - z^2 + x", "y^2*z - x*y + 1", "z^2*x - y^2 + z"], 13),
+    ("cyclic-3", ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"], 5, 7),
+    ("katsura-3", ["x + 2*y + 2*z - 1", "x^2 + 2*y^2 + 2*z^2 - x", "2*x*y + 2*y*z - y"], 7, 10),
+    ("twisted", ["x^2*y - z^2 + x", "y^2*z - x*y + 1", "z^2*x - y^2 + z"], 13, 20),
+    # over Q the run clears these denominators and makes them again on return
+    (
+        "twisted-fractions",
+        ["3*x^2*y - 5/11*z^2 + 11*x", "2/3*y^2*z - 13*x*y + 1", "17*z^2*x - 4/9*y^2 + z"],
+        13,
+        20,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,gens,reductions", PAIR_COUNT_IDEALS, ids=[t[0] for t in PAIR_COUNT_IDEALS]
+    "field,gens,reductions,divmods",
+    [
+        pytest.param(field, gens, reductions, divmods, id=name + ("-Q" if field == QQ() else ""))
+        for name, gens, reductions, divmods in PAIR_COUNT_IDEALS
+        for field in (GF(7), QQ())
+    ],
 )
-def test_groebner_pair_reductions_pinned(monkeypatch, name, gens, reductions):
+def test_groebner_pair_reductions_pinned(monkeypatch, field, gens, reductions, divmods):
     """S-pair reductions are deterministic: a count, not a timing.
 
     Counted as ``modgb.vec_divmod`` calls before the final
-    interreduction.  The chain criterion and sugar selection of the
-    module engine give 5, 7 and 13; the ring engine this replaced also
-    applied the product criterion and took 2, 4 and 13.  Without the
-    Gebauer–Möller update, every pair formed and reduced, these ideals
-    take 10, 15 and 28.
+    interreduction, and in total.  The chain criterion and sugar
+    selection of the module engine give 5, 7 and 13; the ring engine
+    this replaced also applied the product criterion and took 2, 4 and
+    13.  Without the Gebauer–Möller update, every pair formed and
+    reduced, these ideals take 10, 15 and 28.  Over Q the run is
+    fraction-free, over ZZ, and takes the very steps of the run over
+    F_7, which holds no Fraction either; its result is monic over Q.
     """
-    amb = Ambient(GF(7), ("x", "y", "z"))
+    amb = Ambient(field, ("x", "y", "z"))
     calls = [0]
     at_final_reduction = []
     vec_divmod = modgb.vec_divmod
@@ -329,8 +357,12 @@ def test_groebner_pair_reductions_pinned(monkeypatch, name, gens, reductions):
 
     monkeypatch.setattr(modgb, "vec_divmod", counting_divmod)
     monkeypatch.setattr(modgb, "_reduce_module_basis", recording_reduce)
-    groebner([amb.poly(g) for g in gens])
+    basis = groebner([amb.poly(g) for g in gens])
     assert at_final_reduction == [reductions]
+    assert calls[0] == divmods
+    assert all(b.lead_coeff == field.one for b in basis)
+    if field == QQ():
+        assert all(type(c) is Fraction for b in basis for _, c in b.terms)
 
 
 def test_groebner_deadline_reports_progress():
