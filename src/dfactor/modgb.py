@@ -35,14 +35,14 @@ Vec = tuple  # tuple[Poly, ...]
 
 
 def vec_is_zero(v: Vec) -> bool:
-    return all(p.is_zero for p in v)
+    return not any(p.terms for p in v)
 
 
 def vec_lead(v: Vec):
     """POT lead: first position holding a nonzero polynomial."""
     for pos, p in enumerate(v):
-        if not p.is_zero:
-            return pos, p.lead_mon, p.lead_coeff
+        if p.terms:
+            return (pos, *p.terms[0])
     return None
 
 
@@ -93,12 +93,13 @@ def _primitive(v: Vec, lead=None) -> Vec:
 def _integer_vec(v: Vec, zz: Ambient, zero: Poly) -> Vec:
     """The primitive vector over ZZ on the line of v over Q; its zero
     entries are all ``zero``."""
-    den = int_lcm(*[c.denominator for p in v for _, c in p.terms])
-    return _primitive(tuple(
-        Poly(zz, tuple((m, c.numerator * (den // c.denominator)) for m, c in p.terms))
-        if p.terms else zero
-        for p in v
-    ))
+    nonzero = [(pos, p.terms) for pos, p in enumerate(v) if p.terms]
+    den = int_lcm(*[c.denominator for _, terms in nonzero for _, c in terms])
+    out = [zero] * len(v)
+    for pos, terms in nonzero:
+        out[pos] = Poly(zz, tuple((m, c.numerator * (den // c.denominator)) for m, c in terms))
+    pos = nonzero[0][0]
+    return _primitive(tuple(out), (pos, *out[pos].terms[0]))
 
 
 def _monic_rational(v: Vec, amb: Ambient, zero: Poly) -> Vec:
