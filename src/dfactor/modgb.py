@@ -72,10 +72,8 @@ def _primitive(v: Vec, lead=None) -> Vec:
     its lead is positive; ``lead`` is its ``vec_lead`` when known.  The
     gcd divides the lead, so a lead of 1 or -1 needs no gcd walk."""
     a = (lead or vec_lead(v))[2]
-    if a == 1:
-        return v
     g = 1
-    if a != -1:
+    if a not in (1, -1):
         g = 0
         for p in v:
             if p.terms:
@@ -289,9 +287,9 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
     their (s, t) steps over ZZ (see :mod:`dfactor.fields`).  Each
     integer vector is a positive multiple of the monic vector the run
     over Q would hold at that point: an S-vector is a_i*a_j/gcd(a_i,
-    a_j) times the field one, and a pseudo-remainder a nonzero multiple
-    of the field remainder with the same terms, reached by the same
-    divisor choices.  So the pairs, leads, sugars, criteria and
+    a_j) times the field one, and a pseudo-remainder a positive
+    multiple of the field remainder with the same terms, reached by the
+    same divisor choices.  So the pairs, leads, sugars, criteria and
     ``vec_divmod`` calls are step for step those of the run over Q,
     and the reduced basis, made monic once on return, is the unique
     one.
