@@ -453,10 +453,10 @@ def test_rank_out_of_shape_is_shape_mismatch(tmp_path, capsys, monkeypatch, rank
     monkeypatch.setattr(FreeObj, "of", classmethod(guarded_of))
     fact = json.loads((FIXTURES / "classical_xy.json").read_text())
     bad_fact = dict(fact, ranks=[rank, 1])
-    morph = json.loads(_morphism_file(tmp_path, "m.json", [[["1"]], [["1"]]]).read_text())
+    other = _morphism_file(tmp_path, "m.json", [[["1"]], [["1"]]])
+    morph = json.loads(other.read_text())
     morph["source"]["ranks"] = [rank, 1]
-    path, other = tmp_path / "bad.json", tmp_path / "other.json"
-    other.write_text(json.dumps(json.loads((tmp_path / "m.json").read_text())))
+    path = tmp_path / "bad.json"
     for argv, doc in (
         (["verify", path], bad_fact),
         (["homotopic", path, other], morph),
