@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -51,6 +52,7 @@ from .functors import (
 )
 from .linalg import FredholmCertificate
 from .modgb import NoSolutionCertificate
+from .reuse import one_call
 from .rings import QuotientRing
 from . import schemas
 
@@ -297,9 +299,9 @@ def _verb_endring(args, report, deadline):
     return EXIT_OK
 
 
-def _verb_dualq(args, report):
+def _verb_dualq(args, report, deadline):
     ring = QuotientRing.from_json(_load(args, args.input))
-    ok = dual_quotient_check(args.n, ring.parse(args.x), ring, seed=args.seed)
+    ok = dual_quotient_check(args.n, ring.parse(args.x), ring, seed=args.seed, deadline=deadline)
     if ok:
         report["verdict"] = "verified"
         return EXIT_OK
@@ -385,6 +387,27 @@ def _verb_axioms(args, report, deadline):
     raise _Outcome(EXIT_FALSE, report)
 
 
+def _seconds(text: str) -> float:
+    """A ``--deadline``: positive and finite, so that it can expire."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
@@ -402,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--f": dict(help="reduction element (expression)"),
         "--g": dict(required=True, help="cyclic generator (expression)"),
         "--x": dict(required=True, help="central element (expression)"),
-        "--n": dict(type=int, default=1, help="free rank"),
+        "--n": dict(type=_nonnegative_int, default=1, help="free rank"),
         "--ctx": dict(help="context JSON"),
         "--d": dict(type=int, default=2),
         "--trials": dict(type=int, default=50),
@@ -415,7 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(arg, help={"input": "input JSON file", "second": "second input JSON file"}[arg])
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--deadline", type=float, default=60.0, help="seconds for the whole verb")
+        p.add_argument(
+            "--deadline", type=_seconds, default=60.0, help="seconds for the whole verb"
+        )
         p.add_argument("--timing", action="store_true")
         for flag in flags:
             p.add_argument(flag, **extra[flag])
@@ -452,7 +477,7 @@ _HANDLERS = {
     "exact": _verb_exact,
     "checktac": _verb_checktac,
     "endring": _verb_endring,
-    "dualq": lambda a, r, dl: _verb_dualq(a, r),
+    "dualq": _verb_dualq,
     "faithful": _verb_faithful,
     "lift": _verb_lift,
     "axioms": _verb_axioms,
@@ -483,9 +508,10 @@ def main(argv=None) -> int:
                 return EXIT_ERROR
             report["inputs"][path] = hashlib.sha256(args.input_bytes[path]).hexdigest()
     start = time.monotonic()
-    deadline = start + args.deadline if args.deadline else None
+    deadline = start + args.deadline
     try:
-        code = _HANDLERS[args.verb](args, report, deadline)
+        with one_call():
+            code = _HANDLERS[args.verb](args, report, deadline)
     except _Outcome as outcome:
         report = outcome.report
         code = outcome.code

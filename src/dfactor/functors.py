@@ -350,18 +350,25 @@ def is_totally_acyclic(X: FactorizationD, f, length: int | None = None, deadline
 # -- the dual-quotient identification -------------------------------------
 
 
-def dual_quotient_check(n: int, x: Poly, gamma: QuotientRing, seed: int = 0) -> bool:
+def dual_quotient_check(
+    n: int, x: Poly, gamma: QuotientRing, seed: int = 0, deadline: float | None = None
+) -> bool:
     """Hom(P, G)/Hom(P, G)x matches Hom_{G/(x)}(P/Px, G/(x)) for free P.
 
     Both sides are coordinatized by length-n rows; the comparison map
     is entrywise reduction.  Checks: canonical bases correspond,
     well-definedness (x-multiples die), injectivity on representatives
     (a row reducing to zero lies in the x-multiples, certified by
-    membership), and naturality against a sampled map.
+    membership), and naturality against a sampled map.  The checks take
+    O(n^2) ring operations; the deadline is polled every O(n) of them.
     """
     import random as _random
 
     from .sampling import random_poly
+
+    def poll(what, k, total):
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded(f"dual quotient check: {what}, {k} of {total} done")
 
     rng = _random.Random(seed)
     x = gamma.nf(x)
@@ -372,10 +379,12 @@ def dual_quotient_check(n: int, x: Poly, gamma: QuotientRing, seed: int = 0) -> 
 
     # canonical bases correspond and the round trip is the identity
     for i in range(n):
+        poll("canonical basis", i, n)
         e_i = tuple(gamma.one() if j == i else gamma.zero() for j in range(n))
         if reduce_row(e_i) != tuple(gbar.nf(e) for e in e_i):
             return False
-    for _ in range(5):
+    for k in range(5):
+        poll("well-definedness", k, 5)
         row = tuple(random_poly(rng, gamma) for _ in range(n))
         bump = tuple(gamma.mul(random_poly(rng, gamma), x) for _ in range(n))
         shifted = tuple(gamma.add(a, b) for a, b in zip(row, bump))
@@ -383,23 +392,28 @@ def dual_quotient_check(n: int, x: Poly, gamma: QuotientRing, seed: int = 0) -> 
             return False
         if all(e.is_zero for e in reduce_row(row)):
             for e in row:
-                outcome = solve_linear([(x,)], [e], gamma)
+                outcome = solve_linear([(x,)], [e], gamma, deadline=deadline)
                 if not isinstance(outcome, LinearSolution):
                     return False
     # naturality against a sampled matrix U: P -> P', acting on rows
     m = max(1, n - 1)
-    U = [[random_poly(rng, gamma) for _ in range(m)] for _ in range(n)]
-    for _ in range(3):
+    U = []
+    for i in range(n):
+        poll("sampling", i, n)
+        U.append([random_poly(rng, gamma) for _ in range(m)])
+    for k in range(3):
         row = [random_poly(rng, gamma) for _ in range(n)]
         path1 = []
         path2 = []
         for j in range(m):
+            poll(f"naturality {k + 1} of 3", j, m)
             acc = gamma.zero()
             for i in range(n):
                 acc = gamma.add(acc, gamma.mul(row[i], U[i][j]))
             path1.append(gbar.nf(acc))
         rbar = reduce_row(row)
         for j in range(m):
+            poll(f"naturality {k + 1} of 3", j, m)
             acc = gbar.zero()
             for i in range(n):
                 acc = gbar.add(acc, gbar.mul(rbar[i], gbar.nf(U[i][j])))

@@ -29,6 +29,7 @@ from operator import add as _iadd, le as _ile, sub as _isub
 from ._kernel.pure import mon_div, mon_divides, mon_lcm
 from .errors import DeadlineExceeded
 from .fields import ZZ
+from .reuse import reuse
 from .rings import Ambient, Poly, QuotientRing, groebner
 
 Vec = tuple  # tuple[Poly, ...]
@@ -293,7 +294,19 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
     ``vec_divmod`` calls are step for step those of the run over Q,
     and the reduced basis, made monic once on return, is the unique
     one.
+
+    Within one CLI call each generator list is completed once (see
+    :mod:`dfactor.reuse`); a repeat returns the basis already found.
     """
+    vecs = list(vecs)
+    return reuse(
+        lambda: ("module_groebner", amb, tuple(tuple(p.terms for p in v) for v in vecs)),
+        lambda: _complete(vecs, amb, deadline),
+    )
+
+
+def _complete(vecs, amb: Ambient, deadline):
+    """The completion of :func:`module_groebner`, always run."""
     vecs = [v for v in vecs if not vec_is_zero(v)]
     if amb.field.char:
         work, normalize = amb, vec_monic

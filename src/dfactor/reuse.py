@@ -1,0 +1,55 @@
+"""Work done once per CLI call.
+
+``cli.main`` runs each verb inside :func:`one_call`.  Within it,
+:func:`reuse` keeps what a piece of work returned under a key that
+determines that result, and a repeat of the key returns the kept value
+instead of redoing the work.  The keyed work is: reduced module Gröbner
+bases (unique for a fixed order, so a kept basis is exactly what a
+recomputation would give), ring elements parsed from text, and the
+contexts and factorizations built from JSON subtrees.
+
+Only results are kept, never errors, so a failing input fails with the
+same first error as without the store.  A kept value does no work, so
+it polls no deadline.  Outside :func:`one_call` nothing is kept, and
+the store is dropped however the call ends.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import contextvars
+import json
+
+_STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar("dfactor_store", default=None)
+_MISSING = object()
+
+
+@contextlib.contextmanager
+def one_call():
+    """A fresh store for the work of one call, dropped on every exit."""
+    token = _STORE.set({})
+    try:
+        yield
+    finally:
+        _STORE.reset(token)
+
+
+def reuse(key, build):
+    """``build()``, or inside :func:`one_call` the value it returned the
+    first time ``key()`` was seen.  ``key`` is called only when a store
+    is open; its tuple starts with the kind of work, so kinds never
+    share a key."""
+    store = _STORE.get()
+    if store is None:
+        return build()
+    key = key()
+    value = store.get(key, _MISSING)
+    if value is _MISSING:
+        value = store[key] = build()
+    return value
+
+
+def canonical(desc) -> str:
+    """The key of a JSON subtree: its text with sorted object keys, so
+    two subtrees share a key only when they read the same."""
+    return json.dumps(desc, sort_keys=True)

@@ -18,6 +18,7 @@ from . import _kernel
 from ._kernel.pure import mon_divides
 from .errors import ParseError
 from .fields import GF, QQ, field_from_json, field_to_json
+from .reuse import reuse
 
 
 class MonomialOrder:
@@ -313,7 +314,7 @@ class QuotientRing:
         return a.is_zero
 
     def parse(self, text: str) -> Poly:
-        return self.nf(self.amb.poly(text))
+        return reuse(lambda: ("parse", self, text), lambda: self.nf(self.amb.poly(text)))
 
     def format(self, a: Poly) -> str:
         from .exprs import format_poly

@@ -14,6 +14,7 @@ from .errors import ParseError
 from .factorization import FactorizationD, make_factorization
 from .fdalg import AlgebraMap, FDAlgebra, algebra_from_json
 from .functors import ComplexWindow
+from .reuse import canonical, reuse
 from .rings import QuotientRing
 
 
@@ -53,8 +54,13 @@ def backend_from_json(desc: dict):
 
 def context_from_json(desc: dict) -> Context:
     """An explicit "twist" wins; otherwise an algebra description's own
-    "nu" is adopted.  Likewise "eta" falls back to the algebra's "w"."""
+    "nu" is adopted.  Likewise "eta" falls back to the algebra's "w".
+    Within one CLI call, equal descriptions give one context."""
     desc = _object(desc, "context")
+    return reuse(lambda: ("context", canonical(desc)), lambda: _context(desc))
+
+
+def _context(desc: dict) -> Context:
     ring_desc = desc.get("ring", {})
     backend = backend_from_json(ring_desc)
     twist_desc = desc.get("twist")
@@ -148,9 +154,19 @@ def _objects_from_json(desc: dict, d: int, ctx, mats):
 
 
 def factorization_from_json(desc: dict, ctx: Context | None = None, allow_odd_d=False) -> FactorizationD:
+    """Within one CLI call, an equal description over the same context
+    object is parsed and verified once.  The key holds ``id(ctx)``: the
+    kept factorization holds ``ctx``, so the id cannot be reused."""
     desc = _object(desc, "factorization")
     if ctx is None:
         ctx = context_from_json(desc.get("context", {}))
+    return reuse(
+        lambda: ("factorization", canonical(desc), id(ctx), allow_odd_d),
+        lambda: _factorization(desc, ctx, allow_odd_d),
+    )
+
+
+def _factorization(desc: dict, ctx: Context, allow_odd_d) -> FactorizationD:
     d = _int(desc.get("d"), "factorization \"d\"", 2)
     objects, maps = _objects_from_json(desc, d, ctx, desc.get("maps", []))
     return make_factorization(ctx, d, objects, maps, allow_odd_d=allow_odd_d)

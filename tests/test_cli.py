@@ -7,9 +7,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from dfactor import modgb
 from dfactor.cli import build_parser, main
 from dfactor.context import FreeObj
+from dfactor.fields import GF
+from dfactor.rings import Ambient, groebner
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -244,6 +249,23 @@ def test_dualq_verb(capsys):
     assert code == 0
 
 
+def test_dualq_polls_the_deadline(capsys):
+    # without polls, --n 400 ran for over 30 s and reported "verified"
+    ring = FIXTURES / "ring_f7xy_mod_xy.json"
+    start = time.monotonic()
+    code, rep = run_cli(
+        ["dualq", ring, "--x", "x^2", "--n", "400", "--deadline", "0.05"], capsys
+    )
+    assert time.monotonic() - start < 5.0
+    assert code == 1
+    assert rep["kind"] == "DeadlineExceeded"
+    assert rep["error"].startswith("dual quotient check: ")
+    with pytest.raises(SystemExit) as usage_error:
+        main(["dualq", str(ring), "--x", "x^2", "--n", "-1"])
+    assert usage_error.value.code == 2
+    assert "--n" in capsys.readouterr().err
+
+
 def test_faithful_and_lift(tmp_path, capsys):
     yy = _morphism_file(tmp_path, "yy.json", [[["y"]], [["y"]]])
     code, rep = run_cli(["faithful", yy, "--f", "x*y"], capsys)
@@ -338,6 +360,41 @@ def test_in_process_calls_match_fresh_processes(tmp_path):
     assert in_process == fresh
 
 
+def test_no_state_crosses_calls(tmp_path, monkeypatch):
+    # the work a call keeps is dropped when it returns: rewriting an input
+    # between calls changes the report as a fresh process would
+    a = _morphism_file(tmp_path, "a.json", [[["y"]], [["y"]]])
+    b = _morphism_file(tmp_path, "b.json", [[["0"]], [["0"]]])
+    out = tmp_path / "report.json"
+    argv = ["homotopic", str(a), str(b), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["verdict"] == "homotopic"
+    _morphism_file(tmp_path, "a.json", [[["1"]], [["1"]]])
+    assert main(argv) == 2
+    assert json.loads(out.read_text())["verdict"] == "not_homotopic"
+    doc = json.loads(a.read_text())
+    doc["source"]["maps"][1] = [["y +"]]
+    a.write_text(json.dumps(doc))
+    in_process = main(argv), out.read_bytes()
+    out.unlink()
+    proc = subprocess.run([sys.executable, "-m", "dfactor.cli", *argv], capture_output=True)
+    assert in_process == (proc.returncode, out.read_bytes())
+    assert json.loads(in_process[1])["kind"] == "ParseError"
+    # and outside a call nothing is kept: a repeated completion runs again
+    completions = [0]
+    reduce_basis = modgb._reduce_module_basis
+
+    def counting(*args):
+        completions[0] += 1
+        return reduce_basis(*args)
+
+    monkeypatch.setattr(modgb, "_reduce_module_basis", counting)
+    amb = Ambient(GF(7), ("x", "y"))
+    gens = [amb.poly("x^2 - y"), amb.poly("x*y - 1")]
+    assert groebner(gens) == groebner(gens)
+    assert completions == [2]
+
+
 def test_odd_d_requires_flag(tmp_path, capsys):
     desc = {
         "context": {
@@ -423,6 +480,54 @@ def test_wrong_json_types_never_escape_main(tmp_path):
                 report = json.loads(out.read_text())
                 assert code in (0, 1, 2), (argv, where, value)
                 assert code != 1 or "error" in report, (argv, where, value)
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+_FUZZ_CASES = {
+    "verify": ("checktac_pos.json", []),
+    "checktac": ("checktac_pos.json", ["--f", "x*y"]),
+    "exact": ("exact_pos.json", []),
+    # phi against a mutant of phi: near-identical subtrees must not share work
+    "homotopic": ("homotopic_f7_pos_phi.json", []),
+}
+_FUZZ_VALUES = st.sampled_from(
+    ["0", "1", "x", "y^2", "x*y", "x +", "ab", 3, 0, -1, 2, 10**6, 1.5, True, None, [], {}]
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_whole_document_mutants_are_reported_deterministically(tmp_path, data):
+    verb = data.draw(st.sampled_from(sorted(_FUZZ_CASES)), label="verb")
+    name, flags = _FUZZ_CASES[verb]
+    doc = json.loads((GOLDEN_INPUTS / name).read_text())
+    where = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+    how = data.draw(st.sampled_from(["replace", "delete", "wrap in a list", "wrap in an object"]))
+    node = doc
+    for key in where:
+        node = node[key]
+    if how == "delete":
+        value = _DELETE
+    elif how == "replace":
+        value = data.draw(_FUZZ_VALUES, label="value")
+    else:
+        value = [node] if how == "wrap in a list" else {"value": node}
+    mutant, out = tmp_path / "mutant.json", tmp_path / "report.json"
+    mutant.write_text(json.dumps(_mutated(doc, where, value)))
+    inputs = [str(GOLDEN_INPUTS / name), str(mutant)] if verb == "homotopic" else [str(mutant)]
+    argv = [verb, *inputs, *flags, "--out", str(out)]
+    runs = []
+    for _ in range(2):
+        code = main(argv)
+        runs.append((code, out.read_bytes()))
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(runs[-1][1]), dict)
+    assert runs[0] == runs[1]
 
 
 def test_wrong_json_type_is_parse_error(tmp_path, capsys):
@@ -520,6 +625,16 @@ def test_deadline_bounds_the_axiom_suite(capsys):
     assert code == 1
     assert rep["kind"] == "DeadlineExceeded"
     assert rep["error"].startswith("axioms: ") and rep["error"].endswith(" of 300 trials")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
+def test_deadline_must_be_positive_and_finite(value, capsys):
+    # 0 meant no deadline at all, and nan and inf never expired
+    for argv in (["--deadline", value], [f"--deadline={value}"]):
+        with pytest.raises(SystemExit) as usage_error:
+            main(["checktac", str(FIXTURES / "sos_2x2.json"), "--f", "x", *argv])
+        assert usage_error.value.code == 2
+        assert "--deadline" in capsys.readouterr().err
 
 
 def test_piped_input_is_read_once():

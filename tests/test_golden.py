@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from dfactor import modgb, schemas
 from dfactor.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -80,3 +81,38 @@ def test_golden_cases_cover_both_verdicts():
             assert '"homotopic"' in text and '"witness"' in text
     assert '"kind": "fredholm"' in verdicts["homotopic_quantum_neg"]
     assert '"kind": "module_groebner"' in verdicts["homotopic_ring2_neg"]
+
+
+@pytest.mark.parametrize(
+    "name, module, function, count",
+    [
+        ("checktac_pos", modgb, "_reduce_module_basis", 4),
+        ("exact_pos", modgb, "_reduce_module_basis", 3),
+        ("homotopic_f7_pos", schemas, "make_factorization", 1),
+    ],
+)
+def test_work_done_once_per_call_pinned(name, module, function, count, tmp_path, monkeypatch):
+    """Work counts of one call: a count, not a timing.
+
+    A module Gröbner completion ends in one ``_reduce_module_basis``;
+    ``schemas.make_factorization`` builds and verifies one input
+    factorization.  Recomputing every repeat, the calls took 31
+    completions (``checktac_pos``: the image module once per kernel
+    vector, every period of the window again, and the colon ideal once
+    per basis element), 7 (``exact_pos``) and 4 builds
+    (``homotopic_f7_pos``: source and target of both morphisms, one
+    JSON).  The report does not change.
+    """
+    calls = [0]
+    work = getattr(module, function)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(module, function, counting)
+    monkeypatch.chdir(GOLDEN / "inputs")
+    out = tmp_path / "report.json"
+    main([*CASES[name], "--out", str(out)])
+    assert calls[0] == count
+    assert out.read_bytes() == (GOLDEN / "reports" / f"{name}.json").read_bytes()
