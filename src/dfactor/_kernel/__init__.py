@@ -34,7 +34,5 @@ def ops_for(field, order) -> KernelOps:
         scale=lambda a, c: pure.scale(a, c, field),
         shift=lambda a, m, c: pure.shift(a, m, c, field),
         mul=lambda a, b: pure.mul(a, b, field, key),
-        divmod_basis=lambda f, basis, want_quotients=False: pure.divmod_basis(
-            f, basis, field, heap_key, want_quotients
-        ),
+        divmod_basis=lambda f, basis: pure.divmod_basis(f, basis, field, heap_key),
     )

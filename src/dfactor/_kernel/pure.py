@@ -111,12 +111,11 @@ def mul(ta, tb, field, key):
     return tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True))
 
 
-def divmod_basis(f, basis, field, heap_key, want_quotients=False):
+def divmod_basis(f, basis, field, heap_key):
     """Fully reduce f against a list of term tuples.
 
-    Returns ``(remainder, quotients)`` with f = sum(q_i * basis_i) +
-    remainder and no remainder term divisible by any basis lead.  The
-    quotients are canonical term tuples (or None when not requested).
+    Returns ``(remainder, None)``: f minus a combination of the basis
+    elements, with no remainder term divisible by any basis lead.
     Basis elements must be nonzero.
 
     Heap division (Johnson 1974; Monagan & Pearce 2007): the terms
@@ -125,7 +124,7 @@ def divmod_basis(f, basis, field, heap_key, want_quotients=False):
     cancels is dropped from the dict and skipped when the heap reaches
     it.  Each step divides by the first basis element whose lead
     divides the current term, exactly as classical division does, so
-    remainder and quotients do not depend on the data structure.
+    the remainder does not depend on the data structure.
     """
     leads = [g[0][0] for g in basis]
     n = len(f)
@@ -136,13 +135,12 @@ def divmod_basis(f, basis, field, heap_key, want_quotients=False):
             break
         start += 1
     if start == n:
-        return f, (tuple(() for _ in basis) if want_quotients else None)
+        return f, None
 
     zero = field.zero
     fmul, fadd, fneg = field.mul, field.add, field.neg
     invs = [field.inv(g[0][1]) for g in basis]
     tails = [g[1:] for g in basis]
-    quotients = [[] for _ in basis] if want_quotients else None
     rem = list(f[:start])
     acc = dict(f[start:])
     heap = [(heap_key(m), m) for m, _ in f[start:]]  # ascending keys: a heap
@@ -158,8 +156,7 @@ def divmod_basis(f, basis, field, heap_key, want_quotients=False):
             rem.append((m, c))
             continue
         qmon = tuple(map(_isub, m, gm))
-        qc = fmul(c, invs[gi])
-        nqc = fneg(qc)
+        nqc = fneg(fmul(c, invs[gi]))
         for tm, tc in tails[gi]:
             mm = tuple(map(_iadd, tm, qmon))
             old = acc.get(mm)
@@ -172,9 +169,4 @@ def divmod_basis(f, basis, field, heap_key, want_quotients=False):
                     del acc[mm]
                 else:
                     acc[mm] = s
-        if want_quotients:
-            quotients[gi].append((qmon, qc))
-    rem = tuple(rem)
-    if want_quotients:
-        return rem, tuple(map(tuple, quotients))
-    return rem, None
+    return tuple(rem), None

@@ -27,22 +27,17 @@ from .rings import QuotientRing
 from .sampling import make_pool, random_graded, random_homotopy_pair, random_morphism
 
 
-def run_axiom_suite(
-    ctx: Context,
-    d: int,
-    seed: int,
-    trials: int,
-    extra_seeds=(),
-    max_rank: int = 8,
-    deadline=None,
-):
+MAX_RANK = 8  # total rank of the sums and cones a trial builds
+
+
+def run_axiom_suite(ctx: Context, d: int, seed: int, trials: int, deadline=None):
     """Returns (all_passed, report_dict).
 
     The deadline is polled before each trial, outside the per-check
     wrapper, so an expired deadline is an error and never a failed check.
     """
     rng = random.Random(seed)
-    pool = make_pool(ctx, d, extra_seeds, max_rank)
+    pool = make_pool(ctx, d, max_rank=MAX_RANK)
     commutative = isinstance(ctx.backend, QuotientRing)
     failures = []
     records = []
@@ -73,7 +68,7 @@ def run_axiom_suite(
         check("suspend_reverifies", lambda: verify_factorization(suspend(X)) == suspend(X))
 
         Y = pool.random_factorization(rng)
-        if X.total_rank + Y.total_rank <= max_rank:
+        if X.total_rank + Y.total_rank <= MAX_RANK:
             S = direct_sum(X, Y)
             check("sum_reverifies", lambda: verify_factorization(S) == S)
             check(
@@ -81,7 +76,7 @@ def run_axiom_suite(
                 lambda: suspend(S) == direct_sum(suspend(X), suspend(Y)),
             )
 
-        if 2 * X.total_rank <= max_rank:
+        if 2 * X.total_rank <= MAX_RANK:
             c = cone(identity_morphism(X))
             check("cone_id_reverifies", lambda: verify_factorization(c.cone) == c.cone)
             check(
@@ -111,7 +106,7 @@ def run_axiom_suite(
         "seed": seed,
         "trials": trials,
         "d": d,
-        "max_rank": max_rank,
+        "max_rank": MAX_RANK,
         "failures": failures,
         "records": records,
     }

@@ -22,20 +22,13 @@ import time
 
 from .axioms import run_axiom_suite
 from .dg import GradedHom, dg_check, dg_differential
-from .errors import (
-    CompositionMismatch,
-    DFactorError,
-    DeadlineExceeded,
-    HypothesesUnmet,
-    ParseError,
-    ShapeMismatch,
-    UnsupportedOperation,
-)
+from .errors import CompositionMismatch, DFactorError, HypothesesUnmet, ParseError, ShapeMismatch
 from .factorization import (
+    cone,
     direct_sum,
     homotopy_decide,
     is_morphism,
-    cone,
+    morphism,
     standard_triangle,
     suspend,
     unsuspend,
@@ -78,10 +71,6 @@ def _load(args, path: str):
     return desc
 
 
-def _matrix_json(m, fmt):
-    return [[fmt(e) for e in row] for row in m.rows]
-
-
 def _cert_json(cert):
     if isinstance(cert, NoSolutionCertificate):
         return {
@@ -96,10 +85,9 @@ def _cert_json(cert):
     return {"kind": type(cert).__name__, "detail": repr(cert)}
 
 
-def _witness_json(t: GradedHom, fmt):
+def _witness_json(t: GradedHom):
     """A degree -1 witness t, listed as s_i = t_{i+1}: M_{i+1} -> N_i."""
-    d = t.source.d
-    return {"components": [_matrix_json(t.comp_at(i + 1), fmt) for i in range(1, d + 1)]}
+    return {"components": [t.comp_at(i + 1).format_rows() for i in range(1, t.source.d + 1)]}
 
 
 class _Outcome(Exception):
@@ -108,18 +96,23 @@ class _Outcome(Exception):
         self.report = report
 
 
+def _false(report, certificate) -> _Outcome:
+    """The "false" verdict with its certificate, as an outcome to raise."""
+    report["verdict"] = "false"
+    report["certificate"] = certificate
+    return _Outcome(EXIT_FALSE, report)
+
+
+def _rotation_false(report, exc: CompositionMismatch) -> _Outcome:
+    return _false(report, {"rotation": exc.rotation, "residual": exc.residual.format_rows()})
+
+
 def _verb_verify(args, report):
     desc = _load(args, args.input)
     try:
-        X = schemas.factorization_from_json(desc, allow_odd_d=args.allow_odd_d)
+        X = schemas.factorization_from_json(desc)
     except CompositionMismatch as exc:
-        fmt = exc.residual.ctx.backend.format
-        report["verdict"] = "false"
-        report["certificate"] = {
-            "rotation": exc.rotation,
-            "residual": _matrix_json(exc.residual, fmt),
-        }
-        raise _Outcome(EXIT_FALSE, report) from None
+        raise _rotation_false(report, exc) from None
     report["verdict"] = "verified"
     report["result"] = schemas.factorization_to_json(X)
     return EXIT_OK
@@ -143,16 +136,13 @@ def _verb_suspend(args, report, inverse=False):
 
 
 def _morphism_or_false(args, report, path):
-    phi = schemas.morphism_from_json(_load(args, path), allow_odd_d=args.allow_odd_d)
+    phi = schemas.morphism_from_json(_load(args, path))
     check = is_morphism(phi)
     if not check.ok:
-        fmt = phi.source.ctx.backend.format
-        report["verdict"] = "false"
-        report["certificate"] = {
-            "failing_square": check.failing_square,
-            "residual": _matrix_json(check.residual, fmt),
-        }
-        raise _Outcome(EXIT_FALSE, report)
+        raise _false(
+            report,
+            {"failing_square": check.failing_square, "residual": check.residual.format_rows()},
+        )
     return phi
 
 
@@ -161,13 +151,7 @@ def _verb_cone(args, report):
     try:
         c = cone(phi)
     except CompositionMismatch as exc:
-        fmt = phi.source.ctx.backend.format
-        report["verdict"] = "false"
-        report["certificate"] = {
-            "rotation": exc.rotation,
-            "residual": _matrix_json(exc.residual, fmt),
-        }
-        raise _Outcome(EXIT_FALSE, report) from None
+        raise _rotation_false(report, exc) from None
     report["verdict"] = "verified"
     report["result"] = {
         "cone": schemas.factorization_to_json(c.cone),
@@ -199,10 +183,9 @@ def _verb_homotopic(args, report, deadline):
     if phi.source != psi.source or phi.target != psi.target:
         raise ShapeMismatch("the two morphisms are not parallel")
     verdict = homotopy_decide(phi, psi, deadline=deadline)
-    fmt = phi.source.ctx.backend.format
     if isinstance(verdict, GradedHom):
         report["verdict"] = "homotopic"
-        report["witness"] = _witness_json(verdict, fmt)
+        report["witness"] = _witness_json(verdict)
         return EXIT_OK
     report["verdict"] = "not_homotopic"
     report["certificate"] = {
@@ -214,12 +197,8 @@ def _verb_homotopic(args, report, deadline):
 
 def _verb_dg(args, report):
     gh = schemas.graded_from_json(_load(args, args.input))
-    ok = dg_check(gh)
-    fmt = gh.source.ctx.backend.format
-    if not ok:
-        report["verdict"] = "false"
-        report["certificate"] = {"reason": "a double square does not commute"}
-        raise _Outcome(EXIT_FALSE, report)
+    if not dg_check(gh):
+        raise _false(report, {"reason": "a double square does not commute"})
     diff = dg_differential(gh)
     report["verdict"] = "verified"
     report["result"] = {
@@ -313,13 +292,12 @@ def _verb_faithful(args, report, deadline):
     theta = _morphism_or_false(args, report, args.input)
     f = _parse_scalar(theta.source.ctx.backend, args.f)
     verdict = faithful_check(theta, f, deadline=deadline)
-    fmt = theta.source.ctx.backend.format
     report["result"] = {
         "downstairs_null": verdict.downstairs_null,
-        "downstairs_witness": _witness_json(verdict.downstairs_witness, fmt)
+        "downstairs_witness": _witness_json(verdict.downstairs_witness)
         if verdict.downstairs_witness
         else None,
-        "upstairs_witness": _witness_json(verdict.upstairs_witness, fmt)
+        "upstairs_witness": _witness_json(verdict.upstairs_witness)
         if verdict.upstairs_witness
         else None,
     }
@@ -336,31 +314,17 @@ def _verb_lift(args, report, deadline):
     f = _parse_scalar(ctx.backend, args.f)
     red_x = reduce_full(X, f, deadline=deadline)
     red_u = reduce_full(U, f, deadline=deadline)
-    ctx_bar = red_x.downstairs.ctx
-    from .context import MatrixMap
-    from .factorization import morphism
-
-    mats = desc.get("components", [])
-    if not isinstance(mats, list) or len(mats) != X.d:
-        raise ParseError(f"need {X.d} components")
-    comps = []
-    for i, m in enumerate(mats):
-        comps.append(
-            MatrixMap.from_strings(
-                ctx_bar, red_x.downstairs.objects[i], red_u.downstairs.objects[i], m
-            )
-        )
+    comps = schemas.components_from_json(desc, red_x.downstairs, red_u.downstairs)
     try:
         phibar = morphism(red_x.downstairs, red_u.downstairs, comps)
     except ShapeMismatch as exc:
         raise HypothesesUnmet(f"input is not a periodic chain map: {exc}") from exc
-    outcome = full_lift(phibar, X, U, f, deadline=deadline)
-    fmt = ctx.backend.format
+    outcome = full_lift(phibar, red_x, red_u, deadline=deadline)
     if isinstance(outcome, Lift):
         report["verdict"] = "lifted"
         report["result"] = {
             "theta": schemas.morphism_to_json(outcome.theta),
-            "downstairs_witness": _witness_json(outcome.downstairs_witness, fmt),
+            "downstairs_witness": _witness_json(outcome.downstairs_witness),
         }
         return EXIT_OK
     report["verdict"] = "no_lift"
@@ -382,9 +346,7 @@ def _verb_axioms(args, report, deadline):
     if ok:
         report["verdict"] = "verified"
         return EXIT_OK
-    report["verdict"] = "false"
-    report["certificate"] = {"failures": suite["failures"]}
-    raise _Outcome(EXIT_FALSE, report)
+    raise _false(report, {"failures": suite["failures"]})
 
 
 def _seconds(text: str) -> float:
@@ -429,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ctx": dict(help="context JSON"),
         "--d": dict(type=int, default=2),
         "--trials": dict(type=int, default=50),
-        "--allow-odd-d": dict(action="store_true", help=argparse.SUPPRESS),
     }
 
     def add(name, *flags, inputs=("input",)):
@@ -445,20 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **extra[flag])
 
-    add("verify", "--allow-odd-d")
+    add("verify")
     add("sum", inputs=("input", "second"))
     add("suspend")
     add("unsuspend")
-    add("cone", "--allow-odd-d")
-    add("triangle", "--allow-odd-d")
-    add("homotopic", "--allow-odd-d", inputs=("input", "second"))
+    add("cone")
+    add("triangle")
+    add("homotopic", inputs=("input", "second"))
     add("dg")
     add("reduce", "--f", "--window")
     add("exact")
     add("checktac", "--f", "--window")
     add("endring", "--g")
     add("dualq", "--x", "--n")
-    add("faithful", "--f", "--allow-odd-d")
+    add("faithful", "--f")
     add("lift", "--f")
     add("axioms", "--ctx", "--d", "--trials", inputs=())
     return parser
@@ -493,6 +454,11 @@ def _emit(report: dict, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _fail(args, error: str, kind: str) -> int:
+    _emit({"verb": args.verb, "error": error, "kind": kind}, args.out)
+    return EXIT_ERROR
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -504,8 +470,7 @@ def main(argv=None) -> int:
             try:
                 args.input_bytes[path] = _read(path)
             except OSError as exc:
-                _emit({"verb": args.verb, "error": f"{path}: {exc}", "kind": "ParseError"}, args.out)
-                return EXIT_ERROR
+                return _fail(args, f"{path}: {exc}", "ParseError")
             report["inputs"][path] = hashlib.sha256(args.input_bytes[path]).hexdigest()
     start = time.monotonic()
     deadline = start + args.deadline
@@ -515,18 +480,10 @@ def main(argv=None) -> int:
     except _Outcome as outcome:
         report = outcome.report
         code = outcome.code
-    except (ParseError, HypothesesUnmet, UnsupportedOperation, DeadlineExceeded, ShapeMismatch) as exc:
-        _emit(
-            {"verb": args.verb, "error": str(exc), "kind": type(exc).__name__},
-            args.out,
-        )
-        return EXIT_ERROR
     except DFactorError as exc:
-        _emit({"verb": args.verb, "error": str(exc), "kind": type(exc).__name__}, args.out)
-        return EXIT_ERROR
+        return _fail(args, str(exc), type(exc).__name__)
     except ValueError as exc:
-        _emit({"verb": args.verb, "error": str(exc), "kind": "ValueError"}, args.out)
-        return EXIT_ERROR
+        return _fail(args, str(exc), "ValueError")
     if args.timing:
         report["timing_ms"] = round((time.monotonic() - start) * 1000.0, 3)
     _emit(report, args.out)

@@ -62,9 +62,9 @@ class FactorizationD:
 def make_factorization(ctx, d, objects, maps, allow_odd_d: bool = False) -> FactorizationD:
     """Build and verify; reports the first failing rotation.
 
-    ``allow_odd_d`` exists only so the test suite can reproduce the
-    failure mode of mapping cones at odd d; the public surface (CLI,
-    JSON) rejects odd d up front.
+    Odd d is rejected unless ``allow_odd_d``: the library passes it for
+    constructions that are defined at every d, and it reproduces the
+    failure of mapping cones at odd d.  JSON input never sets it.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -138,14 +138,11 @@ def unsuspend(X: FactorizationD) -> FactorizationD:
 # -- morphisms: degree-0 graded elements ---------------------------------
 
 
-def morphism(X: FactorizationD, Y: FactorizationD, components, verify: bool = True) -> GradedHom:
+def morphism(X: FactorizationD, Y: FactorizationD, components) -> GradedHom:
     phi = graded_hom(X, Y, 0, components)
-    if verify:
-        check = is_morphism(phi)
-        if not check.ok:
-            raise ShapeMismatch(
-                f"square {check.failing_square} does not commute"
-            )
+    check = is_morphism(phi)
+    if not check.ok:
+        raise ShapeMismatch(f"square {check.failing_square} does not commute")
     return phi
 
 
@@ -256,9 +253,9 @@ def cone(phi: GradedHom) -> Cone:
     """Mapping cone with its inclusion and projection.
 
     Objects M_{i+1} + N_i, maps [[-f_{i+1}, 0], [phi_{i+1}, g_i]];
-    the projection lands in the suspension of the source (the odd-d
-    failure of this construction is exactly what the even-d test
-    backdoor reproduces).
+    the projection lands in the suspension of the source.  At odd d the
+    cone's compositions fail (``make_factorization`` with
+    ``allow_odd_d`` reproduces it), which is why d must be even.
     """
     check = is_morphism(phi)
     if not check.ok:

@@ -123,29 +123,17 @@ class FDAlgebra:
     # -- parsing and printing ---------------------------------------------
 
     def parse(self, text: str):
-        alg = self
+        return parse_with_alg(text, self)
 
-        class _Alg:
-            def const(self, q):
-                return alg.scale(alg.one(), q)
+    def const(self, q):
+        return self.scale(self.one(), q)
 
-            def atom(self, name):
-                if alg.gens is None or name not in alg.gens:
-                    raise ParseError(f"unknown generator {name!r}")
-                word = (name,)
-                idx = alg._word_index(word)
-                return alg.basis(idx) if idx is not None else alg.zero()
-
-            def add(self, a, b):
-                return alg.add(a, b)
-
-            def neg(self, a):
-                return alg.neg(a)
-
-            def mul(self, a, b):
-                return alg.mul(a, b)
-
-        return parse_with_alg(text, _Alg())
+    def atom(self, name):
+        """The generator ``name`` (zero when the word is not a basis word)."""
+        if self.gens is None or name not in self.gens:
+            raise ParseError(f"unknown generator {name!r}")
+        idx = self._word_index((name,))
+        return self.basis(idx) if idx is not None else self.zero()
 
     def _word_index(self, word):
         if self.words is None:

@@ -132,13 +132,14 @@ def to_sequence(X: FactorizationD, length: int | None = None) -> ComplexWindow:
 
 @dataclass(frozen=True)
 class Reduction:
-    """Reduction mod f: the window, its periodic model, and the
-    factors-through certificate eta = h*f."""
+    """Reduction of ``upstairs`` mod f: the window, its periodic model,
+    and the factors-through certificate eta = h*f."""
 
     window: ComplexWindow
     downstairs: FactorizationD
     h: object
     f: object
+    upstairs: FactorizationD
 
 
 def reduce_full(X: FactorizationD, f, length: int | None = None, deadline=None) -> Reduction:
@@ -179,7 +180,7 @@ def reduce_full(X: FactorizationD, f, length: int | None = None, deadline=None) 
     downstairs = make_factorization(ctx_bar, X.d, X.objects, maps)
     half = length // 2
     window = window_from_factorization(downstairs, -half, length - half, X.d)
-    return Reduction(window, downstairs, grids[h][0][0], f)
+    return Reduction(window, downstairs, grids[h][0][0], f, X)
 
 
 def reduce_mod_f(X: FactorizationD, f, length: int | None = None, deadline=None) -> ComplexWindow:
@@ -483,19 +484,19 @@ class Lift:
     downstairs_witness: GradedHom
 
 
-def full_lift(phibar: GradedHom, X: FactorizationD, U: FactorizationD, f, deadline=None):
-    """Find theta upstairs with F(theta) homotopic to the given periodic
-    chain map, by one combined membership solve over the ambient ring.
+def full_lift(phibar: GradedHom, red_x: Reduction, red_u: Reduction, deadline=None):
+    """Find theta: X -> U upstairs with F(theta) homotopic to the given
+    periodic chain map between the reductions of X and U modulo one f,
+    by one combined membership solve over the ambient ring.
 
     Unknowns: entries of the two components of theta over the ring,
     plus the periodic homotopy entries over the quotient.  Block rows:
     the two strict commuting squares modulo the defining ideal, and
     the two homotopy equations modulo (ideal, f).
     """
-    f = _require_d2_regular(X, f, deadline)
+    X, U = red_x.upstairs, red_u.upstairs
+    f = _require_d2_regular(X, red_x.f, deadline)
     ring: QuotientRing = X.ctx.backend
-    red_x = reduce_full(X, f, deadline=deadline)
-    red_u = reduce_full(U, f, deadline=deadline)
     if phibar.source != red_x.downstairs or phibar.target != red_u.downstairs:
         raise ShapeMismatch("chain map must run between the two reductions")
     check = is_morphism(phibar)

@@ -111,15 +111,13 @@ def _monic_rational(v: Vec, amb: Ambient, zero: Poly) -> Vec:
     )
 
 
-def vec_divmod(
-    v: Vec, basis: list[Vec], amb: Ambient, want_combo: bool = False, leads=None
-):
+def vec_divmod(v: Vec, basis: list[Vec], amb: Ambient, leads=None):
     """Full reduction of v by basis vectors; positions ascending.
 
-    Returns ``(remainder, combo)`` with v = sum(combo_k * basis_k) +
-    remainder and no remainder term divisible by a same-position basis
-    lead.  ``combo`` entries are polynomials (None unless requested).
-    ``leads``, when given, holds ``vec_lead`` of each basis vector.
+    Returns ``(remainder, None)``: v - remainder lies in the span of the
+    basis vectors (over ZZ, a multiple of v; see below) and no remainder
+    term is divisible by a same-position basis lead.  ``leads``, when
+    given, holds ``vec_lead`` of each basis vector.
 
     Heap division per position, as in ``_kernel.pure.divmod_basis``:
     the current position's terms live in a dict keyed by monomial and a
@@ -132,8 +130,8 @@ def vec_divmod(
 
     Each step is h <- s*h - t*m*g with (s, t) from the coefficient
     domain's ``reducer``.  Over a field s is 1.  Over ZZ s is a positive
-    integer, the remainder is the product of the s's times the
-    remainder over Q, and ``combo`` is not available.  The scaling is lazy: the current position's terms
+    integer and the remainder is the product of the s's times the
+    remainder over Q.  The scaling is lazy: the current position's terms
     are scaled at once, and every other position is brought to the
     running product ``scale`` when the loop next writes it (a later
     position) or at the end (a finished or untouched position).
@@ -152,7 +150,6 @@ def vec_divmod(
     later_at: dict[int, object] = {}  # ... -> the scale they are at, when not one
     scale = one  # product of the steps' s
     finished_at: dict[int, object] = {}  # finished position -> its scale, when not one
-    quotients = [[] for _ in basis] if want_combo else None
     remainder = []
     for pos, p in enumerate(v):
         cands = groups.get(pos, ())
@@ -191,8 +188,6 @@ def vec_divmod(
                 )
             s, t = plan[0](c)
             if s != one:
-                if want_combo:
-                    raise ValueError("expressing coefficients need a field")
                 scale = fmul(scale, s)
                 _rescale(acc, s, fmul)
                 rem = [(rm, fmul(rc, s)) for rm, rc in rem]
@@ -222,8 +217,6 @@ def vec_divmod(
                             del d[mm]
                         else:
                             d[mm] = new
-            if want_combo:
-                quotients[idx].append((qmon, t))
         remainder.append(Poly(amb, tuple(rem)))
         if scale != one:
             finished_at[pos] = scale
@@ -233,8 +226,6 @@ def vec_divmod(
             if at != scale and p.terms:
                 k = scale // at
                 remainder[pos] = Poly(amb, tuple((m, fmul(c, k)) for m, c in p.terms))
-    if want_combo:
-        return tuple(remainder), tuple(Poly(amb, tuple(q)) for q in quotients)
     return tuple(remainder), None
 
 
@@ -382,7 +373,7 @@ def _complete(vecs, amb: Ambient, deadline):
     return tuple(_monic_rational(v, amb, zero) for v in reduced)
 
 
-def _reduce_module_basis(basis, leads, amb, deadline, normalize=vec_monic):
+def _reduce_module_basis(basis, leads, amb, deadline, normalize):
     """Minimalize and tail-reduce; returns the biggest lead first.
 
     The minimal elements are reduced in ascending order (position

@@ -153,7 +153,7 @@ def _objects_from_json(desc: dict, d: int, ctx, mats):
     ]
 
 
-def factorization_from_json(desc: dict, ctx: Context | None = None, allow_odd_d=False) -> FactorizationD:
+def factorization_from_json(desc: dict, ctx: Context | None = None) -> FactorizationD:
     """Within one CLI call, an equal description over the same context
     object is parsed and verified once.  The key holds ``id(ctx)``: the
     kept factorization holds ``ctx``, so the id cannot be reused."""
@@ -161,23 +161,22 @@ def factorization_from_json(desc: dict, ctx: Context | None = None, allow_odd_d=
     if ctx is None:
         ctx = context_from_json(desc.get("context", {}))
     return reuse(
-        lambda: ("factorization", canonical(desc), id(ctx), allow_odd_d),
-        lambda: _factorization(desc, ctx, allow_odd_d),
+        lambda: ("factorization", canonical(desc), id(ctx)),
+        lambda: _factorization(desc, ctx),
     )
 
 
-def _factorization(desc: dict, ctx: Context, allow_odd_d) -> FactorizationD:
+def _factorization(desc: dict, ctx: Context) -> FactorizationD:
     d = _int(desc.get("d"), "factorization \"d\"", 2)
     objects, maps = _objects_from_json(desc, d, ctx, desc.get("maps", []))
-    return make_factorization(ctx, d, objects, maps, allow_odd_d=allow_odd_d)
+    return make_factorization(ctx, d, objects, maps)
 
 
 def factorization_to_json(X: FactorizationD, include_context=True) -> dict:
-    fmt = X.ctx.backend.format
     out = {
         "d": X.d,
         "ranks": [o.rank for o in X.objects],
-        "maps": [[[fmt(e) for e in row] for row in m.rows] for m in X.maps],
+        "maps": [m.format_rows() for m in X.maps],
     }
     if any(any(o != 0 for o in obj.offsets) for obj in X.objects):
         out["offsets"] = [list(o.offsets) for o in X.objects]
@@ -186,39 +185,44 @@ def factorization_to_json(X: FactorizationD, include_context=True) -> dict:
     return out
 
 
-def ends_from_json(desc: dict, allow_odd_d=False):
+def ends_from_json(desc: dict):
     """Context, source and target of a morphism-shaped description; the
     two factorizations take the description's "d" and context."""
     desc = _object(desc, "morphism")
     ctx = context_from_json(desc.get("context", {}))
     src, tgt = (
         factorization_from_json(
-            {**_object(desc.get(key), f"\"{key}\""), "d": desc.get("d")}, ctx, allow_odd_d
+            {**_object(desc.get(key), f"\"{key}\""), "d": desc.get("d")}, ctx
         )
         for key in ("source", "target")
     )
     return ctx, src, tgt
 
 
-def morphism_from_json(desc: dict, allow_odd_d=False):
-    ctx, src, tgt = ends_from_json(desc, allow_odd_d)
-    comps = []
+def components_from_json(desc: dict, src: FactorizationD, tgt: FactorizationD) -> list:
+    """The degree-0 components of a morphism description, as maps from
+    the objects of ``src`` to those of ``tgt`` over ``src``'s context."""
     mats = desc.get("components", [])
     if not isinstance(mats, list) or len(mats) != src.d:
         raise ParseError(f"need {src.d} components")
-    for i, m in enumerate(mats):
-        comps.append(MatrixMap.from_strings(ctx, src.objects[i], tgt.objects[i], m))
-    return GradedHom(src, tgt, 0, tuple(comps))
+    return [
+        MatrixMap.from_strings(src.ctx, a, b, m)
+        for a, b, m in zip(src.objects, tgt.objects, mats)
+    ]
+
+
+def morphism_from_json(desc: dict):
+    _, src, tgt = ends_from_json(desc)
+    return GradedHom(src, tgt, 0, tuple(components_from_json(desc, src, tgt)))
 
 
 def morphism_to_json(phi: GradedHom) -> dict:
-    fmt = phi.source.ctx.backend.format
     return {
         "context": context_to_json(phi.source.ctx),
         "d": phi.source.d,
         "source": factorization_to_json(phi.source, include_context=False),
         "target": factorization_to_json(phi.target, include_context=False),
-        "components": [[[fmt(e) for e in row] for row in m.rows] for m in phi.components],
+        "components": [m.format_rows() for m in phi.components],
     }
 
 
@@ -234,22 +238,13 @@ def graded_from_json(desc: dict):
 
 
 def graded_to_json(gh: GradedHom) -> dict:
-    fmt = gh.source.ctx.backend.format
-    return {
-        "context": context_to_json(gh.source.ctx),
-        "d": gh.source.d,
-        "degree": gh.degree,
-        "source": factorization_to_json(gh.source, include_context=False),
-        "target": factorization_to_json(gh.target, include_context=False),
-        "components": [[[fmt(e) for e in row] for row in m.rows] for m in gh.components],
-    }
+    return {**morphism_to_json(gh), "degree": gh.degree}
 
 
 # -- windows ----------------------------------------------------------------
 
 
 def window_to_json(W: ComplexWindow) -> dict:
-    fmt = W.backend.format
     positions = list(range(W.lo, W.hi + 1))
     offsets = []
     for p in positions:
@@ -264,7 +259,7 @@ def window_to_json(W: ComplexWindow) -> dict:
         "period": W.period,
         "nilpotency": W.nilpotency,
         "offsets": offsets,
-        "maps": [[[fmt(e) for e in row] for row in m.rows] for m in W.maps],
+        "maps": [m.format_rows() for m in W.maps],
     }
 
 

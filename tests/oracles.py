@@ -157,7 +157,8 @@ def merge_divmod_basis(f, basis, field, key, want_quotients=False):
     whose lead divides the leading term.
 
     The reference for ``_kernel.pure.divmod_basis``; ``key`` is the
-    ascending monomial key of the order.
+    ascending monomial key of the order.  Only the reference returns
+    quotients (``want_quotients``), which tests use to recombine f.
     """
     from dfactor._kernel.pure import add, mon_div, mon_divides, shift
 
@@ -189,8 +190,9 @@ def merge_vec_divmod(v, basis, amb, want_combo=False, leads=None):
     current position and of each later one, take the first basis
     vector whose same-position lead divides the leading term.
 
-    The reference for ``modgb.vec_divmod``, with the same signature and
-    return shape.
+    The reference for ``modgb.vec_divmod``, with its signature and
+    return shape plus ``want_combo``: only the reference returns the
+    combination, which tests use to recombine v.
     """
     from dfactor._kernel.pure import add, mon_div, mon_divides, shift
     from dfactor.modgb import vec_lead

@@ -222,7 +222,7 @@ def test_criterion_6():
         assert verdict.consistent, "faithfulness contradiction"
         red_s, red_t = reductions[id(src)], reductions[id(tgt)]
         phibar = reduce_morphism(theta, red_s, red_t)
-        out = full_lift(phibar, src, tgt, f)
+        out = full_lift(phibar, red_s, red_t)
         assert isinstance(out, Lift), "NO_LIFT under certified hypotheses"
         # the two lifts agree up to homotopy upstairs
         diff_verdict = faithful_check(out.theta - theta, f)

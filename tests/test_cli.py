@@ -1,5 +1,6 @@
 """CLI: verbs, exit codes, certificates, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -395,7 +396,9 @@ def test_no_state_crosses_calls(tmp_path, monkeypatch):
     assert completions == [2]
 
 
-def test_odd_d_requires_flag(tmp_path, capsys):
+def test_odd_d_is_rejected_and_cannot_be_allowed(tmp_path, capsys):
+    """Odd d is a ValueError report; no flag of any verb lets it through
+    (the d = 3 cone failure is reproduced in the library instead)."""
     desc = {
         "context": {
             "ring": {"field": {"char": 7}, "vars": ["x"], "order": "grevlex", "ideal": []},
@@ -410,8 +413,26 @@ def test_odd_d_requires_flag(tmp_path, capsys):
     path.write_text(json.dumps(desc))
     code, rep = run_cli(["verify", path], capsys)
     assert code == 1
-    code, rep = run_cli(["verify", path, "--allow-odd-d"], capsys)
-    assert code == 0
+    assert rep["kind"] == "ValueError" and rep["error"] == "d must be even"
+    for argv in (["verify", path], ["cone", path], ["triangle", path],
+                 ["homotopic", path, path], ["faithful", path, "--f", "x"]):
+        with pytest.raises(SystemExit) as usage_error:
+            main([str(a) for a in argv] + ["--allow-odd-d"])
+        assert usage_error.value.code == 2
+        assert "--allow-odd-d" in capsys.readouterr().err
+
+
+def test_no_hidden_cli_flags():
+    """Every option of every verb shows in its help."""
+    parser = build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    hidden = [
+        (verb, action.dest)
+        for verb, sub in verbs.choices.items()
+        for action in sub._actions
+        if action.help == argparse.SUPPRESS
+    ]
+    assert hidden == []
 
 
 def _json_paths(node, prefix=()):

@@ -320,7 +320,7 @@ def test_full_lift_of_reduced_morphism(X_xy):
     theta = scalar_morphism(X_xy, X_xy.ctx.backend.parse("y"))
     red = reduce_full(X_xy, f)
     phibar = reduce_morphism(theta, red, red)
-    out = full_lift(phibar, X_xy, X_xy, f)
+    out = full_lift(phibar, red, red)
     assert isinstance(out, Lift)
     # the two lifts differ by a null-homotopic morphism upstairs
     diff = faithful_check(out.theta - theta, f)
@@ -332,7 +332,7 @@ def test_full_lift_scalar_downstairs(X_xy):
     red = reduce_full(X_xy, f)
     rbar = red.downstairs.ctx.backend
     phibar = scalar_morphism(red.downstairs, rbar.parse("y"))
-    out = full_lift(phibar, X_xy, X_xy, f)
+    out = full_lift(phibar, red, red)
     assert isinstance(out, Lift)
     down_check = reduce_morphism(out.theta, red, red)
     # F(theta) - phibar is null-homotopic via the returned witness

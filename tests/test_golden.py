@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from dfactor import modgb, schemas
+from dfactor import functors, modgb, schemas
 from dfactor.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -89,6 +89,7 @@ def test_golden_cases_cover_both_verdicts():
         ("checktac_pos", modgb, "_reduce_module_basis", 4),
         ("exact_pos", modgb, "_reduce_module_basis", 3),
         ("homotopic_f7_pos", schemas, "make_factorization", 1),
+        ("lift_ring", functors, "window_from_factorization", 2),
     ],
 )
 def test_work_done_once_per_call_pinned(name, module, function, count, tmp_path, monkeypatch):
@@ -96,12 +97,14 @@ def test_work_done_once_per_call_pinned(name, module, function, count, tmp_path,
 
     A module Gröbner completion ends in one ``_reduce_module_basis``;
     ``schemas.make_factorization`` builds and verifies one input
-    factorization.  Recomputing every repeat, the calls took 31
+    factorization; each ``functors.reduce_full``, wherever it is bound,
+    unrolls one window.  Recomputing every repeat, the calls took 31
     completions (``checktac_pos``: the image module once per kernel
     vector, every period of the window again, and the colon ideal once
-    per basis element), 7 (``exact_pos``) and 4 builds
+    per basis element), 7 (``exact_pos``), 4 builds
     (``homotopic_f7_pos``: source and target of both morphisms, one
-    JSON).  The report does not change.
+    JSON) and 4 reductions (``lift_ring``: source and target in the CLI
+    and again in ``full_lift``).  The report does not change.
     """
     calls = [0]
     work = getattr(module, function)

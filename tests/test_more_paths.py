@@ -203,7 +203,7 @@ def test_full_lift_of_perturbed_chain_map():
     rng = random.Random(5)
     # perturb by a null-homotopic periodic summand downstairs
     _, perturbed, _ = random_homotopy_pair(rng, phibar)
-    out = full_lift(perturbed, X, X, f)
+    out = full_lift(perturbed, red, red)
     assert isinstance(out, Lift)
     from dfactor.functors import faithful_check
 
