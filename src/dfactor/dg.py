@@ -154,11 +154,11 @@ def h0_dimension(X: FactorizationD, Y: FactorizationD) -> int:
 
     from . import linalg, sampling
 
-    space0 = sampling.graded_space(X, Y, 0, None)
+    space0 = sampling.GradedSpace(X, Y, 0)
     z0 = space0.cycle_basis()
     if not z0:
         return 0
-    vminus1 = sampling.graded_space(X, Y, -1, None).valid_basis()
+    vminus1 = sampling.GradedSpace(X, Y, -1).valid_basis()
     if not vminus1:
         return len(z0)
     boundary_rows = [space0.encode(dg_differential(t)) for t in vminus1]

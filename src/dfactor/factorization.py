@@ -215,7 +215,7 @@ def homotopy_system(phi: GradedHom, phi2: GradedHom):
     return system, shapes
 
 
-def homotopy_decide(phi: GradedHom, phi2: GradedHom, deadline: float | None = None):
+def homotopy_decide(phi: GradedHom, phi2: GradedHom):
     """Degree -1 witness t with phi - phi2 = d(t), or a certified
     NOT_HOMOTOPIC.
 
@@ -226,7 +226,7 @@ def homotopy_decide(phi: GradedHom, phi2: GradedHom, deadline: float | None = No
     """
     X, Y = phi.source, phi.target
     system, shapes = homotopy_system(phi, phi2)
-    grids, cert = system.solve(deadline)
+    grids, cert = system.solve()
     if cert is not None:
         if isinstance(cert, FredholmCertificate):
             return NotHomotopic(cert, "field-linear homotopy system is inconsistent")

@@ -27,8 +27,6 @@ class FDAlgebra:
     presentation; the unit is the empty word.
     """
 
-    is_commutative = False
-
     def __init__(self, field, labels, table, unit_index, words=None, gens=None,
                  monomial_rels=None):
         if len(labels) > DIM_CAP:

@@ -17,7 +17,6 @@ verdict).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from . import linalg
@@ -36,6 +35,7 @@ from .factorization import (
 from .fdalg import CentralElement, FDAlgebra, quotient_by_central
 from .linsys import LinearSystem
 from .modgb import LinearSolution, colon_ideal, is_regular, matrix_kernel, solve_linear
+from .reuse import expired
 from .rings import Ideal, Poly, QuotientRing
 
 
@@ -56,11 +56,11 @@ class EndRingPresentation:
     colon_basis: tuple
 
 
-def end_ring_cyclic(R: QuotientRing, g: Poly, deadline: float | None = None) -> EndRingPresentation:
+def end_ring_cyclic(R: QuotientRing, g: Poly) -> EndRingPresentation:
     g = R.nf(g)
     if g.is_zero:
         raise ValueError("cyclic generator must be nonzero in the ring")
-    basis, _certs = colon_ideal([], g, R, deadline=deadline)
+    basis, _certs = colon_ideal([], g, R)
     gamma = QuotientRing(R.amb, Ideal(R.amb, list(basis)))
     return EndRingPresentation(R, g, gamma, tuple(basis))
 
@@ -142,7 +142,7 @@ class Reduction:
     upstairs: FactorizationD
 
 
-def reduce_full(X: FactorizationD, f, length: int | None = None, deadline=None) -> Reduction:
+def reduce_full(X: FactorizationD, f, length: int | None = None) -> Reduction:
     """Reduce X modulo f, certified by h with eta = h f (f applied
     first, so the algebra product f*h), found by a 1x1 system.
 
@@ -159,7 +159,7 @@ def reduce_full(X: FactorizationD, f, length: int | None = None, deadline=None) 
     system = LinearSystem(backend)
     h = system.unknown(1, 1)
     system.equation([(h, ((f,),), "right")], ((X.ctx.eta,),))
-    grids, cert = system.solve(deadline)
+    grids, cert = system.solve()
     if cert is not None:
         how = ("over the algebra" if isinstance(backend, FDAlgebra)
                else "(membership certificate not found)")
@@ -183,8 +183,8 @@ def reduce_full(X: FactorizationD, f, length: int | None = None, deadline=None) 
     return Reduction(window, downstairs, grids[h][0][0], f, X)
 
 
-def reduce_mod_f(X: FactorizationD, f, length: int | None = None, deadline=None) -> ComplexWindow:
-    return reduce_full(X, f, length, deadline).window
+def reduce_mod_f(X: FactorizationD, f, length: int | None = None) -> ComplexWindow:
+    return reduce_full(X, f, length).window
 
 
 def reduce_morphism(theta: GradedHom, red_src: Reduction, red_tgt: Reduction) -> GradedHom:
@@ -216,7 +216,7 @@ class ExactnessReport:
         return self.ok
 
 
-def window_exact(C: ComplexWindow, deadline=None) -> ExactnessReport:
+def window_exact(C: ComplexWindow) -> ExactnessReport:
     """Kernel equals image at every interior position.
 
     Ring backends: kernels from syzygies, membership by certified
@@ -236,23 +236,23 @@ def window_exact(C: ComplexWindow, deadline=None) -> ExactnessReport:
         if not residual.is_zero:
             return ExactnessReport(False, p, "composition nonzero", witness=residual.rows)
         if isinstance(backend, QuotientRing):
-            ok, witness, cert = _exact_at_ring(incoming, outgoing, backend, deadline)
+            ok, witness, cert = _exact_at_ring(incoming, outgoing, backend)
             if not ok:
                 return ExactnessReport(
                     False, p, "kernel not covered by image", witness=witness, certificate=cert
                 )
         elif isinstance(backend, FDAlgebra):
-            if not _exact_at_algebra(incoming, outgoing, backend, deadline):
+            if not _exact_at_algebra(incoming, outgoing, backend):
                 return ExactnessReport(False, p, "field ranks disagree")
         else:
             raise UnsupportedOperation("unknown backend")
     return ExactnessReport(True)
 
 
-def _exact_at_ring(incoming: MatrixMap, outgoing: MatrixMap, ring: QuotientRing, deadline):
+def _exact_at_ring(incoming: MatrixMap, outgoing: MatrixMap, ring: QuotientRing):
     if outgoing.source.rank == 0:
         return True, None, None
-    kernel = matrix_kernel([list(r) for r in outgoing.rows], ring, deadline=deadline)
+    kernel = matrix_kernel([list(r) for r in outgoing.rows], ring)
     if incoming.source.rank == 0:
         for v in kernel:
             if not all(ring.nf(e).is_zero for e in v):
@@ -260,27 +260,25 @@ def _exact_at_ring(incoming: MatrixMap, outgoing: MatrixMap, ring: QuotientRing,
         return True, None, None
     rows = [list(r) for r in incoming.rows]
     for v in kernel:
-        outcome = solve_linear(rows, list(v), ring, deadline=deadline)
+        outcome = solve_linear(rows, list(v), ring)
         if not isinstance(outcome, LinearSolution):
             return False, v, outcome
     return True, None, None
 
 
-def _field_rank(m: MatrixMap, alg: FDAlgebra, deadline) -> int:
+def _field_rank(m: MatrixMap, alg: FDAlgebra) -> int:
     """Field rank of v -> m(v) on columns v: one equation ``m v = 0``."""
     system = LinearSystem(alg)
     v = system.unknown(m.source.rank, 1)
     system.equation([(v, m.rows, "left")], [[alg.zero()]] * m.target.rank)
     mat, _ = system.algebra_matrix()
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded("field elimination")
     return linalg.rank(mat, alg.field)
 
 
-def _exact_at_algebra(incoming: MatrixMap, outgoing: MatrixMap, alg: FDAlgebra, deadline) -> bool:
+def _exact_at_algebra(incoming: MatrixMap, outgoing: MatrixMap, alg: FDAlgebra) -> bool:
     dim_source = outgoing.source.rank * alg.dim
-    rank_out = _field_rank(outgoing, alg, deadline)
-    return dim_source - rank_out == _field_rank(incoming, alg, deadline)
+    rank_out = _field_rank(outgoing, alg)
+    return dim_source - rank_out == _field_rank(incoming, alg)
 
 
 def dual_window(C: ComplexWindow) -> ComplexWindow:
@@ -326,7 +324,7 @@ class TotalAcyclicityReport:
 
 
 def total_acyclicity_report(
-    X: FactorizationD, f, length: int | None = None, deadline=None
+    X: FactorizationD, f, length: int | None = None
 ) -> TotalAcyclicityReport:
     """Exact and dual-exact after reduction; hypotheses are certified
     first and their failure raises HypothesesUnmet, never a plain False."""
@@ -334,26 +332,24 @@ def total_acyclicity_report(
     if not isinstance(ring, QuotientRing):
         raise UnsupportedOperation("total acyclicity is a commutative-backend notion")
     f = ring.nf(f if isinstance(f, Poly) else ring.parse(f))
-    if f.is_zero or not is_regular(f, ring, deadline=deadline):
+    if f.is_zero or not is_regular(f, ring):
         raise HypothesesUnmet("reduction element is not regular on the backend")
-    red = reduce_full(X, f, length, deadline)
-    primal = window_exact(red.window, deadline)
+    red = reduce_full(X, f, length)
+    primal = window_exact(red.window)
     if not primal.ok:
         return TotalAcyclicityReport(primal, None)
-    dual = window_exact(dual_window(red.window), deadline)
+    dual = window_exact(dual_window(red.window))
     return TotalAcyclicityReport(primal, dual)
 
 
-def is_totally_acyclic(X: FactorizationD, f, length: int | None = None, deadline=None) -> bool:
-    return total_acyclicity_report(X, f, length, deadline).ok
+def is_totally_acyclic(X: FactorizationD, f, length: int | None = None) -> bool:
+    return total_acyclicity_report(X, f, length).ok
 
 
 # -- the dual-quotient identification -------------------------------------
 
 
-def dual_quotient_check(
-    n: int, x: Poly, gamma: QuotientRing, seed: int = 0, deadline: float | None = None
-) -> bool:
+def dual_quotient_check(n: int, x: Poly, gamma: QuotientRing, seed: int = 0) -> bool:
     """Hom(P, G)/Hom(P, G)x matches Hom_{G/(x)}(P/Px, G/(x)) for free P.
 
     Both sides are coordinatized by length-n rows; the comparison map
@@ -368,7 +364,7 @@ def dual_quotient_check(
     from .sampling import random_poly
 
     def poll(what, k, total):
-        if deadline is not None and time.monotonic() > deadline:
+        if expired():
             raise DeadlineExceeded(f"dual quotient check: {what}, {k} of {total} done")
 
     rng = _random.Random(seed)
@@ -393,7 +389,7 @@ def dual_quotient_check(
             return False
         if all(e.is_zero for e in reduce_row(row)):
             for e in row:
-                outcome = solve_linear([(x,)], [e], gamma, deadline=deadline)
+                outcome = solve_linear([(x,)], [e], gamma)
                 if not isinstance(outcome, LinearSolution):
                     return False
     # naturality against a sampled matrix U: P -> P', acting on rows
@@ -439,30 +435,30 @@ class FaithfulVerdict:
         return not self.contradiction
 
 
-def _require_d2_regular(X: FactorizationD, f, deadline):
+def _require_d2_regular(X: FactorizationD, f):
     ring = X.ctx.backend
     if X.d != 2:
         raise HypothesesUnmet("instance checks are stated for d = 2")
     if not isinstance(ring, QuotientRing):
         raise HypothesesUnmet("instance checks need a commutative backend")
     f = ring.nf(f if isinstance(f, Poly) else ring.parse(f))
-    if f.is_zero or not is_regular(f, ring, deadline=deadline):
+    if f.is_zero or not is_regular(f, ring):
         raise HypothesesUnmet("reduction element is not regular on the backend")
     return f
 
 
-def faithful_check(theta: GradedHom, f, deadline=None) -> FaithfulVerdict:
+def faithful_check(theta: GradedHom, f) -> FaithfulVerdict:
     """Reduce, decide periodic null-homotopy downstairs; when null,
     the upstairs witness must exist (the faithfulness direction)."""
     X, U = theta.source, theta.target
-    f = _require_d2_regular(X, f, deadline)
-    red_x = reduce_full(X, f, deadline=deadline)
-    red_u = reduce_full(U, f, deadline=deadline)
+    f = _require_d2_regular(X, f)
+    red_x = reduce_full(X, f)
+    red_u = reduce_full(U, f)
     theta_bar = reduce_morphism(theta, red_x, red_u)
-    down = homotopy_decide(theta_bar, zero_graded(red_x.downstairs, red_u.downstairs), deadline)
+    down = homotopy_decide(theta_bar, zero_graded(red_x.downstairs, red_u.downstairs))
     if isinstance(down, NotHomotopic):
         return FaithfulVerdict(False, None, None, False)
-    up = homotopy_decide(theta, zero_graded(X, U), deadline)
+    up = homotopy_decide(theta, zero_graded(X, U))
     if isinstance(up, NotHomotopic):
         return FaithfulVerdict(True, down, None, True)
     return FaithfulVerdict(True, down, up, False)
@@ -471,11 +467,6 @@ def faithful_check(theta: GradedHom, f, deadline=None) -> FaithfulVerdict:
 @dataclass(frozen=True)
 class NoLift:
     certificate: object
-    hypotheses_certified: bool
-
-    @property
-    def contradiction(self) -> bool:
-        return self.hypotheses_certified
 
 
 @dataclass(frozen=True)
@@ -484,7 +475,7 @@ class Lift:
     downstairs_witness: GradedHom
 
 
-def full_lift(phibar: GradedHom, red_x: Reduction, red_u: Reduction, deadline=None):
+def full_lift(phibar: GradedHom, red_x: Reduction, red_u: Reduction):
     """Find theta: X -> U upstairs with F(theta) homotopic to the given
     periodic chain map between the reductions of X and U modulo one f,
     by one combined membership solve over the ambient ring.
@@ -495,7 +486,7 @@ def full_lift(phibar: GradedHom, red_x: Reduction, red_u: Reduction, deadline=No
     the two homotopy equations modulo (ideal, f).
     """
     X, U = red_x.upstairs, red_u.upstairs
-    f = _require_d2_regular(X, red_x.f, deadline)
+    f = _require_d2_regular(X, red_x.f)
     ring: QuotientRing = X.ctx.backend
     if phibar.source != red_x.downstairs or phibar.target != red_u.downstairs:
         raise ShapeMismatch("chain map must run between the two reductions")
@@ -536,7 +527,7 @@ def full_lift(phibar: GradedHom, red_x: Reduction, red_u: Reduction, deadline=No
         phibar.components[1].rows,
         modulo=(f,),
     )
-    grids, cert = system.solve(deadline)
+    grids, cert = system.solve()
     if cert is None:
         theta = morphism(X, U, [
             MatrixMap.make(X.ctx, X.objects[0], U.objects[0], grids[alpha]),
@@ -560,4 +551,4 @@ def full_lift(phibar: GradedHom, red_x: Reduction, red_u: Reduction, deadline=No
         if not verify_witness(witness, theta_bar, phibar):
             raise AssertionError("lift solver produced an invalid downstairs witness")
         return Lift(theta, witness)
-    return NoLift(cert, hypotheses_certified=True)
+    return NoLift(cert)

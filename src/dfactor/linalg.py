@@ -10,12 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DeadlineExceeded
+from .reuse import expired
+
 
 def rref(mat, field, pivot_limit=None):
     """Row-reduce in place on a copy; returns (rref, pivot_columns).
 
     Pivots are taken among the first ``pivot_limit`` columns (all by
-    default); the columns after them are carried along.
+    default); the columns after them are carried along.  The deadline
+    is polled once per pivot.
     """
     a = [row[:] for row in mat]
     m = len(a)
@@ -26,6 +30,8 @@ def rref(mat, field, pivot_limit=None):
         pivot = next((i for i in range(r, m) if a[i][c] != field.zero), None)
         if pivot is None:
             continue
+        if expired():
+            raise DeadlineExceeded("field elimination")
         a[r], a[pivot] = a[pivot], a[r]
         inv = field.inv(a[r][c])
         a[r] = [field.mul(v, inv) for v in a[r]]

@@ -23,10 +23,7 @@ order of first appearance (:meth:`field_matrix`) and take a kernel
 
 from __future__ import annotations
 
-import time
-
 from . import linalg
-from .errors import DeadlineExceeded
 from .fdalg import FDAlgebra
 from .modgb import LinearSolution, solve_linear
 from .rings import QuotientRing
@@ -170,18 +167,18 @@ class LinearSystem:
 
     # -- solving ----------------------------------------------------------
 
-    def solve(self, deadline: float | None = None):
+    def solve(self):
         """``(grids, None)`` with one grid per unknown block, or
         ``(None, certificate)`` when the system has no solution."""
         if not self.terms:  # no equations: zero solves them
             return self._grids([self.backend.zero()] * self.size), None
         if isinstance(self.backend, QuotientRing):
-            return self._solve_ring(deadline)
+            return self._solve_ring()
         if isinstance(self.backend, FDAlgebra):
-            return self._solve_algebra(deadline)
+            return self._solve_algebra()
         raise TypeError("unsupported backend")
 
-    def _solve_ring(self, deadline):
+    def _solve_ring(self):
         ring: QuotientRing = self.backend
         zero = ring.zero()
         rows = []
@@ -190,15 +187,13 @@ class LinearSystem:
             for k, c, _ in terms:
                 row[k] = c if row[k].is_zero else ring.add(row[k], c)
             rows.append(row)
-        outcome = solve_linear(rows, self.rhs, ring, deadline=deadline, modulo=self.modulo)
+        outcome = solve_linear(rows, self.rhs, ring, modulo=self.modulo)
         if not isinstance(outcome, LinearSolution):
             return None, outcome
         return self._grids(list(outcome.solution)), None
 
-    def _solve_algebra(self, deadline):
+    def _solve_algebra(self):
         mat, rhs = self.algebra_matrix()
-        if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded("field elimination")
         x, cert = linalg.solve(mat, rhs, self.field)
         if cert is not None:
             return None, cert

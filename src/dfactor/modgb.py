@@ -19,7 +19,6 @@ in :func:`membership_lift`, stay over the field.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -29,7 +28,7 @@ from operator import add as _iadd, le as _ile, sub as _isub
 from ._kernel.pure import mon_div, mon_divides, mon_lcm
 from .errors import DeadlineExceeded
 from .fields import ZZ
-from .reuse import reuse
+from .reuse import expired, reuse
 from .rings import Ambient, Poly, QuotientRing, groebner
 
 Vec = tuple  # tuple[Poly, ...]
@@ -234,7 +233,7 @@ def _rescale(d: dict, k, fmul) -> None:
         d[m] = fmul(d[m], k)
 
 
-def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
+def module_groebner(vecs, amb: Ambient):
     """Reduced Gröbner basis of the submodule generated by ``vecs``.
 
     Pairs are installed with the Gebauer–Möller update (Becker &
@@ -292,11 +291,11 @@ def module_groebner(vecs, amb: Ambient, deadline: float | None = None):
     vecs = list(vecs)
     return reuse(
         lambda: ("module_groebner", amb, tuple(tuple(p.terms for p in v) for v in vecs)),
-        lambda: _complete(vecs, amb, deadline),
+        lambda: _complete(vecs, amb),
     )
 
 
-def _complete(vecs, amb: Ambient, deadline):
+def _complete(vecs, amb: Ambient):
     """The completion of :func:`module_groebner`, always run."""
     vecs = [v for v in vecs if not vec_is_zero(v)]
     if amb.field.char:
@@ -347,7 +346,7 @@ def _complete(vecs, amb: Ambient, deadline):
     ring = work.field
     done = 0
     while pairs:
-        if deadline is not None and time.monotonic() > deadline:
+        if expired():
             raise DeadlineExceeded(f"module groebner: {done} pairs done, {len(live)} queued")
         rank, i, j = heappop(pairs)
         lcm = live.pop((i, j), None)
@@ -365,7 +364,7 @@ def _complete(vecs, amb: Ambient, deadline):
             install(len(basis) - 1)
 
     reduced = _reduce_module_basis(
-        [basis[g] for g in active], [leads[g] for g in active], work, deadline, normalize
+        [basis[g] for g in active], [leads[g] for g in active], work, normalize
     )
     if work is amb:
         return reduced
@@ -373,7 +372,7 @@ def _complete(vecs, amb: Ambient, deadline):
     return tuple(_monic_rational(v, amb, zero) for v in reduced)
 
 
-def _reduce_module_basis(basis, leads, amb, deadline, normalize):
+def _reduce_module_basis(basis, leads, amb, normalize):
     """Minimalize and tail-reduce; returns the biggest lead first.
 
     The minimal elements are reduced in ascending order (position
@@ -392,7 +391,7 @@ def _reduce_module_basis(basis, leads, amb, deadline, normalize):
     reduced: list = []
     reduced_leads: list = []
     for k in minimal:
-        if deadline is not None and time.monotonic() > deadline:
+        if expired():
             raise DeadlineExceeded(
                 f"module groebner interreduction: {len(reduced)} of {len(minimal)} elements"
             )
@@ -494,7 +493,7 @@ class NoSolutionCertificate:
         return any(not p.is_zero for p in self.remainder[:m])
 
 
-def membership_lift(gens, target, amb: Ambient, deadline: float | None = None):
+def membership_lift(gens, target, amb: Ambient):
     """Decide target in <gens> inside P^m, with expressing coefficients.
 
     Returns ``(coeffs, None)`` on success with target == sum(coeffs_k *
@@ -508,7 +507,7 @@ def membership_lift(gens, target, amb: Ambient, deadline: float | None = None):
         return None, NoSolutionCertificate(
             gens=(), gb=(), remainder=tuple(target), main_len=m, target=tuple(target)
         )
-    gb = module_groebner(_augment(gens, amb), amb, deadline=deadline)
+    gb = module_groebner(_augment(gens, amb), amb)
     zero = amb.zero()
     target_aug = tuple(target) + tuple(zero for _ in gens)
     rem, _ = vec_divmod(target_aug, list(gb), amb)
@@ -520,7 +519,7 @@ def membership_lift(gens, target, amb: Ambient, deadline: float | None = None):
     )
 
 
-def syzygy_gens(vecs, amb: Ambient, deadline: float | None = None):
+def syzygy_gens(vecs, amb: Ambient):
     """Generators of the syzygy module of ``vecs`` in P^m.
 
     The tag blocks of the Gröbner basis elements whose main block
@@ -530,7 +529,7 @@ def syzygy_gens(vecs, amb: Ambient, deadline: float | None = None):
     if not vecs:
         return ()
     m = len(vecs[0])
-    gb = module_groebner(_augment(vecs, amb), amb, deadline=deadline)
+    gb = module_groebner(_augment(vecs, amb), amb)
     out = []
     for g in gb:
         if all(p.is_zero for p in g[:m]):
@@ -541,7 +540,7 @@ def syzygy_gens(vecs, amb: Ambient, deadline: float | None = None):
 # -- ring-level operations -------------------------------------------
 
 
-def colon_ideal(ideal_gens, g: Poly, ring: QuotientRing, deadline: float | None = None):
+def colon_ideal(ideal_gens, g: Poly, ring: QuotientRing):
     """Generators of (I : g) = {r : r*g in I} inside the quotient ring.
 
     Computed from syzygies of [g, I-gens, defining-ideal gens]: the
@@ -555,14 +554,14 @@ def colon_ideal(ideal_gens, g: Poly, ring: QuotientRing, deadline: float | None 
         raise ValueError("colon by zero")
     lifted = [p for p in list(ideal_gens) + list(ring.ideal.basis) if not p.is_zero]
     vecs = [(g,)] + [(h,) for h in lifted]
-    syz = syzygy_gens(vecs, amb, deadline=deadline)
+    syz = syzygy_gens(vecs, amb)
     firsts = [s[0] for s in syz if not s[0].is_zero]
-    basis = groebner(firsts + lifted, deadline=deadline)
+    basis = groebner(firsts + lifted)
     certs = []
     if lifted:
         gen_vecs = [(h,) for h in lifted]
         for r in basis:
-            coeffs, fail = membership_lift(gen_vecs, (r * g,), amb, deadline=deadline)
+            coeffs, fail = membership_lift(gen_vecs, (r * g,), amb)
             if fail is not None:
                 raise AssertionError("colon generator failed its own membership")
             certs.append(coeffs)
@@ -571,13 +570,13 @@ def colon_ideal(ideal_gens, g: Poly, ring: QuotientRing, deadline: float | None 
     return basis, tuple(certs)
 
 
-def is_regular(f: Poly, ring: QuotientRing, deadline: float | None = None) -> bool:
+def is_regular(f: Poly, ring: QuotientRing) -> bool:
     """True when multiplication by f is injective on the quotient ring,
     i.e. the annihilator colon (0 : f) is zero."""
     f = ring.nf(f)
     if f.is_zero:
         raise ValueError("regularity of 0 is degenerate")
-    basis, _ = colon_ideal([], f, ring, deadline=deadline)
+    basis, _ = colon_ideal([], f, ring)
     return all(ring.nf(b).is_zero for b in basis)
 
 
@@ -613,7 +612,7 @@ class LinearSolution:
     solution: tuple
 
 
-def solve_linear(rows, rhs, ring: QuotientRing, deadline: float | None = None, modulo=None):
+def solve_linear(rows, rhs, ring: QuotientRing, modulo=None):
     """Solve A*s = b over a quotient ring, or certify no solution.
 
     ``rows`` is the matrix as row tuples of ring elements, ``rhs`` the
@@ -629,7 +628,7 @@ def solve_linear(rows, rhs, ring: QuotientRing, deadline: float | None = None, m
         raise ValueError("dimension mismatch between matrix and rhs")
     n = len(rows[0]) if m else 0
     gens = _columns_and_injections(rows, ring, modulo)
-    coeffs, cert = membership_lift(gens, tuple(rhs), ring.amb, deadline=deadline)
+    coeffs, cert = membership_lift(gens, tuple(rhs), ring.amb)
     if cert is not None:
         return cert
     solution = tuple(ring.nf(c) for c in coeffs[:n])
@@ -648,14 +647,14 @@ def solve_linear(rows, rhs, ring: QuotientRing, deadline: float | None = None, m
     return LinearSolution(solution)
 
 
-def matrix_kernel(rows, ring: QuotientRing, deadline: float | None = None):
+def matrix_kernel(rows, ring: QuotientRing):
     """Column vectors generating the kernel of the matrix over the ring.
 
     Syzygies of the columns together with defining-ideal injections;
     the column-coefficient block of each relation is a kernel element.
     """
     n = len(rows[0]) if rows else 0
-    syz = syzygy_gens(_columns_and_injections(rows, ring), ring.amb, deadline=deadline)
+    syz = syzygy_gens(_columns_and_injections(rows, ring), ring.amb)
     out = []
     seen = set()
     for s in syz:

@@ -1,17 +1,20 @@
-"""Work done once per CLI call.
+"""Work done once per CLI call, within one deadline.
 
 ``cli.main`` runs each verb inside :func:`one_call`.  Within it,
-:func:`reuse` keeps what a piece of work returned under a key that
-determines that result, and a repeat of the key returns the kept value
-instead of redoing the work.  The keyed work is: reduced module Gröbner
-bases (unique for a fixed order, so a kept basis is exactly what a
-recomputation would give), ring elements parsed from text, and the
-contexts and factorizations built from JSON subtrees.
+:func:`expired` tells every loop that can run long whether the call's
+deadline has passed, and :func:`reuse` keeps what a piece of work
+returned under a key that determines that result, so a repeat of the
+key returns the kept value instead of redoing the work.  The keyed
+work is: reduced module Gröbner bases (unique for a fixed order, so a
+kept basis is exactly what a recomputation would give), ring elements
+parsed from text, and the contexts and factorizations built from JSON
+subtrees.
 
 Only results are kept, never errors, so a failing input fails with the
 same first error as without the store.  A kept value does no work, so
-it polls no deadline.  Outside :func:`one_call` nothing is kept, and
-the store is dropped however the call ends.
+it polls no deadline.  Outside :func:`one_call` nothing is kept and
+nothing expires, and the store and the deadline are dropped however
+the call ends.
 """
 
 from __future__ import annotations
@@ -19,19 +22,34 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import json
+import time
 
 _STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar("dfactor_store", default=None)
+_DEADLINE: contextvars.ContextVar[float | None] = contextvars.ContextVar(
+    "dfactor_deadline", default=None
+)
 _MISSING = object()
 
 
 @contextlib.contextmanager
-def one_call():
-    """A fresh store for the work of one call, dropped on every exit."""
-    token = _STORE.set({})
+def one_call(deadline: float | None = None):
+    """A fresh store for the work of one call, and its deadline (a
+    ``time.monotonic()`` value, or None for none); both are dropped on
+    every exit."""
+    store = _STORE.set({})
+    limit = _DEADLINE.set(deadline)
     try:
         yield
     finally:
-        _STORE.reset(token)
+        _DEADLINE.reset(limit)
+        _STORE.reset(store)
+
+
+def expired() -> bool:
+    """True when the deadline of the enclosing :func:`one_call` has
+    passed; each poll raises ``DeadlineExceeded`` saying where it was."""
+    deadline = _DEADLINE.get()
+    return deadline is not None and time.monotonic() > deadline
 
 
 def reuse(key, build):

@@ -212,7 +212,7 @@ class Poly:
         return format_poly(self)
 
 
-def groebner(gens, deadline: float | None = None):
+def groebner(gens):
     """Reduced monic Gröbner basis of the ideal generated by ``gens``.
 
     An ideal is a submodule of the rank-1 free module, so this is
@@ -225,16 +225,16 @@ def groebner(gens, deadline: float | None = None):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return ()
-    return tuple(v[0] for v in module_groebner([(g,) for g in gens], gens[0].amb, deadline))
+    return tuple(v[0] for v in module_groebner([(g,) for g in gens], gens[0].amb))
 
 
 class Ideal:
     """Ideal with its reduced Gröbner basis, computed eagerly."""
 
-    def __init__(self, amb: Ambient, gens, deadline: float | None = None):
+    def __init__(self, amb: Ambient, gens):
         self.amb = amb
         self.gens = tuple(g for g in gens if not g.is_zero)
-        self.basis = groebner(self.gens, deadline=deadline)
+        self.basis = groebner(self.gens)
 
     def __eq__(self, other):
         return isinstance(other, Ideal) and other.amb is self.amb and other.basis == self.basis
@@ -257,8 +257,6 @@ class QuotientRing:
     polynomials in normal form, and the ``add``/``sub``/``mul``/…
     methods below keep them that way.
     """
-
-    is_commutative = True
 
     def __init__(self, amb: Ambient, ideal: Ideal | None = None):
         self.amb = amb

@@ -195,17 +195,6 @@ class GradedSpace:
         return self._cycles
 
 
-def graded_space(X, Y, degree, cap=None) -> GradedSpace:
-    return GradedSpace(X, Y, degree, cap)
-
-
-def _cap_for(X, cap):
-    backend = X.ctx.backend
-    if isinstance(backend, FDAlgebra):
-        return None
-    return None if backend.standard_monomials() is not None else cap
-
-
 def _random_combination(rng: random.Random, space: GradedSpace, basis) -> GradedHom:
     """Sum of the basis elements, each scaled by a random field element."""
     out = zero_graded(space.X, space.Y, space.degree)
@@ -227,14 +216,14 @@ def _scale_map(m: MatrixMap, c):
 
 def random_morphism(rng: random.Random, X, Y, cap=2) -> GradedHom:
     """Random element of the (degree-capped) morphism space; verified."""
-    space = graded_space(X, Y, 0, _cap_for(X, cap))
+    space = GradedSpace(X, Y, 0, cap)
     phi = _random_combination(rng, space, space.cycle_basis())
     return morphism(X, Y, phi.components)
 
 
 def random_graded(rng: random.Random, X, Y, degree, cap=2) -> GradedHom:
     """Random dg-valid element of the given degree."""
-    space = graded_space(X, Y, degree, _cap_for(X, cap))
+    space = GradedSpace(X, Y, degree, cap)
     return _random_combination(rng, space, space.valid_basis())
 
 

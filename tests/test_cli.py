@@ -1,6 +1,7 @@
 """CLI: verbs, exit codes, certificates, determinism."""
 
 import argparse
+import ast
 import json
 import subprocess
 import sys
@@ -639,13 +640,45 @@ def test_deadline_bounds_the_algebra_reduction(tmp_path, capsys):
 
 
 def test_deadline_bounds_the_axiom_suite(capsys):
-    # the quantum context never reaches a solver poll: the trial loop polls
+    # the quantum context reaches one field elimination, about 2 ms into
+    # parsing; the 300 trials take about 2 s and only the trial loop polls
     ctx = FIXTURES / "quantum_context.json"
-    args = ["axioms", "--ctx", ctx, "--trials", "300", "--seed", "1", "--deadline", "0.01"]
+    args = ["axioms", "--ctx", ctx, "--trials", "300", "--seed", "1", "--deadline", "0.2"]
     code, rep = run_cli(args, capsys)
     assert code == 1
     assert rep["kind"] == "DeadlineExceeded"
     assert rep["error"].startswith("axioms: ") and rep["error"].endswith(" of 300 trials")
+
+
+def test_deadline_bounds_ring_parsing(tmp_path, capsys):
+    # the defining ideal (x*z, y*z) queues one pair when the ring is parsed
+    ring = json.loads((FIXTURES / "ring_f7xyz_mod_xz_yz.json").read_text())
+    path = tmp_path / "xy.json"
+    path.write_text(json.dumps({
+        "context": {"ring": ring, "twist": "identity", "eta": "x*y"},
+        "d": 2, "ranks": [1, 1], "maps": [[["x"]], [["y"]]],
+    }))
+    code, rep = run_cli(["verify", path], capsys)
+    assert code == 0 and rep["verdict"] == "verified"
+    code, rep = run_cli(["verify", path, "--deadline", "1e-9"], capsys)
+    assert code == 1 and rep["kind"] == "DeadlineExceeded"
+    assert rep["error"] == "module groebner: 0 pairs done, 1 queued"
+
+
+def test_no_callable_takes_a_deadline():
+    """Only ``reuse.one_call`` takes a deadline, and only ``cli`` opens
+    one, so no caller can forget to pass the deadline on."""
+    takers, openers = [], []
+    for path in sorted((FIXTURES.parent / "src" / "dfactor").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if "deadline" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                    takers.append(getattr(node, "name", "lambda"))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "one_call":
+                openers.append(path.name)
+    assert takers == ["one_call"]
+    assert openers == ["cli.py"]
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])

@@ -27,6 +27,7 @@ from dfactor.modgb import (
     vec_divmod,
     vec_lead,
 )
+from dfactor.reuse import one_call
 from dfactor.rings import GREVLEX, LEX, Ambient, Ideal, Poly, QuotientRing
 from tests.oracles import all_pairs_module_groebner, merge_vec_divmod
 
@@ -146,8 +147,8 @@ def test_solve_linear_rejects_a_wrong_solution(amb, R, monkeypatch, wrong):
     real = modgb.membership_lift
     k, value = wrong
 
-    def lift(gens, target, amb, deadline=None):
-        coeffs, cert = real(gens, target, amb, deadline)
+    def lift(gens, target, amb):
+        coeffs, cert = real(gens, target, amb)
         return coeffs[:k] + (amb.poly(value),) + coeffs[k + 1:], cert
 
     monkeypatch.setattr(modgb, "membership_lift", lift)
@@ -211,9 +212,13 @@ def test_module_interreduction_polls_the_deadline(amb):
     # distinct lead positions queue no pairs: only interreduction can poll
     x, y = amb.poly("x"), amb.poly("y")
     vecs = [(x, y), (amb.zero(), y)]
-    assert len(module_groebner(vecs, amb, deadline=time.monotonic() + 60)) == 2
-    with pytest.raises(DeadlineExceeded, match=r"^module groebner interreduction: 0 of 2 elements$"):
-        module_groebner(vecs, amb, deadline=time.monotonic() - 1)
+    with one_call(deadline=time.monotonic() + 60):
+        assert len(module_groebner(vecs, amb)) == 2
+    with one_call(deadline=time.monotonic() - 1):
+        with pytest.raises(
+            DeadlineExceeded, match=r"^module groebner interreduction: 0 of 2 elements$"
+        ):
+            module_groebner(vecs, amb)
 
 
 def test_module_pair_loop_reports_progress_at_the_deadline(amb):
@@ -221,8 +226,9 @@ def test_module_pair_loop_reports_progress_at_the_deadline(amb):
     # chain criterion drops (0, 2), whose lcm x*y equals that of (1, 2)
     x, y = amb.poly("x"), amb.poly("y")
     vecs = [(x, y), (y, x), (amb.poly("x*y"), amb.one())]
-    with pytest.raises(DeadlineExceeded, match=r"^module groebner: 0 pairs done, 2 queued$"):
-        module_groebner(vecs, amb, deadline=time.monotonic() - 1)
+    with one_call(deadline=time.monotonic() - 1):
+        with pytest.raises(DeadlineExceeded, match=r"^module groebner: 0 pairs done, 2 queued$"):
+            module_groebner(vecs, amb)
 
 
 # -- heap division of vectors against the merge reducer -----------------------
@@ -381,7 +387,7 @@ def test_module_groebner_matches_all_pairs_oracle(field, order, monkeypatch):
 
         got = outputs()
         with monkeypatch.context() as m:
-            m.setattr(modgb, "module_groebner", lambda vecs, amb, deadline=None: (
+            m.setattr(modgb, "module_groebner", lambda vecs, amb: (
                 all_pairs_module_groebner(vecs, amb)
             ))
             want = outputs()

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dfactor import linalg
 from dfactor.context import Context, FreeObj, MatrixMap
 from dfactor.dg import GradedHom, graded_hom, zero_graded
 from dfactor.factorization import (
@@ -30,6 +31,7 @@ from dfactor.fields import GF
 from dfactor.errors import DeadlineExceeded
 from dfactor.functors import Lift, full_lift, reduce_full, reduce_morphism, window_exact
 from dfactor.linalg import FredholmCertificate
+from dfactor.reuse import one_call
 from dfactor.rings import Ambient, groebner
 from dfactor.sampling import random_homotopy_pair, random_morphism
 from tests.test_factorization import ctx_with, mk_fact
@@ -107,9 +109,19 @@ def test_algebra_window_exactness_polls_the_deadline():
     ctx = _quantum_ctx()
     window = reduce_full(trivial_factorization(ctx, 2), ctx.eta).window
     assert window.nilpotency == 2
-    assert window_exact(window, deadline=time.monotonic() + 60).ok == window_exact(window).ok
-    with pytest.raises(DeadlineExceeded, match="field elimination"):
-        window_exact(window, deadline=time.monotonic() - 1)
+    with one_call(deadline=time.monotonic() + 60):
+        inside = window_exact(window)
+    assert inside == window_exact(window)
+    with one_call(deadline=time.monotonic() - 1):
+        with pytest.raises(DeadlineExceeded, match="field elimination"):
+            window_exact(window)
+
+
+def test_field_elimination_polls_the_deadline():
+    with one_call(deadline=time.monotonic() - 1):
+        with pytest.raises(DeadlineExceeded, match="^field elimination$"):
+            linalg.rank([[1, 2], [3, 4]], GF(7))
+    assert linalg.rank([[1, 2], [3, 4]], GF(7)) == 2
 
 
 def test_groebner_spolys_and_generators_reduce_to_zero():

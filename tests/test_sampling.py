@@ -12,7 +12,7 @@ from dfactor import linalg, sampling
 from dfactor.context import Context, FreeObj, MatrixMap, compose, eta_map
 from dfactor.factorization import make_factorization
 from dfactor.schemas import backend_from_json, context_from_json
-from dfactor.sampling import GradedSpace, _cap_for, make_pool, random_element, random_morphism
+from dfactor.sampling import GradedSpace, make_pool, random_element, random_morphism
 from tests.oracles import dense_defect_rows, naive_compose
 from tests.test_factorization import ctx_with, mk_fact
 
@@ -77,7 +77,7 @@ def test_constraint_matrix_matches_dense_evaluation(name, d):
         X = pool.random_factorization(rng, steps=2)
         Y = pool.random_factorization(rng, steps=1)
         for degree in range(-2, 3):
-            space = GradedSpace(X, Y, degree, _cap_for(X, 2))
+            space = GradedSpace(X, Y, degree, 2)
             if not space.layout:
                 continue
             for dg in (True, False) if degree == 0 else (True,):
