@@ -32,10 +32,9 @@ _MISSING = object()
 
 
 @contextlib.contextmanager
-def one_call(deadline: float | None = None):
+def one_call(deadline: float):
     """A fresh store for the work of one call, and its deadline (a
-    ``time.monotonic()`` value, or None for none); both are dropped on
-    every exit."""
+    ``time.monotonic()`` value); both are dropped on every exit."""
     store = _STORE.set({})
     limit = _DEADLINE.set(deadline)
     try:

@@ -13,10 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dfactor import modgb
+from dfactor.axioms import run_axiom_suite
 from dfactor.cli import build_parser, main
 from dfactor.context import FreeObj
 from dfactor.fields import GF
+from dfactor.reuse import expired, one_call
 from dfactor.rings import Ambient, groebner
+from dfactor.schemas import context_from_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -650,6 +653,33 @@ def test_deadline_bounds_the_axiom_suite(capsys):
     assert rep["error"].startswith("axioms: ") and rep["error"].endswith(" of 300 trials")
 
 
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("name", ["ctx_f7xy_xy.json", "quantum_context.json"])
+def test_no_poll_is_reached_inside_an_axiom_check(name, d, monkeypatch):
+    # an expiry inside a check would be caught as a failed check (exit 2)
+    # instead of raised as an error (exit 1)
+    polls = []
+
+    def spy():
+        frame = sys._getframe(1)
+        while frame is not None and not (
+            frame.f_code.co_name == "check" and frame.f_code.co_filename.endswith("axioms.py")
+        ):
+            frame = frame.f_back
+        polls.append(frame is None)
+        return False
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("dfactor") and getattr(module, "expired", None) is expired:
+            monkeypatch.setattr(module, "expired", spy)
+    ctx = context_from_json(json.loads((FIXTURES / name).read_text()))
+    with one_call(deadline=time.monotonic() + 60):
+        passed, _ = run_axiom_suite(ctx, d, seed=1, trials=10)
+    assert passed
+    assert len(polls) > 10  # more than the trial loop's own polls
+    assert all(polls)
+
+
 def test_deadline_bounds_ring_parsing(tmp_path, capsys):
     # the defining ideal (x*z, y*z) queues one pair when the ring is parsed
     ring = json.loads((FIXTURES / "ring_f7xyz_mod_xz_yz.json").read_text())
@@ -675,7 +705,10 @@ def test_no_callable_takes_a_deadline():
                 args = node.args
                 if "deadline" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
                     takers.append(getattr(node, "name", "lambda"))
-            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "one_call":
+            elif isinstance(node, ast.Call) and "one_call" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
                 openers.append(path.name)
     assert takers == ["one_call"]
     assert openers == ["cli.py"]
