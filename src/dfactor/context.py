@@ -268,9 +268,9 @@ def eta_map(obj: FreeObj, ctx: Context) -> MatrixMap:
     return MatrixMap.make(ctx, obj, obj.twist(), rows)
 
 
-def naturality_check(f: MatrixMap, ctx: Context | None = None) -> bool:
+def naturality_check(f: MatrixMap) -> bool:
     """eta after f equals the twisted f after eta."""
-    ctx = ctx if ctx is not None else f.ctx
+    ctx = f.ctx
     lhs = compose(eta_map(f.target, ctx), f)
     rhs = compose(f.twisted(1), eta_map(f.source, ctx))
     return lhs == rhs

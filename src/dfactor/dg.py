@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .context import MatrixMap, compose
-from .errors import ShapeMismatch, UnsupportedOperation
-from .fdalg import FDAlgebra
-from .rings import QuotientRing
+from .errors import ShapeMismatch
 
 if TYPE_CHECKING:
     from .factorization import FactorizationD
@@ -139,27 +137,18 @@ def h0_dimension(X: FactorizationD, Y: FactorizationD) -> int:
     """dim over the field of degree-0 cohomology: morphisms modulo
     boundaries of valid degree -1 elements.
 
-    Requires a backend of finite field dimension (an FD algebra, or a
-    quotient ring with finitely many standard monomials); otherwise
-    UNSUPPORTED.
+    Requires a backend of finite field dimension: a quotient ring with
+    infinitely many standard monomials is UNSUPPORTED.
     """
-    backend = X.ctx.backend
-    if isinstance(backend, QuotientRing):
-        if backend.standard_monomials() is None:
-            raise UnsupportedOperation(
-                "H^0 needs a quotient ring of finite field dimension"
-            )
-    elif not isinstance(backend, FDAlgebra):
-        raise UnsupportedOperation("H^0 needs a finite-dimensional backend")
-
     from . import linalg, sampling
 
     space0 = sampling.GradedSpace(X, Y, 0)
     z0 = space0.cycle_basis()
     if not z0:
         return 0
-    vminus1 = sampling.GradedSpace(X, Y, -1).valid_basis()
+    space1 = sampling.GradedSpace(X, Y, -1)
+    vminus1 = space1.valid_basis()
     if not vminus1:
         return len(z0)
-    boundary_rows = [space0.encode(dg_differential(t)) for t in vminus1]
-    return len(z0) - linalg.rank(boundary_rows, backend.field)
+    boundary_rows = [space0.encode(dg_differential(space1.decode(v))) for v in vminus1]
+    return len(z0) - linalg.rank(boundary_rows, X.ctx.backend.field)

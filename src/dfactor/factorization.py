@@ -29,6 +29,7 @@ from .dg import GradedHom, _wrap, compose_graded, dg_differential, graded_hom
 from .errors import CompositionMismatch, ShapeMismatch
 from .linalg import FredholmCertificate
 from .linsys import LinearSystem
+from .reuse import reuse
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,12 @@ class MorphismCheck:
 
 
 def is_morphism(phi: GradedHom) -> MorphismCheck:
-    """All d squares commute; reports the first failure."""
+    """All d squares commute; reports the first failure.  Within one
+    call each morphism is checked once (see :mod:`dfactor.reuse`)."""
+    return reuse(lambda: ("is_morphism", phi), lambda: _check_squares(phi))
+
+
+def _check_squares(phi: GradedHom) -> MorphismCheck:
     X, Y = phi.source, phi.target
     for i in range(1, X.d + 1):
         lhs = compose(Y.map_at(i), phi.comp_at(i))
@@ -350,7 +356,7 @@ def standard_triangle(phi: GradedHom) -> Triangle:
         x=phi.source,
         y=phi.target,
         z=c.cone,
-        sx=suspend(phi.source),
+        sx=c.project.target,
         u=phi,
         v=c.include,
         w=c.project,

@@ -119,15 +119,12 @@ def window_from_factorization(X: FactorizationD, lo: int, hi: int, nilpotency):
     ).validate()
 
 
-def to_sequence(X: FactorizationD, length: int | None = None) -> ComplexWindow:
-    """The sequence functor: unroll, matrices unchanged, no nilpotency."""
+def to_sequence(X: FactorizationD) -> ComplexWindow:
+    """The sequence functor: unroll 4d positions, matrices unchanged, no
+    nilpotency."""
     if not isinstance(X.ctx.backend, QuotientRing):
         raise UnsupportedOperation("sequence unrolling expects a commutative backend")
-    length = length if length is not None else 4 * X.d
-    if length < 2 * X.d:
-        raise ValueError(f"window length {length} is below 2*d")
-    half = length // 2
-    return window_from_factorization(X, -half, length - half, None)
+    return window_from_factorization(X, -2 * X.d, 2 * X.d, None)
 
 
 @dataclass(frozen=True)
@@ -183,8 +180,8 @@ def reduce_full(X: FactorizationD, f, length: int | None = None) -> Reduction:
     return Reduction(window, downstairs, grids[h][0][0], f, X)
 
 
-def reduce_mod_f(X: FactorizationD, f, length: int | None = None) -> ComplexWindow:
-    return reduce_full(X, f, length).window
+def reduce_mod_f(X: FactorizationD, f) -> ComplexWindow:
+    return reduce_full(X, f).window
 
 
 def reduce_morphism(theta: GradedHom, red_src: Reduction, red_tgt: Reduction) -> GradedHom:
@@ -219,6 +216,10 @@ class ExactnessReport:
 def window_exact(C: ComplexWindow) -> ExactnessReport:
     """Kernel equals image at every interior position.
 
+    A window repeats its maps, twisted, every ``period`` positions
+    (:meth:`ComplexWindow.validate`), and twists leave entries alone, so
+    only the first ``period`` interior positions are checked: the
+    verdict, witness and certificate at p + period are those at p.
     Ring backends: kernels from syzygies, membership by certified
     linear solving.  Algebra backends: exact field linear algebra.
     Only ordinary complexes (nilpotency 2) have an exactness notion
@@ -229,7 +230,7 @@ def window_exact(C: ComplexWindow) -> ExactnessReport:
     if C.nilpotency != 2:
         raise HypothesesUnmet("exactness is defined for nilpotency-2 windows only")
     backend = C.backend
-    for p in range(C.lo + 1, C.hi):
+    for p in range(C.lo + 1, min(C.hi, C.lo + 1 + C.period)):
         incoming = C.map_at(p - 1)
         outgoing = C.map_at(p)
         residual = compose(outgoing, incoming)
@@ -353,11 +354,11 @@ def dual_quotient_check(n: int, x: Poly, gamma: QuotientRing, seed: int = 0) -> 
     """Hom(P, G)/Hom(P, G)x matches Hom_{G/(x)}(P/Px, G/(x)) for free P.
 
     Both sides are coordinatized by length-n rows; the comparison map
-    is entrywise reduction.  Checks: canonical bases correspond,
-    well-definedness (x-multiples die), injectivity on representatives
-    (a row reducing to zero lies in the x-multiples, certified by
-    membership), and naturality against a sampled map.  The checks take
-    O(n^2) ring operations; the deadline is polled every O(n) of them.
+    is entrywise reduction.  Checks: well-definedness (x-multiples
+    die), injectivity on representatives (a row reducing to zero lies
+    in the x-multiples, certified by membership), and naturality
+    against a sampled map.  The checks take O(n^2) ring operations; the
+    deadline is polled every O(n) of them.
     """
     import random as _random
 
@@ -374,12 +375,6 @@ def dual_quotient_check(n: int, x: Poly, gamma: QuotientRing, seed: int = 0) -> 
     def reduce_row(row):
         return tuple(gbar.nf(e) for e in row)
 
-    # canonical bases correspond and the round trip is the identity
-    for i in range(n):
-        poll("canonical basis", i, n)
-        e_i = tuple(gamma.one() if j == i else gamma.zero() for j in range(n))
-        if reduce_row(e_i) != tuple(gbar.nf(e) for e in e_i):
-            return False
     for k in range(5):
         poll("well-definedness", k, 5)
         row = tuple(random_poly(rng, gamma) for _ in range(n))

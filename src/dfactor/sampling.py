@@ -12,27 +12,30 @@ the backend is finite dimensional, a degree-truncated slice otherwise),
 one unknown per (component, row, column, basis element), and the kernel
 of the resulting field matrix is the space.
 
-Every element here is a :class:`dg.GradedHom`: morphisms are the
-degree-0 cycles, homotopy witnesses degree -1 elements.  Sampling a
-random element means drawing a random combination of the kernel basis,
-so samples are valid by construction and re-checked by the callers'
-verifiers.  Spaces are not cached across calls, so
-sampling keeps no factorization alive.
+A space hands out its basis as the kernel's coordinate vectors, in
+``layout`` order.  Sampling draws one random field combination of them
+and decodes it once into a :class:`dg.GradedHom` (morphisms are the
+degree-0 cycles, homotopy witnesses degree -1 elements), so samples
+are valid by construction and re-checked by the callers' verifiers.
+Spaces are not cached across calls, so sampling keeps no factorization
+alive.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .context import Context, MatrixMap, compose
-from .dg import GradedHom, dg_differential, zero_graded
+from .dg import GradedHom, dg_differential
 from .errors import UnsupportedOperation
 from .factorization import (
     FactorizationD,
     cone,
     direct_sum,
     identity_morphism,
+    is_morphism,
     make_factorization,
     morphism,
     scalar_morphism,
@@ -43,6 +46,9 @@ from .factorization import (
 from .fdalg import FDAlgebra
 from .linsys import LinearSystem
 from .rings import QuotientRing
+
+
+CAP = 2  # total degree of the ring slice that samples are drawn from
 
 
 # -- random backend elements -------------------------------------------
@@ -68,7 +74,7 @@ def random_element(rng: random.Random, backend, max_degree=2, max_terms=3):
         return random_poly(rng, backend, max_degree, max_terms)
     span = backend.field.char or 11
     return tuple(
-        backend.field.from_fraction(__import__("fractions").Fraction(rng.randrange(span)))
+        backend.field.from_fraction(Fraction(rng.randrange(span)))
         for _ in range(backend.dim)
     )
 
@@ -113,10 +119,11 @@ class GradedSpace:
     """The degree-n hom space between two factorizations, coordinatized.
 
     ``valid_basis`` solves the double-square constraints,
-    ``cycle_basis`` (degree 0) the single squares.  Both return actual
-    graded elements; ``encode`` expresses any well-shaped element in
-    the same coordinates, so images of the differential can be ranked
-    against cycles.
+    ``cycle_basis`` (degree 0) the single squares.  Both return
+    coordinate vectors in ``layout`` order; ``decode`` turns one into
+    its graded element, and ``encode`` expresses any well-shaped
+    element in the same coordinates, so images of the differential can
+    be ranked against cycles.
     """
 
     def __init__(self, X: FactorizationD, Y: FactorizationD, degree: int, cap: int | None = None):
@@ -182,56 +189,47 @@ class GradedSpace:
 
     def valid_basis(self):
         if self._valid is None:
-            kernel = self.system(dg=True).field_kernel(self.base_elems)
-            self._valid = [self.decode(v) for v in kernel]
+            self._valid = self.system(dg=True).field_kernel(self.base_elems)
         return self._valid
 
     def cycle_basis(self):
         if self.degree != 0:
             raise ValueError("cycles are a degree-0 notion here")
         if self._cycles is None:
-            kernel = self.system(dg=False).field_kernel(self.base_elems)
-            self._cycles = [self.decode(v) for v in kernel]
+            self._cycles = self.system(dg=False).field_kernel(self.base_elems)
         return self._cycles
 
-
-def _random_combination(rng: random.Random, space: GradedSpace, basis) -> GradedHom:
-    """Sum of the basis elements, each scaled by a random field element."""
-    out = zero_graded(space.X, space.Y, space.degree)
-    span = space.field.char or 7
-    for elem in basis:
-        c = rng.randrange(span)
-        if c:
-            out = out + GradedHom(
-                space.X, space.Y, space.degree, tuple(_scale_map(m, c) for m in elem.components)
-            )
-    return out
-
-
-def _scale_map(m: MatrixMap, c):
-    backend = m.ctx.backend
-    rows = [[backend.scale(e, c) for e in row] for row in m.rows]
-    return MatrixMap.make(m.ctx, m.source, m.target, rows)
+    def random_combination(self, rng: random.Random, basis) -> GradedHom:
+        """The element whose coordinates are the sum of the ``basis``
+        vectors, each scaled by a random field element."""
+        field = self.field
+        add, mul, zero = field.add, field.mul, field.zero
+        out = [zero] * len(self.layout)
+        for vec in basis:
+            c = rng.randrange(field.char or 7)
+            if c:
+                out = [a if x == zero else add(a, mul(c, x)) for a, x in zip(out, vec)]
+        return self.decode(out)
 
 
-def random_morphism(rng: random.Random, X, Y, cap=2) -> GradedHom:
+def random_morphism(rng: random.Random, X, Y) -> GradedHom:
     """Random element of the (degree-capped) morphism space; verified."""
-    space = GradedSpace(X, Y, 0, cap)
-    phi = _random_combination(rng, space, space.cycle_basis())
+    space = GradedSpace(X, Y, 0, CAP)
+    phi = space.random_combination(rng, space.cycle_basis())
     return morphism(X, Y, phi.components)
 
 
-def random_graded(rng: random.Random, X, Y, degree, cap=2) -> GradedHom:
+def random_graded(rng: random.Random, X, Y, degree) -> GradedHom:
     """Random dg-valid element of the given degree."""
-    space = GradedSpace(X, Y, degree, cap)
-    return _random_combination(rng, space, space.valid_basis())
+    space = GradedSpace(X, Y, degree, CAP)
+    return space.random_combination(rng, space.valid_basis())
 
 
-def random_homotopy_pair(rng: random.Random, phi: GradedHom, cap=2):
+def random_homotopy_pair(rng: random.Random, phi: GradedHom):
     """(phi, phi + d(t), -t) for a random valid degree -1 element t: a
     homotopic pair and its witness, since the convention reads
     phi - phi2 = d(witness)."""
-    t = random_graded(rng, phi.source, phi.target, -1, cap)
+    t = random_graded(rng, phi.source, phi.target, -1)
     return phi, phi + dg_differential(t), -t
 
 
@@ -266,8 +264,6 @@ class FixturePool:
             elif op == "cone_scalar" and 2 * X.total_rank <= self.max_rank:
                 elem = random_element(rng, self.ctx.backend, max_degree=1, max_terms=1)
                 phi = scalar_morphism(X, elem)
-                from .factorization import is_morphism
-
                 if is_morphism(phi).ok:
                     X = cone(phi).cone
         return X

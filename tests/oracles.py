@@ -136,6 +136,28 @@ def dense_defect_rows(space, dg: bool):
     return mat
 
 
+def sample_by_decoded_basis(rng, space, basis):
+    """A random combination of a hom space's basis, by the reference
+    definition: decode every kernel vector into a graded element, scale
+    its entries by a random field element (one ``rng.randrange`` per
+    vector, in order) and add the results as graded elements."""
+    from dfactor.context import MatrixMap
+    from dfactor.dg import GradedHom, zero_graded
+
+    scale = space.backend.scale
+    out = zero_graded(space.X, space.Y, space.degree)
+    for vec in basis:
+        c = rng.randrange(space.field.char or 7)
+        if c:
+            comps = tuple(
+                MatrixMap.make(m.ctx, m.source, m.target,
+                               [[scale(e, c) for e in row] for row in m.rows])
+                for m in space.decode(vec).components
+            )
+            out = out + GradedHom(space.X, space.Y, space.degree, comps)
+    return out
+
+
 def naive_compose(g, f):
     """g after f by the textbook triple loop: sum_j f[j][k] * g[i][j]."""
     b = f.ctx.backend

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from dfactor import functors, modgb, schemas
+from dfactor import factorization, functors, modgb, schemas
 from dfactor.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -90,6 +90,11 @@ def test_golden_cases_cover_both_verdicts():
         ("exact_pos", modgb, "_reduce_module_basis", 3),
         ("homotopic_f7_pos", schemas, "make_factorization", 1),
         ("lift_ring", functors, "window_from_factorization", 2),
+        ("checktac_pos", functors, "_exact_at_ring", 4),
+        ("exact_pos", functors, "_exact_at_ring", 2),
+        ("cone", factorization, "_check_squares", 3),
+        ("triangle", factorization, "_check_squares", 3),
+        ("lift_ring", factorization, "_check_squares", 3),
     ],
 )
 def test_work_done_once_per_call_pinned(name, module, function, count, tmp_path, monkeypatch):
@@ -98,13 +103,21 @@ def test_work_done_once_per_call_pinned(name, module, function, count, tmp_path,
     A module Gröbner completion ends in one ``_reduce_module_basis``;
     ``schemas.make_factorization`` builds and verifies one input
     factorization; each ``functors.reduce_full``, wherever it is bound,
-    unrolls one window.  Recomputing every repeat, the calls took 31
-    completions (``checktac_pos``: the image module once per kernel
-    vector, every period of the window again, and the colon ideal once
-    per basis element), 7 (``exact_pos``), 4 builds
+    unrolls one window; ``functors._exact_at_ring`` decides exactness at
+    one position of a window over a ring; ``factorization._check_squares``
+    checks the squares of one morphism.  Recomputing every repeat, the
+    calls took 31 completions (``checktac_pos``: the image module once
+    per kernel vector, every period of the window again, and the colon
+    ideal once per basis element), 7 (``exact_pos``), 4 builds
     (``homotopic_f7_pos``: source and target of both morphisms, one
     JSON) and 4 reductions (``lift_ring``: source and target in the CLI
-    and again in ``full_lift``).  The report does not change.
+    and again in ``full_lift``).  Checking every interior position, not
+    one period of them, took 14 (``checktac_pos``: primal and dual
+    windows) and 3 (``exact_pos``) exactness problems.  The input
+    morphism is checked once: ``cone`` and ``triangle`` then check the
+    inclusion and projection, ``lift_ring`` the lift and its reduction;
+    checking the input again in ``cone`` and ``full_lift`` took 4.  The
+    report does not change.
     """
     calls = [0]
     work = getattr(module, function)

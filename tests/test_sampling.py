@@ -11,9 +11,17 @@ import pytest
 from dfactor import linalg, sampling
 from dfactor.context import Context, FreeObj, MatrixMap, compose, eta_map
 from dfactor.factorization import make_factorization
+from dfactor.fields import QQ
+from dfactor.rings import QuotientRing
 from dfactor.schemas import backend_from_json, context_from_json
-from dfactor.sampling import GradedSpace, make_pool, random_element, random_morphism
-from tests.oracles import dense_defect_rows, naive_compose
+from dfactor.sampling import (
+    GradedSpace,
+    make_pool,
+    random_element,
+    random_graded,
+    random_morphism,
+)
+from tests.oracles import dense_defect_rows, naive_compose, sample_by_decoded_basis
 from tests.test_factorization import ctx_with, mk_fact
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -53,6 +61,11 @@ def _polynomial(eta):
     return lambda: (ctx_with(eta), lambda d: [])
 
 
+def _rational():
+    ring = QuotientRing.make(QQ(), ("x", "y"))
+    return Context(ring, eta=ring.parse("x*y")), lambda d: []
+
+
 CONTEXTS = {
     "f7xy_xy": _polynomial("x*y"),
     "f7xy_sos": _polynomial("x^2 + y^2"),
@@ -84,10 +97,43 @@ def test_constraint_matrix_matches_dense_evaluation(name, d):
                 lowered = space.system(dg).field_matrix(space.base_elems)
                 assert lowered == dense_defect_rows(space, dg)
                 checked += 1
-            assert repr(space.valid_basis()) == repr(_reference_basis(space, True))
+            valid = [space.decode(v) for v in space.valid_basis()]
+            assert repr(valid) == repr(_reference_basis(space, True))
             if degree == 0:
-                assert repr(space.cycle_basis()) == repr(_reference_basis(space, False))
+                cycles = [space.decode(v) for v in space.cycle_basis()]
+                assert repr(cycles) == repr(_reference_basis(space, False))
     assert checked >= 10
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("name", sorted(CONTEXTS) + ["q_xy"])
+def test_samples_match_the_decoded_basis_oracle(name, d):
+    # one combination of the kernel vectors, decoded once, is the sum of
+    # the decoded vectors scaled one by one, drawn with the same calls
+    ctx, seeds = (_rational if name == "q_xy" else CONTEXTS[name])()
+    pool = make_pool(ctx, d, seeds(d), max_rank=4)
+    rng = random.Random(77 + d)
+    nonzero = 0
+    for _ in range(3):
+        X = pool.random_factorization(rng, steps=2)
+        Y = pool.random_factorization(rng, steps=1)
+        for degree in range(-2, 3):
+            ref_rng = random.Random()
+            ref_rng.setstate(rng.getstate())
+            got = random_graded(rng, X, Y, degree)
+            space = GradedSpace(X, Y, degree, sampling.CAP)
+            want = sample_by_decoded_basis(ref_rng, space, space.valid_basis())
+            assert got == want and repr(got) == repr(want)
+            assert rng.getstate() == ref_rng.getstate()
+            nonzero += not got.is_zero
+        ref_rng.setstate(rng.getstate())
+        phi = random_morphism(rng, X, Y)
+        space = GradedSpace(X, Y, 0, sampling.CAP)
+        want = sample_by_decoded_basis(ref_rng, space, space.cycle_basis())
+        assert phi == want and repr(phi) == repr(want)
+        assert rng.getstate() == ref_rng.getstate()
+        nonzero += not phi.is_zero
+    assert nonzero >= 15
 
 
 @pytest.mark.parametrize(
