@@ -254,7 +254,7 @@ def _verb_exact(args, report):
 def _verb_checktac(args, report):
     X = schemas.factorization_from_json(_load(args, args.input))
     f = _parse_scalar(X.ctx.backend, args.f)
-    outcome = total_acyclicity_report(X, f, length=args.window)
+    outcome = total_acyclicity_report(X, f)
     if outcome.ok:
         report["verdict"] = "totally_acyclic"
         return EXIT_OK
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("dg")
     add("reduce", "--f", "--window")
     add("exact")
-    add("checktac", "--f", "--window")
+    add("checktac", "--f")
     add("endring", "--g")
     add("dualq", "--x", "--n")
     add("faithful", "--f")

@@ -29,7 +29,6 @@ from .dg import GradedHom, _wrap, compose_graded, dg_differential, graded_hom
 from .errors import CompositionMismatch, ShapeMismatch
 from .linalg import FredholmCertificate
 from .linsys import LinearSystem
-from .reuse import reuse
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,13 @@ class MorphismCheck:
 
 
 def is_morphism(phi: GradedHom) -> MorphismCheck:
-    """All d squares commute; reports the first failure.  Within one
-    call each morphism is checked once (see :mod:`dfactor.reuse`)."""
-    return reuse(lambda: ("is_morphism", phi), lambda: _check_squares(phi))
+    """All d squares commute; reports the first failure.  The result
+    is kept on phi, a frozen value, as ``functools.cached_property``
+    keeps one: each morphism is checked once, and the result dies with it."""
+    check = phi.__dict__.get("_squares")
+    if check is None:
+        check = phi.__dict__["_squares"] = _check_squares(phi)
+    return check
 
 
 def _check_squares(phi: GradedHom) -> MorphismCheck:

@@ -93,13 +93,16 @@ class ComplexWindow:
     def backend(self):
         return self.ctx.backend
 
+    def check_period(self) -> None:
+        for k in range(len(self.maps) - self.period):
+            if self.maps[k + self.period] != self.maps[k].twisted(1):
+                raise ShapeMismatch(f"window is not {self.period}-periodic at offset {k}")
+
     def validate(self) -> "ComplexWindow":
         for k in range(len(self.maps) - 1):
             if self.maps[k].target != self.maps[k + 1].source:
                 raise ShapeMismatch(f"window breaks between positions {self.lo+k} and {self.lo+k+1}")
-        for k in range(len(self.maps) - self.period):
-            if self.maps[k + self.period] != self.maps[k].twisted(1):
-                raise ShapeMismatch(f"window is not {self.period}-periodic at offset {k}")
+        self.check_period()
         if self.nilpotency is not None:
             t = self.nilpotency
             for k in range(len(self.maps) - t + 1):
@@ -216,10 +219,11 @@ class ExactnessReport:
 def window_exact(C: ComplexWindow) -> ExactnessReport:
     """Kernel equals image at every interior position.
 
-    A window repeats its maps, twisted, every ``period`` positions
-    (:meth:`ComplexWindow.validate`), and twists leave entries alone, so
-    only the first ``period`` interior positions are checked: the
-    verdict, witness and certificate at p + period are those at p.
+    The window must repeat its maps, twisted, every ``period``
+    positions (checked first; ShapeMismatch otherwise), and twists leave
+    entries alone, so only the first ``period`` interior positions are
+    checked: the verdict, witness and certificate at p + period are
+    those at p.
     Ring backends: kernels from syzygies, membership by certified
     linear solving.  Algebra backends: exact field linear algebra.
     Only ordinary complexes (nilpotency 2) have an exactness notion
@@ -229,6 +233,7 @@ def window_exact(C: ComplexWindow) -> ExactnessReport:
     """
     if C.nilpotency != 2:
         raise HypothesesUnmet("exactness is defined for nilpotency-2 windows only")
+    C.check_period()
     backend = C.backend
     for p in range(C.lo + 1, min(C.hi, C.lo + 1 + C.period)):
         incoming = C.map_at(p - 1)
@@ -324,9 +329,7 @@ class TotalAcyclicityReport:
         return self.ok
 
 
-def total_acyclicity_report(
-    X: FactorizationD, f, length: int | None = None
-) -> TotalAcyclicityReport:
+def total_acyclicity_report(X: FactorizationD, f) -> TotalAcyclicityReport:
     """Exact and dual-exact after reduction; hypotheses are certified
     first and their failure raises HypothesesUnmet, never a plain False."""
     ring = X.ctx.backend
@@ -335,7 +338,7 @@ def total_acyclicity_report(
     f = ring.nf(f if isinstance(f, Poly) else ring.parse(f))
     if f.is_zero or not is_regular(f, ring):
         raise HypothesesUnmet("reduction element is not regular on the backend")
-    red = reduce_full(X, f, length)
+    red = reduce_full(X, f)
     primal = window_exact(red.window)
     if not primal.ok:
         return TotalAcyclicityReport(primal, None)
@@ -343,8 +346,8 @@ def total_acyclicity_report(
     return TotalAcyclicityReport(primal, dual)
 
 
-def is_totally_acyclic(X: FactorizationD, f, length: int | None = None) -> bool:
-    return total_acyclicity_report(X, f, length).ok
+def is_totally_acyclic(X: FactorizationD, f) -> bool:
+    return total_acyclicity_report(X, f).ok
 
 
 # -- the dual-quotient identification -------------------------------------

@@ -7,9 +7,8 @@ returned under a key that determines that result, so a repeat of the
 key returns the kept value instead of redoing the work.  The keyed
 work is: reduced module Gröbner bases (unique for a fixed order, so a
 kept basis is exactly what a recomputation would give), ring elements
-parsed from text, the contexts and factorizations built from JSON
-subtrees, and morphism checks (keyed on the morphism, a frozen value
-compared by value).
+parsed from text, and the contexts and factorizations built from JSON
+subtrees.
 
 Only results are kept, never errors, so a failing input fails with the
 same first error as without the store.  A kept value does no work, so

@@ -100,7 +100,7 @@ def element_basis(backend, cap: int | None):
     mons = backend.standard_monomials()
     if mons is None:
         if cap is None:
-            raise UnsupportedOperation("infinite-dimensional ring needs a degree cap")
+            raise UnsupportedOperation("the ring has infinite field dimension and no degree cap")
         mons = backend.standard_monomials(max_degree=cap)
     amb = backend.amb
     index = {m: i for i, m in enumerate(mons)}

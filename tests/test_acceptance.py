@@ -190,16 +190,16 @@ def test_criterion_5():
     start = time.monotonic()
     ctx = _xy_ctx()
     X = mk_fact(ctx, 2, [[["x"]], [["y"]]])
-    assert is_totally_acyclic(X, "x*y", length=8)
+    assert is_totally_acyclic(X, "x*y")
     ctx2 = ctx_with("x^2 + y^2")
     Y = mk_fact(ctx2, 2, [[["x", "y"], ["-y", "x"]], [["x", "-y"], ["y", "x"]]])
-    assert is_totally_acyclic(Y, "x^2 + y^2", length=8)
+    assert is_totally_acyclic(Y, "x^2 + y^2")
     # non-regular element: hypotheses-unmet, never a pass
     R = QuotientRing.make(F7, ("x", "y"), ["x*y"])
     ctx3 = Context(R, eta=R.parse("x"))
     T = trivial_factorization(ctx3, 2)
     with pytest.raises(HypothesesUnmet):
-        is_totally_acyclic(T, "x", length=8)
+        is_totally_acyclic(T, "x")
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"criterion 5 took {elapsed:.1f}s"
 

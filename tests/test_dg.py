@@ -156,7 +156,7 @@ def test_h0_dimension_finite_ring():
 
 
 def test_h0_unsupported_for_infinite_ring(X_xy):
-    with pytest.raises(UnsupportedOperation):
+    with pytest.raises(UnsupportedOperation, match="infinite field dimension"):
         h0_dimension(X_xy, X_xy)
 
 

@@ -1,10 +1,12 @@
 """Reduction functor, windows, exactness, End rings, faithful/full checks."""
 
+from dataclasses import replace
+
 import pytest
 
 from dfactor.context import Context, FreeObj, MatrixMap
 from dfactor.dg import GradedHom, zero_graded
-from dfactor.errors import HypothesesUnmet, UnsupportedOperation
+from dfactor.errors import HypothesesUnmet, ShapeMismatch, UnsupportedOperation
 from dfactor.factorization import (
     direct_sum,
     identity_morphism,
@@ -202,6 +204,18 @@ def test_window_nilpotent_but_not_exact():
     W = _manual_window((("x",), ["x^4"]), ["x^3", "x^3"]).validate()
     report = window_exact(W)
     assert not report.ok and report.detail == "kernel not covered by image"
+
+
+def test_window_exact_rejects_a_window_that_stops_repeating():
+    # maps (x, y) over F7[x,y]/(xy) are exact; the map leaving position 1
+    # is then replaced by zero, so the window breaks only after one period
+    W = _manual_window((("x", "y"), ["x*y"]), ["x", "y"])
+    head = replace(W, hi=W.lo + 4, maps=W.maps[:4])
+    assert window_exact(head.validate()).ok
+    zero = MatrixMap.from_strings(W.ctx, W.maps[4].source, W.maps[4].target, [["0"]])
+    broken = replace(W, maps=W.maps[:4] + (zero,) + W.maps[5:])
+    with pytest.raises(ShapeMismatch, match="periodic at offset 2"):
+        window_exact(broken)
 
 
 def test_window_exact_requires_nilpotency_2(X_xy):
