@@ -58,6 +58,14 @@ CASES = {
     "axioms_d4": [
         "axioms", "--ctx", "ctx_f7xy_xy.json", "--trials", "10", "--seed", "1", "--d", "4"
     ],
+    # w = x^2 + y^2: factorizations whose maps have multi-term entries
+    "axioms_sos_d2": ["axioms", "--ctx", "ctx_f7xy_sos.json", "--trials", "10", "--seed", "1"],
+    "axioms_sos_d4": [
+        "axioms", "--ctx", "ctx_f7xy_sos.json", "--trials", "10", "--seed", "1", "--d", "4"
+    ],
+    # ranks [1, 2], f = [x; 0], g = [y, 0] over w = xy: rotation 1 holds,
+    # rotation 2 fails with residual diag(0, -xy)
+    "verify_rotation2": ["verify", "verify_rotation2.json"],
 }
 
 
