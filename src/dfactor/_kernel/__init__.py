@@ -22,6 +22,7 @@ class KernelOps(NamedTuple):
     scale: Callable
     shift: Callable
     mul: Callable
+    dot: Callable
     divmod_basis: Callable
 
 
@@ -34,5 +35,6 @@ def ops_for(field, order) -> KernelOps:
         scale=lambda a, c: pure.scale(a, c, field),
         shift=lambda a, m, c: pure.shift(a, m, c, field),
         mul=lambda a, b: pure.mul(a, b, field, key),
+        dot=lambda pairs: pure.dot(pairs, field, key),
         divmod_basis=lambda f, basis: pure.divmod_basis(f, basis, field, heap_key),
     )

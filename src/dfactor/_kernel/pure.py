@@ -88,27 +88,38 @@ def shift(ta, mon, c, field):
     return tuple((mon_mul(m, mon), field.mul(cc, c)) for m, cc in ta)
 
 
-def mul(ta, tb, field, key):
-    """Product of two canonical term tuples.  A one-term operand is a
-    ``shift`` of the other: monomial orders are multiplicative and a
-    field has no zero divisors, so that product needs no sort."""
-    if not ta or not tb:
-        return ()
-    if len(tb) == 1:
-        return shift(ta, tb[0][0], tb[0][1], field)
-    if len(ta) == 1:
-        return shift(tb, ta[0][0], ta[0][1], field)
+def dot(pairs, field, key):
+    """Sum of the products a*b over pairs (a, b) of canonical term
+    tuples.  Every product goes into one dict and the sum is sorted
+    once.  A single pair with a one-term operand is a ``shift`` of the
+    other: monomial orders are multiplicative and a field has no zero
+    divisors, so that product needs no sort."""
+    if len(pairs) == 1:
+        ta, tb = pairs[0]
+        if not ta or not tb:
+            return ()
+        if len(tb) == 1:
+            return shift(ta, tb[0][0], tb[0][1], field)
+        if len(ta) == 1:
+            return shift(tb, ta[0][0], ta[0][1], field)
     acc = {}
+    fadd, fmul = field.add, field.mul
+    for ta, tb in pairs:
+        for ma, ca in ta:
+            for mb, cb in tb:
+                m = tuple(map(_iadd, ma, mb))
+                c = fmul(ca, cb)
+                old = acc.get(m)
+                acc[m] = c if old is None else fadd(old, c)
     zero = field.zero
-    for ma, ca in ta:
-        for mb, cb in tb:
-            m = mon_mul(ma, mb)
-            c = field.add(acc.get(m, zero), field.mul(ca, cb))
-            if c == zero:
-                acc.pop(m, None)
-            else:
-                acc[m] = c
-    return tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True))
+    return tuple(sorted(
+        ((m, c) for m, c in acc.items() if c != zero), key=lambda t: key(t[0]), reverse=True
+    ))
+
+
+def mul(ta, tb, field, key):
+    """Product of two canonical term tuples: :func:`dot` of one pair."""
+    return dot(((ta, tb),), field, key)
 
 
 def divmod_basis(f, basis, field, heap_key):

@@ -8,11 +8,14 @@ multiplication maps play the role of the natural transformation.
 Conventions, fixed once:
 
 * Free objects carry one formal twist offset per generator; twisting
-  increments every offset and never touches matrix entries.
+  increments every offset and never touches matrix entries.  The twist
+  by 0 is the value itself, and each other twist of an object or map is
+  built once and kept on it, outside its fields.
 * ``compose(g, f)`` (apply f first) has entries
   ``sum_j f[j][k] * g[i][j]`` with backend multiplication in that
-  order.  This is the left-module convention; over a commutative
-  backend it is the ordinary matrix product.
+  order, summed by one backend ``dot``.  This is the left-module
+  convention; over a commutative backend it is the ordinary matrix
+  product.
 """
 
 from __future__ import annotations
@@ -41,13 +44,26 @@ class FreeObj:
         return len(self.offsets)
 
     def twist(self, k: int = 1) -> "FreeObj":
-        return FreeObj(tuple(o + k for o in self.offsets))
+        if k == 0:
+            return self
+        return _kept_twist(self, k, lambda: FreeObj(tuple(o + k for o in self.offsets)))
 
     def concat(self, other: "FreeObj") -> "FreeObj":
         return FreeObj(self.offsets + other.offsets)
 
     def __repr__(self):
         return f"FreeObj{self.offsets}"
+
+
+def _kept_twist(value, k, build):
+    """The twist by k of a frozen value, built on first use and kept in
+    its ``__dict__`` (as ``is_morphism`` keeps ``_squares``), so it is
+    no part of ``==``, ``hash`` or ``repr``."""
+    twists = value.__dict__.setdefault("_twists", {})
+    out = twists.get(k)
+    if out is None:
+        out = twists[k] = build()
+    return out
 
 
 class Context:
@@ -153,27 +169,25 @@ class MatrixMap:
 
     @classmethod
     def identity(cls, ctx, obj: FreeObj) -> "MatrixMap":
-        b = ctx.backend
-        one, zero = b.one(), b.zero()
-        rows = [
-            [one if i == j else zero for j in range(obj.rank)] for i in range(obj.rank)
-        ]
-        return cls.make(ctx, obj, obj, rows)
+        return cls._diagonal(ctx, obj, obj, ctx.backend.one())
 
     @classmethod
     def zero(cls, ctx, source: FreeObj, target: FreeObj) -> "MatrixMap":
-        z = ctx.backend.zero()
-        return cls.make(ctx, source, target, [[z] * source.rank for _ in range(target.rank)])
+        row = (ctx.backend.zero(),) * source.rank
+        return cls(ctx, source, target, (row,) * target.rank)
 
     @classmethod
     def scalar(cls, ctx, obj: FreeObj, elem) -> "MatrixMap":
-        b = ctx.backend
-        elem = b.canon(elem)
-        zero = b.zero()
-        rows = [
-            [elem if i == j else zero for j in range(obj.rank)] for i in range(obj.rank)
-        ]
-        return cls.make(ctx, obj, obj, rows)
+        return cls._diagonal(ctx, obj, obj, ctx.backend.canon(elem))
+
+    @classmethod
+    def _diagonal(cls, ctx, source: FreeObj, target: FreeObj, elem) -> "MatrixMap":
+        """The canonical element ``elem`` on the diagonal; source and
+        target have the same rank."""
+        zero = ctx.backend.zero()
+        rank = source.rank
+        rows = tuple(tuple(elem if i == j else zero for j in range(rank)) for i in range(rank))
+        return cls(ctx, source, target, rows)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -209,7 +223,11 @@ class MatrixMap:
 
     def twisted(self, k: int = 1) -> "MatrixMap":
         """Apply the suspension to the map: offsets move, entries do not."""
-        return MatrixMap(self.ctx, self.source.twist(k), self.target.twist(k), self.rows)
+        if k == 0:
+            return self
+        return _kept_twist(self, k, lambda: MatrixMap(
+            self.ctx, self.source.twist(k), self.target.twist(k), self.rows
+        ))
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -226,26 +244,25 @@ class MatrixMap:
 def compose(g: MatrixMap, f: MatrixMap) -> MatrixMap:
     """g after f.  Entry (i,k) = sum_j f[j][k] * g[i][j].
 
-    Products with a zero factor are skipped; the rest are summed in
-    increasing j.
+    Each entry is one backend ``dot`` of its pairs (f[j][k], g[i][j])
+    with both factors nonzero; an entry with no such pair is zero.
     """
     if f.ctx is not g.ctx and f.ctx != g.ctx:
         raise ShapeMismatch("maps from different contexts")
     if f.target != g.source:
         raise ShapeMismatch(f"cannot compose: {f.target} != {g.source}")
     b = f.ctx.backend
-    is_zero, add, mul = b.is_zero, b.add, b.mul
+    is_zero, dot, zero = b.is_zero, b.dot, b.zero()
     f_live = [[(k, e) for k, e in enumerate(row) if not is_zero(e)] for row in f.rows]
-    zero = b.zero()
+    rank = f.source.rank
     rows = []
     for g_row in g.rows:
-        acc = [zero] * f.source.rank
+        pairs = [[] for _ in range(rank)]
         for j, gij in enumerate(g_row):
-            if is_zero(gij):
-                continue
-            for k, fjk in f_live[j]:
-                acc[k] = add(acc[k], mul(fjk, gij))
-        rows.append(tuple(acc))
+            if not is_zero(gij):
+                for k, fjk in f_live[j]:
+                    pairs[k].append((fjk, gij))
+        rows.append(tuple(dot(p) if p else zero for p in pairs))
     return MatrixMap(f.ctx, f.source, g.target, tuple(rows))
 
 
@@ -260,12 +277,7 @@ def compose_chain(maps) -> MatrixMap:
 
 def eta_map(obj: FreeObj, ctx: Context) -> MatrixMap:
     """Multiplication by w, from M to its twist; block-diagonal by design."""
-    b = ctx.backend
-    zero = b.zero()
-    rows = [
-        [ctx.eta if i == j else zero for j in range(obj.rank)] for i in range(obj.rank)
-    ]
-    return MatrixMap.make(ctx, obj, obj.twist(), rows)
+    return MatrixMap._diagonal(ctx, obj, obj.twist(), ctx.eta)
 
 
 def naturality_check(f: MatrixMap) -> bool:

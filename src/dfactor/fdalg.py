@@ -93,18 +93,26 @@ class FDAlgebra:
         return tuple(self.field.mul(x, c) for x in a)
 
     def mul(self, a, b):
+        return self.dot(((a, b),))
+
+    def dot(self, pairs):
+        """The sum of the products a*b over ``pairs``, accumulated into
+        one coordinate list; each product keeps its factor order."""
         f = self.field
-        out = [f.zero] * self.dim
-        for i, ai in enumerate(a):
-            if ai == f.zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj == f.zero:
+        zero, fadd, fmul = f.zero, f.add, f.mul
+        out = [zero] * self.dim
+        for a, b in pairs:
+            for i, ai in enumerate(a):
+                if ai == zero:
                     continue
-                c = f.mul(ai, bj)
-                for k, t in enumerate(self.table[i][j]):
-                    if t != f.zero:
-                        out[k] = f.add(out[k], f.mul(c, t))
+                row = self.table[i]
+                for j, bj in enumerate(b):
+                    if bj == zero:
+                        continue
+                    c = fmul(ai, bj)
+                    for k, t in enumerate(row[j]):
+                        if t != zero:
+                            out[k] = fadd(out[k], fmul(c, t))
         return tuple(out)
 
     def canon(self, a):

@@ -19,19 +19,21 @@ def rref(mat, field, pivot_limit=None):
 
     Pivots are taken among the first ``pivot_limit`` columns (all by
     default); the columns after them are carried along.  The deadline
-    is polled once per pivot.
+    is polled once per pivot; its error names that pivot and the most
+    pivots the matrix can have.
     """
     a = [row[:] for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
     pivots = []
     r = 0
-    for c in range(n if pivot_limit is None else pivot_limit):
+    limit = n if pivot_limit is None else pivot_limit
+    for c in range(limit):
         pivot = next((i for i in range(r, m) if a[i][c] != field.zero), None)
         if pivot is None:
             continue
         if expired():
-            raise DeadlineExceeded("field elimination")
+            raise DeadlineExceeded(f"field elimination: pivot {r + 1} of {min(m, limit)}")
         a[r], a[pivot] = a[pivot], a[r]
         inv = field.inv(a[r][c])
         a[r] = [field.mul(v, inv) for v in a[r]]

@@ -13,7 +13,7 @@ Over a quotient ring the flat system goes to the module Gröbner solver
 (:func:`modgb.solve_linear`).  Every field matrix comes from one field
 lowering (:meth:`LinearSystem._field_columns`): each unknown is set in
 turn to each element of a field basis of the backend, the products one
-equation gets from it are summed in the backend, and the sum is
+equation gets from it are summed by one backend ``dot``, and the sum is
 expanded into (equation, unit) coordinates.  Over a finite-dimensional
 algebra the columns are placed densely (:meth:`algebra_matrix`) and the
 system goes to :func:`linalg.solve`; hom spaces number the rows in
@@ -80,32 +80,33 @@ class LinearSystem:
         The unknown is set to the basis element e.  Its products with
         the coefficients of one equation (``c e`` for a right term and
         ``e c`` for a left one: compose multiplies entries with the map
-        applied first on the left) are summed in the backend, and a
-        nonzero sum is expanded into its field coordinates.  A column
+        applied first on the left) are summed by one backend ``dot``,
+        and a nonzero sum is expanded into its field coordinates.  A column
         is a list of ``(equation, unit, coefficient)``, equations
         ascending; units are coordinate indices over an algebra and
         monomials over a ring.
         """
         backend, zero = self.backend, self.field.zero
-        add, mul, is_zero = backend.add, backend.mul, backend.is_zero
+        dot, is_zero = backend.dot, backend.is_zero
         if isinstance(backend, FDAlgebra):
             def units(a):
                 return [(t, cf) for t, cf in enumerate(a) if cf != zero]
         else:
             def units(a):
                 return a.terms
-        touches = [[] for _ in range(self.size)]  # per unknown: (equation, coefficient, side)
+        # per unknown: equation -> its (coefficient, side) terms, equations ascending
+        touches = [{} for _ in range(self.size)]
         for i, terms in enumerate(self.terms):
             for k, c, side in terms:
-                touches[k].append((i, c, side))
+                touches[k].setdefault(i, []).append((c, side))
         for touched in touches:
             for e in basis:
-                sums = {}
-                for i, c, side in touched:
-                    p = mul(c, e) if side == "right" else mul(e, c)
-                    sums[i] = add(sums[i], p) if i in sums else p
-                yield [(i, unit, cf) for i, s in sums.items() if not is_zero(s)
-                       for unit, cf in units(s)]
+                column = []
+                for i, cells in touched.items():
+                    s = dot([(c, e) if side == "right" else (e, c) for c, side in cells])
+                    if not is_zero(s):
+                        column.extend((i, unit, cf) for unit, cf in units(s))
+                yield column
 
     def field_matrix(self, basis):
         """Field matrix of the homogeneous system, unknowns expanded over

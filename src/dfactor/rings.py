@@ -305,6 +305,13 @@ class QuotientRing:
     def mul(self, a, b):
         return self.nf(a * b)
 
+    def dot(self, pairs):
+        """The sum of the products a*b over ``pairs``, normalized once:
+        nf is linear and normal forms are unique, so this is exactly
+        the sum of the nf(a*b)."""
+        terms = self.amb.ops.dot([(a.terms, b.terms) for a, b in pairs])
+        return self.nf(Poly(self.amb, terms))
+
     def scale(self, a, c):
         return a.scale(c)
 

@@ -173,6 +173,20 @@ def naive_compose(g, f):
     return rows
 
 
+def first_failing_rotation(X):
+    """``(r, residual)`` for the first rotation r of X whose composite of
+    the d maps from position r on is not multiplication by w, or None:
+    each rotation composed from scratch."""
+    from dfactor.context import compose_chain, eta_map
+
+    for r in range(1, X.d + 1):
+        comp = compose_chain(X.map_at(r + k) for k in range(X.d))
+        expected = eta_map(X.objects[r - 1], X.ctx)
+        if comp != expected:
+            return r, comp - expected
+    return None
+
+
 def merge_divmod_basis(f, basis, field, key, want_quotients=False):
     """Classical division: merge the scaled divisor into the whole
     working polynomial on every step, take the first basis element

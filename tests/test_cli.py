@@ -639,7 +639,7 @@ def test_deadline_bounds_the_algebra_reduction(tmp_path, capsys):
     assert code == 0 and rep["verdict"] == "verified"
     code, rep = run_cli(["reduce", path, "--f", quantum["eta"], "--deadline", "1e-9"], capsys)
     assert code == 1
-    assert rep["kind"] == "DeadlineExceeded" and rep["error"] == "field elimination"
+    assert rep["kind"] == "DeadlineExceeded" and rep["error"] == "field elimination: pivot 1 of 5"
 
 
 def test_deadline_bounds_the_axiom_suite(capsys):

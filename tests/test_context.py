@@ -1,6 +1,8 @@
 """Context layer: composition convention, eta, twists, naturality."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +15,16 @@ from dfactor.context import (
     eta_map,
     naturality_check,
 )
+from dfactor.dg import GradedHom
 from dfactor.errors import ShapeMismatch
+from dfactor.factorization import make_factorization
 from dfactor.fdalg import AlgebraMap, CentralElement, monomial_algebra, quotient_by_central
-from dfactor.fields import GF
+from dfactor.fields import GF, QQ
 from dfactor.rings import QuotientRing
+from dfactor.sampling import random_element
+from dfactor.schemas import backend_from_json, context_from_json
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 F7 = GF(7)
 Q = 2
@@ -219,3 +227,70 @@ def test_block2x2_shapes(ring_ctx):
     m = block2x2(a, b, b, a)
     assert m.source.rank == 2 and m.target.rank == 2
     assert m.rows[0][0] == R.parse("x") and m.rows[1][1] == R.parse("x")
+
+
+def _backend(name):
+    if name == "q_xy":
+        return QuotientRing.make(QQ(), ("x", "y"))
+    if name == "quantum":
+        desc = json.loads((FIXTURES / "quantum_context.json").read_text())
+        return context_from_json(desc).backend
+    return backend_from_json(json.loads((FIXTURES / f"ring_{name}.json").read_text()))
+
+
+# normal forms that are not the identity, a field of characteristic 0,
+# and an algebra where a*b != b*a
+@pytest.mark.parametrize("name", ["f7xy_mod_xy", "f7xyz_mod_xz_yz", "q_xy", "quantum"])
+def test_dot_matches_the_fold_of_add_and_mul(name):
+    backend = _backend(name)
+    rng = random.Random(31)
+
+    def fold(pairs):
+        acc = backend.zero()
+        for a, b in pairs:
+            acc = backend.add(acc, backend.mul(a, b))
+        return acc
+
+    assert backend.dot([]) == backend.zero()
+    noncommuting = 0
+    for _ in range(200):
+        pairs = [
+            (random_element(rng, backend), random_element(rng, backend))
+            for _ in range(rng.randint(1, 5))
+        ]
+        assert backend.dot(pairs) == fold(pairs)
+        noncommuting += any(backend.mul(a, b) != backend.mul(b, a) for a, b in pairs)
+        # every product met again with its negative
+        cancelling = pairs + [(backend.neg(a), b) for a, b in pairs]
+        assert backend.dot(cancelling) == fold(cancelling) == backend.zero()
+    assert (noncommuting > 0) == (name == "quantum")
+
+
+def test_positions_one_to_d_are_the_stored_values(ring_ctx):
+    obj = FreeObj.of(1)
+    maps = [_mk(ring_ctx, [["x"]]), _mk(ring_ctx, [["1"]]), _mk(ring_ctx, [["1"]])]
+    maps.append(MatrixMap.make(ring_ctx, obj, obj.twist(), [[ring_ctx.backend.parse("y")]]))
+    X = make_factorization(ring_ctx, 4, [obj] * 4, maps)
+    phi = GradedHom(X, X, 0, tuple(MatrixMap.identity(ring_ctx, obj) for _ in range(4)))
+    for r in range(1, 5):
+        assert X.map_at(r) is X.maps[r - 1]
+        assert X.obj_at(r) is X.objects[r - 1]
+        assert phi.comp_at(r) is phi.components[r - 1]
+    assert obj.twist(0) is obj
+    assert X.map_at(5) is X.map_at(5) and X.obj_at(0) is X.obj_at(0)
+
+
+@pytest.mark.parametrize("k", [1, -1, 3])
+def test_a_kept_twist_is_no_part_of_the_value(ring_ctx, k):
+    f = _mk(ring_ctx, [["x", "y"], ["1", "x*y"]])
+
+    def fresh():
+        return MatrixMap(ring_ctx, f.source.twist(k), f.target.twist(k), f.rows)
+
+    first = f.twisted(k)  # fills the memo
+    for t in (first, f.twisted(k)):
+        assert t == fresh() and hash(t) == hash(fresh()) and repr(t) == repr(fresh())
+    assert f.twisted(k) is first
+    assert f == _mk(ring_ctx, [["x", "y"], ["1", "x*y"]])
+    assert hash(f) == hash(_mk(ring_ctx, [["x", "y"], ["1", "x*y"]]))
+    assert f.twisted(0) is f

@@ -1,11 +1,15 @@
 """Factorization category: verification, rotations, cones, triangles."""
 
+import random
+
 import pytest
 
-from dfactor.context import Context, FreeObj, MatrixMap, compose_chain
+from dfactor import factorization
+from dfactor.context import Context, FreeObj, MatrixMap, compose, compose_chain
 from dfactor.dg import GradedHom, graded_hom, zero_graded
 from dfactor.errors import CompositionMismatch, ShapeMismatch
 from dfactor.factorization import (
+    FactorizationD,
     cone,
     cone_comparison,
     direct_sum,
@@ -24,6 +28,8 @@ from dfactor.factorization import (
 )
 from dfactor.fields import GF
 from dfactor.rings import QuotientRing
+from dfactor.sampling import make_pool, random_element
+from tests.oracles import first_failing_rotation
 
 F7 = GF(7)
 
@@ -92,6 +98,107 @@ def test_make_factorization_reports_rotation_and_residual(ctx_xy):
     assert exc.value.rotation == 1
     res = exc.value.residual
     assert res.rows[0][0] == ctx_xy.backend.parse("x^2 - x*y")
+
+
+SOS_PAIR = [[["x", "y"], ["-y", "x"]], [["x", "-y"], ["y", "x"]]]
+
+
+def _sos_seed(ctx, d):
+    """(A, B, 1, ..., 1) with AB = BA = (x^2 + y^2) 1, at rank 2."""
+    return mk_fact(ctx, d, SOS_PAIR + [[["1", "0"], ["0", "1"]]] * (d - 2))
+
+
+def _unverified(ctx, d, matrices):
+    objects = tuple(FreeObj.of(len(m[0])) for m in matrices)
+    maps = tuple(
+        MatrixMap.from_strings(ctx, objects[i], objects[i + 1] if i < d - 1
+                               else objects[0].twist(1), m)
+        for i, m in enumerate(matrices)
+    )
+    return FactorizationD(ctx, d, objects, maps)
+
+
+def _late_failure(ctx, d, p):
+    """M_1..M_p of rank 1 and the rest of rank 2, w = xy: f_1 carries x
+    and f_d carries y, every other entry is 0 or 1.  Rotations 1..p
+    compose to xy, rotation p + 1 to diag(xy, 0)."""
+    ranks = [1] * p + [2] * (d - p)
+    matrices = []
+    for i in range(d):
+        s, t = ranks[i], ranks[(i + 1) % d]
+        e = "x" if i == 0 else "1"
+        if (s, t) == (1, 1):
+            matrices.append([[e]])
+        elif (s, t) == (1, 2):
+            matrices.append([[e], ["0"]])
+        elif (s, t) == (2, 2):
+            matrices.append([["1", "0"], ["0", "1"]])
+        else:
+            matrices.append([["y", "0"]])
+    return _unverified(ctx, d, matrices)
+
+
+def _verdict_matches_oracle(X):
+    """make_factorization's first failing rotation and residual are the
+    ones of the rotation-by-rotation oracle; returns the rotation."""
+    expected = first_failing_rotation(X)
+    try:
+        make_factorization(X.ctx, X.d, X.objects, X.maps)
+    except CompositionMismatch as exc:
+        assert expected is not None
+        assert exc.rotation == expected[0]
+        assert exc.residual == expected[1] and repr(exc.residual) == repr(expected[1])
+        return exc.rotation
+    assert expected is None
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_rotation_check_matches_the_oracle(ctx_xy, ctx_sos, d):
+    rng = random.Random(40 + d)
+    pool = make_pool(ctx_sos, d, [_sos_seed(ctx_sos, d)], max_rank=6)
+    backend = ctx_sos.backend
+    failing = set()
+    for _ in range(6):
+        X = pool.random_factorization(rng, steps=2)
+        assert _verdict_matches_oracle(X) is None
+        for p in range(d):  # corrupt map p + 1 at one entry
+            f = X.maps[p]
+            if not f.rows or not f.rows[0]:
+                continue
+            i, j = rng.randrange(len(f.rows)), rng.randrange(len(f.rows[0]))
+            e = backend.zero()
+            while backend.is_zero(e):
+                e = random_element(rng, backend, max_degree=2)
+            rows = [list(row) for row in f.rows]
+            rows[i][j] = backend.add(rows[i][j], e)
+            bad = MatrixMap.make(ctx_sos, f.source, f.target, rows)
+            maps = X.maps[:p] + (bad,) + X.maps[p + 1:]
+            failing.add(_verdict_matches_oracle(FactorizationD(ctx_sos, d, X.objects, maps)))
+    assert None not in failing and failing
+    for p in range(1, d):
+        assert _verdict_matches_oracle(_late_failure(ctx_xy, d, p)) == p + 1
+
+
+def test_ranks_1_2_fail_at_rotation_2(ctx_xy):
+    with pytest.raises(CompositionMismatch) as exc:
+        mk_fact(ctx_xy, 2, [[["x"], ["0"]], [["y", "0"]]])
+    assert exc.value.rotation == 2
+    assert exc.value.residual.format_rows() == [["0", "0"], ["0", "6*x*y"]]
+
+
+@pytest.mark.parametrize("d, products", [(2, 2), (4, 8), (6, 14)])
+def test_rotation_check_costs_3d_minus_4_products(ctx_sos, d, products, monkeypatch):
+    X = direct_sum(_sos_seed(ctx_sos, d), trivial_factorization(ctx_sos, d))
+    calls = []
+
+    def counting(g, f):
+        calls.append(1)
+        return compose(g, f)
+
+    monkeypatch.setattr(factorization, "compose", counting)
+    assert verify_factorization(X) == X
+    assert len(calls) == products
 
 
 def test_trivial_factorization_everywhere(ctx_xy, ctx_sos):

@@ -171,27 +171,57 @@ def test_sampling_keeps_no_factorization_alive():
     assert ref() is None
 
 
-def _sparse_map(rng, ctx, src, tgt):
+def _sparse_map(rng, ctx, src, tgt, density=0.4):
     backend = ctx.backend
     rows = [
-        [random_element(rng, backend) if rng.random() < 0.4 else backend.zero()
+        [random_element(rng, backend) if rng.random() < density else backend.zero()
          for _ in range(src.rank)]
         for _ in range(tgt.rank)
     ]
     return MatrixMap.make(ctx, src, tgt, rows)
 
 
-@pytest.mark.parametrize("name", ["quantum", "f7xy_mod_xy"])
+def _xyz():
+    ring = backend_from_json(_fixture("ring_f7xyz_mod_xz_yz.json"))
+    return Context(ring, eta=ring.parse("x*y")), lambda d: []
+
+
+COMPOSE_CONTEXTS = {
+    "quantum": _quantum,
+    "f7xy_mod_xy": _quotient,
+    "f7xyz_mod_xz_yz": _xyz,
+    "q_xy": _rational,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_CONTEXTS))
 def test_compose_matches_triple_loop(name):
-    ctx, _ = CONTEXTS[name]()
+    ctx, _ = COMPOSE_CONTEXTS[name]()
+    backend = ctx.backend
     rng = random.Random(11)
-    for _ in range(60):
-        a, b, c = (FreeObj.of(rng.randint(0, 3)) for _ in range(3))
-        f = _sparse_map(rng, ctx, a, b)
-        g = _sparse_map(rng, ctx, b, c)
+    multi_term = cancelled = 0
+    for trial in range(90):
+        a, b, c = (FreeObj.of(rng.randint(0, 4)) for _ in range(3))
+        density = (0.4, 0.9)[trial % 2]
+        f = _sparse_map(rng, ctx, a, b, density)
+        g = _sparse_map(rng, ctx, b, c, density)
+        if trial % 3 == 2 and b.rank >= 2:
+            # f's last row negates its first and g's last column repeats
+            # its first, so those two products cancel in every entry
+            f = MatrixMap.make(ctx, a, b, [*f.rows[:-1], [backend.neg(e) for e in f.rows[0]]])
+            g = MatrixMap.make(ctx, b, c, [[*row[:-1], row[0]] for row in g.rows])
         h = compose(g, f)
         assert (h.source, h.target) == (a, c)
         assert h.rows == tuple(naive_compose(g, f))
+        for i, g_row in enumerate(g.rows):
+            for k in range(a.rank):
+                live = sum(
+                    not backend.is_zero(g_row[j]) and not backend.is_zero(f.rows[j][k])
+                    for j in range(b.rank)
+                )
+                multi_term += live >= 2
+                cancelled += live >= 2 and backend.is_zero(h.rows[i][k])
+    assert multi_term >= 30 and cancelled >= 5
 
 
 @pytest.mark.parametrize("variables", [("x",), ("x", "y")])
