@@ -291,6 +291,6 @@ def test_a_kept_twist_is_no_part_of_the_value(ring_ctx, k):
     for t in (first, f.twisted(k)):
         assert t == fresh() and hash(t) == hash(fresh()) and repr(t) == repr(fresh())
     assert f.twisted(k) is first
-    assert f == _mk(ring_ctx, [["x", "y"], ["1", "x*y"]])
-    assert hash(f) == hash(_mk(ring_ctx, [["x", "y"], ["1", "x*y"]]))
+    same = _mk(ring_ctx, [["x", "y"], ["1", "x*y"]])
+    assert f == same and hash(f) == hash(same) and repr(f) == repr(same)
     assert f.twisted(0) is f

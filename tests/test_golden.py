@@ -3,9 +3,11 @@
 ``golden/reports`` holds the reports these calls wrote before the
 homotopy and lifting systems moved onto ``LinearSystem`` (the ``dg``,
 ``cone``, ``triangle`` and ``axioms`` cases: before morphisms and
-homotopies became graded elements); any change in the layout of rows,
-columns or ideal injections changes a witness or a certificate and shows
-here.  The calls run inside ``golden/inputs`` with
+homotopies became graded elements; the ``axioms_sos`` and
+``verify_rotation2`` cases: before matrix entries became one sum of
+products and the rotation checks shared their products); any change
+in the layout of rows, columns or ideal injections changes a witness
+or a certificate and shows here.  The calls run inside ``golden/inputs`` with
 relative paths, so the input keys of a report do not depend on where the
 repository lives.
 """
