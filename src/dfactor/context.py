@@ -9,8 +9,7 @@ Conventions, fixed once:
 
 * Free objects carry one formal twist offset per generator; twisting
   increments every offset and never touches matrix entries.  The twist
-  by 0 is the value itself, and each other twist of an object or map is
-  built once and kept on it, outside its fields.
+  by 0 is the value itself.
 * ``compose(g, f)`` (apply f first) has entries
   ``sum_j f[j][k] * g[i][j]`` with backend multiplication in that
   order, summed by one backend ``dot``.  This is the left-module
@@ -46,24 +45,13 @@ class FreeObj:
     def twist(self, k: int = 1) -> "FreeObj":
         if k == 0:
             return self
-        return _kept_twist(self, k, lambda: FreeObj(tuple(o + k for o in self.offsets)))
+        return FreeObj(tuple(o + k for o in self.offsets))
 
     def concat(self, other: "FreeObj") -> "FreeObj":
         return FreeObj(self.offsets + other.offsets)
 
     def __repr__(self):
         return f"FreeObj{self.offsets}"
-
-
-def _kept_twist(value, k, build):
-    """The twist by k of a frozen value, built on first use and kept in
-    its ``__dict__`` (as ``is_morphism`` keeps ``_squares``), so it is
-    no part of ``==``, ``hash`` or ``repr``."""
-    twists = value.__dict__.setdefault("_twists", {})
-    out = twists.get(k)
-    if out is None:
-        out = twists[k] = build()
-    return out
 
 
 class Context:
@@ -225,9 +213,7 @@ class MatrixMap:
         """Apply the suspension to the map: offsets move, entries do not."""
         if k == 0:
             return self
-        return _kept_twist(self, k, lambda: MatrixMap(
-            self.ctx, self.source.twist(k), self.target.twist(k), self.rows
-        ))
+        return MatrixMap(self.ctx, self.source.twist(k), self.target.twist(k), self.rows)
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]

@@ -402,11 +402,17 @@ def dual_quotient_check(n: int, x: Poly, gamma: QuotientRing, seed: int = 0) -> 
         path2 = []
         for j in range(m):
             poll(f"naturality {k + 1} of 3", j, m)
-            path1.append(gbar.nf(gamma.dot([(row[i], U[i][j]) for i in range(n)])))
+            acc = gamma.zero()
+            for i in range(n):
+                acc = gamma.add(acc, gamma.mul(row[i], U[i][j]))
+            path1.append(gbar.nf(acc))
         rbar = reduce_row(row)
         for j in range(m):
             poll(f"naturality {k + 1} of 3", j, m)
-            path2.append(gbar.dot([(rbar[i], gbar.nf(U[i][j])) for i in range(n)]))
+            acc = gbar.zero()
+            for i in range(n):
+                acc = gbar.add(acc, gbar.mul(rbar[i], gbar.nf(U[i][j])))
+            path2.append(acc)
         if tuple(path1) != tuple(path2):
             return False
     return True
