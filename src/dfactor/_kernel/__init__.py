@@ -23,18 +23,20 @@ class KernelOps(NamedTuple):
     shift: Callable
     mul: Callable
     dot: Callable
+    axpy: Callable
     divmod_basis: Callable
 
 
 def ops_for(field, order) -> KernelOps:
-    key, heap_key = order.key, order.heap_key
+    heap_key = order.heap_key
     return KernelOps(
         name="pure",
-        add=lambda a, b: pure.add(a, b, field, key),
+        add=lambda a, b: pure.add(a, b, field, heap_key),
         neg=lambda a: pure.neg(a, field),
         scale=lambda a, c: pure.scale(a, c, field),
         shift=lambda a, m, c: pure.shift(a, m, c, field),
-        mul=lambda a, b: pure.mul(a, b, field, key),
-        dot=lambda pairs: pure.dot(pairs, field, key),
+        mul=lambda a, b: pure.mul(a, b, field, heap_key),
+        dot=lambda pairs: pure.dot(pairs, field, heap_key),
+        axpy=lambda a, s, b: pure.axpy(a, s, b, field, heap_key),
         divmod_basis=lambda f, basis: pure.divmod_basis(f, basis, field, heap_key),
     )

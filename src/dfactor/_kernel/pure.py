@@ -5,10 +5,18 @@ strictly descending in the ambient order and no zero coefficients; a
 monomial is a tuple of nonnegative exponents.  This module is the only
 implementation, over prime fields and the rationals alike.
 
-``key`` arguments are monomial sort keys (bigger key = bigger
-monomial) and ``heap_key`` arguments their descending twins (smaller
-heap key = bigger monomial); both come from
-:class:`dfactor.rings.MonomialOrder`.
+Merges, sorts and heaps order monomials by ``heap_key`` arguments, the
+descending keys of :class:`dfactor.rings.MonomialOrder` (smaller heap
+key = bigger monomial): they are cheaper to compute than the ascending
+``key``.
+
+Outside the division, coefficients are combined in native arithmetic,
+not through the field's methods.  An F_p element is an int in
+``[0, p)``: products and sums are native int operations, reduced
+``% p`` once per output coefficient.  A field (or ring) with ``char``
+0 is the rationals or the integers of fraction-free elimination, whose
+native operators are the field's own; a sum starts from its first
+product, never from an int 0.
 """
 
 from __future__ import annotations
@@ -35,60 +43,77 @@ def mon_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def add(ta, tb, field, key):
-    """Merge two canonical term tuples.  Each term's key is computed
-    once, when the merge reaches it."""
+def add(ta, tb, field, heap_key):
+    """Merge two canonical term tuples.  Each term's heap key is
+    computed once, when the merge reaches it."""
+    p = field.char
     out = []
     i = j = 0
     na, nb = len(ta), len(tb)
     if na and nb:
-        ka, kb = key(ta[0][0]), key(tb[0][0])
+        ka, kb = heap_key(ta[0][0]), heap_key(tb[0][0])
         while True:
-            if ka > kb:
+            if ka < kb:
                 out.append(ta[i])
                 i += 1
                 if i == na:
                     break
-                ka = key(ta[i][0])
-            elif ka < kb:
+                ka = heap_key(ta[i][0])
+            elif ka > kb:
                 out.append(tb[j])
                 j += 1
                 if j == nb:
                     break
-                kb = key(tb[j][0])
+                kb = heap_key(tb[j][0])
             else:
-                c = field.add(ta[i][1], tb[j][1])
-                if c != field.zero:
+                c = ta[i][1] + tb[j][1]
+                if p:
+                    c %= p
+                if c:
                     out.append((ta[i][0], c))
                 i += 1
                 j += 1
                 if i == na or j == nb:
                     break
-                ka, kb = key(ta[i][0]), key(tb[j][0])
+                ka, kb = heap_key(ta[i][0]), heap_key(tb[j][0])
     out.extend(ta[i:])
     out.extend(tb[j:])
     return tuple(out)
 
 
 def neg(ta, field):
-    return tuple((m, field.neg(c)) for m, c in ta)
+    p = field.char
+    if p:
+        return tuple((m, -c % p) for m, c in ta)
+    return tuple((m, -c) for m, c in ta)
 
 
 def scale(ta, c, field):
-    if c == field.zero:
+    if not c:
         return ()
-    return tuple((m, field.mul(cc, c)) for m, cc in ta)
+    p = field.char
+    if p:
+        return tuple((m, cc * c % p) for m, cc in ta)
+    return tuple((m, cc * c) for m, cc in ta)
 
 
 def shift(ta, mon, c, field):
     """Multiply by the single term c*mon.  Order is preserved because
     monomial orders are multiplicative."""
-    if c == field.zero:
+    if not c:
         return ()
-    return tuple((mon_mul(m, mon), field.mul(cc, c)) for m, cc in ta)
+    p = field.char
+    if p:
+        return tuple((tuple(map(_iadd, m, mon)), cc * c % p) for m, cc in ta)
+    return tuple((tuple(map(_iadd, m, mon)), cc * c) for m, cc in ta)
 
 
-def dot(pairs, field, key):
+def axpy(ta, s, tb, field, heap_key):
+    """ta + s*tb for canonical term tuples and a field element s."""
+    return add(ta, tb if s == 1 else scale(tb, s, field), field, heap_key)
+
+
+def dot(pairs, field, heap_key):
     """Sum of the products a*b over pairs (a, b) of canonical term
     tuples.  Every product goes into one dict and the sum is sorted
     once.  A single pair with a one-term operand is a ``shift`` of the
@@ -103,23 +128,23 @@ def dot(pairs, field, key):
         if len(ta) == 1:
             return shift(tb, ta[0][0], ta[0][1], field)
     acc = {}
-    fadd, fmul = field.add, field.mul
+    get = acc.get
     for ta, tb in pairs:
         for ma, ca in ta:
             for mb, cb in tb:
                 m = tuple(map(_iadd, ma, mb))
-                c = fmul(ca, cb)
-                old = acc.get(m)
-                acc[m] = c if old is None else fadd(old, c)
-    zero = field.zero
-    return tuple(sorted(
-        ((m, c) for m, c in acc.items() if c != zero), key=lambda t: key(t[0]), reverse=True
-    ))
+                old = get(m)
+                acc[m] = ca * cb if old is None else old + ca * cb
+    p = field.char
+    if p:
+        for m, c in acc.items():
+            acc[m] = c % p
+    return tuple((m, acc[m]) for m in sorted(acc, key=heap_key) if acc[m])
 
 
-def mul(ta, tb, field, key):
+def mul(ta, tb, field, heap_key):
     """Product of two canonical term tuples: :func:`dot` of one pair."""
-    return dot(((ta, tb),), field, key)
+    return dot(((ta, tb),), field, heap_key)
 
 
 def divmod_basis(f, basis, field, heap_key):

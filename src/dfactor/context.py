@@ -12,9 +12,11 @@ Conventions, fixed once:
   by 0 is the value itself.
 * ``compose(g, f)`` (apply f first) has entries
   ``sum_j f[j][k] * g[i][j]`` with backend multiplication in that
-  order, summed by one backend ``dot``.  This is the left-module
-  convention; over a commutative backend it is the ordinary matrix
-  product.
+  order.  This is the left-module convention; over a commutative
+  backend it is the ordinary matrix product.
+* Map arithmetic is whole-grid backend arithmetic: ``compose`` is one
+  backend ``matmul`` and ``+``, ``-`` and unary ``-`` are one backend
+  ``axpy`` (``a + s*b`` entrywise), each on the rows as they are.
 """
 
 from __future__ import annotations
@@ -183,26 +185,23 @@ class MatrixMap:
         if self.source != other.source or self.target != other.target:
             raise ShapeMismatch("maps are not parallel")
 
+    def _axpy(self, a_rows, s, other: "MatrixMap") -> "MatrixMap":
+        rows = self.ctx.backend.axpy(a_rows, s, other.rows)
+        return MatrixMap(self.ctx, self.source, self.target, rows)
+
     def __add__(self, other: "MatrixMap") -> "MatrixMap":
         self._parallel(other)
-        b = self.ctx.backend
-        rows = [
-            [b.add(a, c) for a, c in zip(ra, rc)] for ra, rc in zip(self.rows, other.rows)
-        ]
-        return MatrixMap(self.ctx, self.source, self.target, tuple(map(tuple, rows)))
+        return self._axpy(self.rows, self.ctx.backend.field.one, other)
 
     def __sub__(self, other: "MatrixMap") -> "MatrixMap":
         self._parallel(other)
-        b = self.ctx.backend
-        rows = [
-            [b.sub(a, c) for a, c in zip(ra, rc)] for ra, rc in zip(self.rows, other.rows)
-        ]
-        return MatrixMap(self.ctx, self.source, self.target, tuple(map(tuple, rows)))
+        field = self.ctx.backend.field
+        return self._axpy(self.rows, field.neg(field.one), other)
 
     def __neg__(self) -> "MatrixMap":
-        b = self.ctx.backend
-        rows = tuple(tuple(b.neg(e) for e in row) for row in self.rows)
-        return MatrixMap(self.ctx, self.source, self.target, rows)
+        backend = self.ctx.backend
+        zero = ((backend.zero(),) * self.source.rank,) * self.target.rank
+        return self._axpy(zero, backend.field.neg(backend.field.one), self)
 
     @property
     def is_zero(self) -> bool:
@@ -228,28 +227,14 @@ class MatrixMap:
 
 
 def compose(g: MatrixMap, f: MatrixMap) -> MatrixMap:
-    """g after f.  Entry (i,k) = sum_j f[j][k] * g[i][j].
-
-    Each entry is one backend ``dot`` of its pairs (f[j][k], g[i][j])
-    with both factors nonzero; an entry with no such pair is zero.
-    """
+    """g after f.  Entry (i,k) = sum_j f[j][k] * g[i][j], as one
+    backend ``matmul``."""
     if f.ctx is not g.ctx and f.ctx != g.ctx:
         raise ShapeMismatch("maps from different contexts")
     if f.target != g.source:
         raise ShapeMismatch(f"cannot compose: {f.target} != {g.source}")
-    b = f.ctx.backend
-    is_zero, dot, zero = b.is_zero, b.dot, b.zero()
-    f_live = [[(k, e) for k, e in enumerate(row) if not is_zero(e)] for row in f.rows]
-    rank = f.source.rank
-    rows = []
-    for g_row in g.rows:
-        pairs = [[] for _ in range(rank)]
-        for j, gij in enumerate(g_row):
-            if not is_zero(gij):
-                for k, fjk in f_live[j]:
-                    pairs[k].append((fjk, gij))
-        rows.append(tuple(dot(p) if p else zero for p in pairs))
-    return MatrixMap(f.ctx, f.source, g.target, tuple(rows))
+    rows = f.ctx.backend.matmul(g.rows, f.rows, f.source.rank)
+    return MatrixMap(f.ctx, f.source, g.target, rows)
 
 
 def compose_chain(maps) -> MatrixMap:

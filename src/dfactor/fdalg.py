@@ -97,23 +97,52 @@ class FDAlgebra:
 
     def dot(self, pairs):
         """The sum of the products a*b over ``pairs``, accumulated into
-        one coordinate list; each product keeps its factor order."""
-        f = self.field
-        zero, fadd, fmul = f.zero, f.add, f.mul
-        out = [zero] * self.dim
+        one coordinate list; each product keeps its factor order.  F_p
+        coordinates accumulate as native ints, reduced once."""
+        p = self.field.char
+        out = [self.field.zero] * self.dim
         for a, b in pairs:
             for i, ai in enumerate(a):
-                if ai == zero:
+                if not ai:
                     continue
                 row = self.table[i]
                 for j, bj in enumerate(b):
-                    if bj == zero:
+                    if not bj:
                         continue
-                    c = fmul(ai, bj)
+                    c = ai * bj
                     for k, t in enumerate(row[j]):
-                        if t != zero:
-                            out[k] = fadd(out[k], fmul(c, t))
+                        if t:
+                            out[k] += c * t
+        if p:
+            return tuple(v % p for v in out)
         return tuple(out)
+
+    def matmul(self, g_rows, f_rows, ncols):
+        """The rows of g after f, for grids of elements with ``ncols``
+        columns in f: entry (i, k) is the :meth:`dot` of the pairs
+        (f[j][k], g[i][j]) with both factors nonzero."""
+        f_live = [[(k, e) for k, e in enumerate(row) if any(e)] for row in f_rows]
+        zero, dot = self.zero(), self.dot
+        rows = []
+        for g_row in g_rows:
+            pairs = [[] for _ in range(ncols)]
+            for gij, live in zip(g_row, f_live):
+                if any(gij):
+                    for k, fjk in live:
+                        pairs[k].append((fjk, gij))
+            rows.append(tuple(dot(ps) if ps else zero for ps in pairs))
+        return tuple(rows)
+
+    def axpy(self, a_rows, s, b_rows):
+        """The grid a + s*b, entry by entry, for a field element s."""
+        p = self.field.char
+        if p:
+            def comb(a, b):
+                return tuple((x + s * y) % p for x, y in zip(a, b))
+        else:
+            def comb(a, b):
+                return tuple(x + s * y for x, y in zip(a, b))
+        return tuple(tuple(map(comb, ra, rb)) for ra, rb in zip(a_rows, b_rows))
 
     def canon(self, a):
         return tuple(a)

@@ -20,8 +20,11 @@ def rref(mat, field, pivot_limit=None):
     Pivots are taken among the first ``pivot_limit`` columns (all by
     default); the columns after them are carried along.  The deadline
     is polled once per pivot; its error names that pivot and the most
-    pivots the matrix can have.
+    pivots the matrix can have.  Row operations use native arithmetic:
+    over F_p each new entry is one int expression reduced ``% p``, over
+    Q the field's own operators.
     """
+    p = field.char
     a = [row[:] for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
@@ -29,18 +32,24 @@ def rref(mat, field, pivot_limit=None):
     r = 0
     limit = n if pivot_limit is None else pivot_limit
     for c in range(limit):
-        pivot = next((i for i in range(r, m) if a[i][c] != field.zero), None)
+        pivot = next((i for i in range(r, m) if a[i][c]), None)
         if pivot is None:
             continue
         if expired():
             raise DeadlineExceeded(f"field elimination: pivot {r + 1} of {min(m, limit)}")
         a[r], a[pivot] = a[pivot], a[r]
         inv = field.inv(a[r][c])
-        a[r] = [field.mul(v, inv) for v in a[r]]
+        if p:
+            pr = a[r] = [v * inv % p for v in a[r]]
+        else:
+            pr = a[r] = [v * inv for v in a[r]]
         for i in range(m):
-            if i != r and a[i][c] != field.zero:
-                f = a[i][c]
-                a[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                if p:
+                    a[i] = [(v - f * w) % p for v, w in zip(a[i], pr)]
+                else:
+                    a[i] = [v - f * w if w else v for v, w in zip(a[i], pr)]
         pivots.append(c)
         r += 1
         if r == m:

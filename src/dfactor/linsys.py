@@ -148,17 +148,17 @@ class LinearSystem:
 
     def decode(self, vec, basis):
         """Grids per block of the unknowns whose coordinates over
-        ``basis`` are ``vec`` (unknown-major)."""
-        backend, zero = self.backend, self.field.zero
-        nb = len(basis)
-        values = []
-        for k in range(self.size):
-            acc = backend.zero()
-            for e, coeff in zip(basis, vec[k * nb: (k + 1) * nb]):
-                if coeff != zero:
-                    acc = backend.add(acc, backend.scale(e, coeff))
-            values.append(acc)
-        return self._grids(values)
+        ``basis`` are ``vec`` (unknown-major): one backend product of
+        the grid of coordinates, as constants, with ``basis`` as a
+        column."""
+        backend, nb = self.backend, len(basis)
+        one, scale, zero = backend.one(), backend.scale, backend.zero()
+        coords = [
+            [scale(one, c) if c else zero for c in vec[k * nb: (k + 1) * nb]]
+            for k in range(self.size)
+        ]
+        values = backend.matmul(coords, [[e] for e in basis], 1)
+        return self._grids([row[0] for row in values])
 
     def _grids(self, values):
         return [

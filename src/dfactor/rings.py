@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from operator import add as _iadd
 
 from . import _kernel
 from ._kernel.pure import mon_divides
 from .errors import ParseError
+from .exprs import format_poly, parse_poly
 from .fields import GF, QQ, field_from_json, field_to_json
 from .reuse import reuse
 
@@ -113,6 +115,8 @@ class Ambient:
         return Poly(self, ((self._one_mon, c),))
 
     def coeff(self, c):
+        if isinstance(c, int) and self.field.char:
+            return c % self.field.char
         if isinstance(c, (int, Fraction)):
             return self.field.from_fraction(Fraction(c))
         return c
@@ -129,8 +133,6 @@ class Ambient:
         return Poly(self, ((tuple(mon), c),))
 
     def poly(self, text: str) -> Poly:
-        from .exprs import parse_poly
-
         return parse_poly(text, self)
 
     def __repr__(self):
@@ -207,8 +209,6 @@ class Poly:
         return hash((id(self.amb), self.terms))
 
     def __repr__(self):
-        from .exprs import format_poly
-
         return format_poly(self)
 
 
@@ -312,6 +312,48 @@ class QuotientRing:
         terms = self.amb.ops.dot([(a.terms, b.terms) for a, b in pairs])
         return self.nf(Poly(self.amb, terms))
 
+    def matmul(self, g_rows, f_rows, ncols):
+        """The rows of g after f, for grids of ring elements with
+        ``ncols`` columns in f: entry (i, k) is sum_j f[j][k]*g[i][j],
+        one kernel ``dot`` over the term tuples of its pairs with both
+        factors nonzero, normalized once when the ideal is nonempty.
+        A monomial times a monomial is built directly."""
+        amb, gb, p = self.amb, self._gb_terms, self.field.char
+        dot, divmod_basis, zero = amb.ops.dot, amb.ops.divmod_basis, amb.zero()
+        f_cols = [
+            [(j, t) for j, row in enumerate(f_rows) if (t := row[k].terms)] for k in range(ncols)
+        ]
+        rows = []
+        for g_row in g_rows:
+            g_terms = [e.terms for e in g_row]
+            row = []
+            for col in f_cols:
+                pairs = [(t, g_terms[j]) for j, t in col if g_terms[j]]
+                if not pairs:
+                    row.append(zero)
+                    continue
+                ta, tb = pairs[0]
+                if len(pairs) == 1 and len(ta) == 1 and len(tb) == 1:
+                    (ma, ca), (mb, cb) = ta[0], tb[0]
+                    t = ((tuple(map(_iadd, ma, mb)), ca * cb % p if p else ca * cb),)
+                else:
+                    t = dot(pairs)
+                if t and gb:
+                    t = divmod_basis(t, gb)[0]
+                row.append(Poly(amb, t) if t else zero)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def axpy(self, a_rows, s, b_rows):
+        """The grid a + s*b, entry by entry, for a field element s.  A
+        sum of normal forms is a normal form, so nothing is reduced."""
+        amb = self.amb
+        axpy = amb.ops.axpy
+        return tuple([
+            tuple([Poly(amb, axpy(a.terms, s, b.terms)) if b.terms else a for a, b in zip(ra, rb)])
+            for ra, rb in zip(a_rows, b_rows)
+        ])
+
     def scale(self, a, c):
         return a.scale(c)
 
@@ -322,8 +364,6 @@ class QuotientRing:
         return reuse(lambda: ("parse", self, text), lambda: self.nf(self.amb.poly(text)))
 
     def format(self, a: Poly) -> str:
-        from .exprs import format_poly
-
         return format_poly(a)
 
     # -- structure ----------------------------------------------------
@@ -376,8 +416,6 @@ class QuotientRing:
         )
 
     def to_json(self) -> dict:
-        from .exprs import format_poly
-
         return {
             "field": field_to_json(self.amb.field),
             "vars": list(self.amb.vars),

@@ -201,14 +201,16 @@ class GradedSpace:
 
     def random_combination(self, rng: random.Random, basis) -> GradedHom:
         """The element whose coordinates are the sum of the ``basis``
-        vectors, each scaled by a random field element."""
-        field = self.field
-        add, mul, zero = field.add, field.mul, field.zero
-        out = [zero] * len(self.layout)
+        vectors, each scaled by a random field element.  F_p
+        coordinates accumulate as native ints, reduced once."""
+        p = self.field.char
+        out = [self.field.zero] * len(self.layout)
         for vec in basis:
-            c = rng.randrange(field.char or 7)
+            c = rng.randrange(p or 7)
             if c:
-                out = [a if x == zero else add(a, mul(c, x)) for a, x in zip(out, vec)]
+                out = [a + c * x if x else a for a, x in zip(out, vec)]
+        if p:
+            out = [a % p for a in out]
         return self.decode(out)
 
 

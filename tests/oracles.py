@@ -173,6 +173,42 @@ def naive_compose(g, f):
     return rows
 
 
+def entrywise(op, *maps):
+    """The rows of map arithmetic by the reference definition: the
+    backend method ``op`` (``add``, ``sub`` or ``neg``) on each entry
+    in turn."""
+    return [
+        tuple(op(*entries) for entries in zip(*rows)) for rows in zip(*(m.rows for m in maps))
+    ]
+
+
+def method_rref(mat, field, pivot_limit=None):
+    """Row reduction with every coefficient through the field's methods:
+    the reference for ``linalg.rref``, with the same pivot choice and
+    row operations, so both must return the same matrix and pivots."""
+    a = [list(row) for row in mat]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n if pivot_limit is None else pivot_limit):
+        pivot = next((i for i in range(r, m) if a[i][c] != field.zero), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(v, inv) for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != field.zero:
+                f = a[i][c]
+                a[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, pivots
+
+
 def first_failing_rotation(X):
     """``(r, residual)`` for the first rotation r of X whose composite of
     the d maps from position r on is not multiplication by w, or None:
@@ -187,13 +223,13 @@ def first_failing_rotation(X):
     return None
 
 
-def merge_divmod_basis(f, basis, field, key, want_quotients=False):
+def merge_divmod_basis(f, basis, field, heap_key, want_quotients=False):
     """Classical division: merge the scaled divisor into the whole
     working polynomial on every step, take the first basis element
     whose lead divides the leading term.
 
-    The reference for ``_kernel.pure.divmod_basis``; ``key`` is the
-    ascending monomial key of the order.  Only the reference returns
+    The reference for ``_kernel.pure.divmod_basis``; ``heap_key`` is the
+    descending monomial key of the order, which the kernel's merge takes.  Only the reference returns
     quotients (``want_quotients``), which tests use to recombine f.
     """
     from dfactor._kernel.pure import add, mon_div, mon_divides, shift
@@ -208,7 +244,7 @@ def merge_divmod_basis(f, basis, field, key, want_quotients=False):
             if mon_divides(gm, lm):
                 qmon = mon_div(lm, gm)
                 qc = field.mul(lc, field.inv(gc))
-                work = add(work, shift(basis[gi], qmon, field.neg(qc), field), field, key)
+                work = add(work, shift(basis[gi], qmon, field.neg(qc), field), field, heap_key)
                 if want_quotients:
                     quotients[gi].append((qmon, qc))
                 break
@@ -234,7 +270,7 @@ def merge_vec_divmod(v, basis, amb, want_combo=False, leads=None):
     from dfactor.modgb import vec_lead
     from dfactor.rings import Poly
 
-    field, key = amb.field, amb.order.key
+    field, heap_key = amb.field, amb.order.heap_key
     s = len(v)
     if leads is None:
         leads = [vec_lead(g) for g in basis]
@@ -263,13 +299,13 @@ def merge_vec_divmod(v, basis, amb, want_combo=False, leads=None):
             qmon = mon_div(lm, gm)
             qc = field.mul(lc, field.inv(gc))
             nqc = field.neg(qc)
-            cur = add(cur, shift(gvec[pos].terms, qmon, nqc, field), field, key)
+            cur = add(cur, shift(gvec[pos].terms, qmon, nqc, field), field, heap_key)
             for p2 in range(pos + 1, s):
                 t2 = gvec[p2].terms
                 if t2:
-                    work[p2] = add(work[p2], shift(t2, qmon, nqc, field), field, key)
+                    work[p2] = add(work[p2], shift(t2, qmon, nqc, field), field, heap_key)
             if want_combo:
-                combo[idx] = add(combo[idx], ((qmon, qc),), field, key)
+                combo[idx] = add(combo[idx], ((qmon, qc),), field, heap_key)
         work[pos] = tuple(rem)
     remainder = tuple(Poly(amb, t) for t in work)
     if want_combo:

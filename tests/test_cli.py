@@ -255,11 +255,12 @@ def test_dualq_verb(capsys):
 
 
 def test_dualq_polls_the_deadline(capsys):
-    # without polls, --n 400 ran for over 30 s and reported "verified"
+    # each sampled row of length n takes O(n) ring operations; at
+    # --n 2000 one row runs well past the 0.05 s deadline
     ring = FIXTURES / "ring_f7xy_mod_xy.json"
     start = time.monotonic()
     code, rep = run_cli(
-        ["dualq", ring, "--x", "x^2", "--n", "400", "--deadline", "0.05"], capsys
+        ["dualq", ring, "--x", "x^2", "--n", "2000", "--deadline", "0.05"], capsys
     )
     assert time.monotonic() - start < 5.0
     assert code == 1

@@ -113,3 +113,31 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 offenders.append(f"{path.relative_to(package)}:{node.lineno}")
     assert not offenders, offenders
+
+
+# The one import that must stay inside a function: modgb imports rings.
+DOCUMENTED_CYCLES = {("rings.py", "groebner", "modgb")}
+
+
+def test_hot_modules_import_only_at_module_level():
+    # an import inside a function runs on every call, so the ring,
+    # context, field linear algebra and kernel modules import at the top
+    import ast
+    from pathlib import Path
+
+    import dfactor
+
+    package = Path(dfactor.__file__).resolve().parent
+    paths = [package / name for name in ("rings.py", "context.py", "linalg.py")]
+    paths += sorted((package / "_kernel").glob("*.py"))
+    offenders = []
+    for path in paths:
+        rel = path.relative_to(package).as_posix()
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and node.level > 0:
+                    if (rel, getattr(func, "name", "<lambda>"), node.module) not in DOCUMENTED_CYCLES:
+                        offenders.append(f"{rel}:{node.lineno} from {'.' * node.level}{node.module or ''}")
+    assert not offenders, offenders

@@ -122,6 +122,10 @@ def test_order_properties(seed):
         for m, k in zip(mons, (a, b, c)):
             if sum(m):
                 assert k > one
+        # the kernel merges and sorts by heap_key: it must order exactly
+        # in reverse
+        ha, hb = order.heap_key(mons[0]), order.heap_key(mons[1])
+        assert (ha < hb) == (a > b) and (ha == hb) == (a == b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,11 +202,13 @@ def _random_terms(rng, field, order, max_terms=6, max_exp=3):
 def _check_division(f, basis, field, order):
     """Heap division against the merge reducer, whose quotients show
     that f = sum(q * g) + remainder."""
-    rem, quotients = merge_divmod_basis(f, basis, field, order.key, want_quotients=True)
+    rem, quotients = merge_divmod_basis(f, basis, field, order.heap_key, want_quotients=True)
     assert pure.divmod_basis(f, basis, field, order.heap_key) == (rem, None)
     recombined = rem
     for q, g in zip(quotients, basis):
-        recombined = pure.add(recombined, pure.mul(q, g, field, order.key), field, order.key)
+        recombined = pure.add(
+            recombined, pure.mul(q, g, field, order.heap_key), field, order.heap_key
+        )
     assert recombined == f
     leads = [g[0][0] for g in basis]
     assert not any(pure.mon_divides(gm, m) for m, _ in rem for gm in leads)
@@ -236,7 +242,7 @@ def test_heap_division_edge_cases(field, order):
     assert f[0][0] == x2
     _check_division(f, [g], field, order)
     rem, _ = pure.divmod_basis(f, [g], field, order.heap_key)
-    _, quotients = merge_divmod_basis(f, [g], field, order.key, want_quotients=True)
+    _, quotients = merge_divmod_basis(f, [g], field, order.heap_key, want_quotients=True)
     assert rem[0] == (x2, field.one) and quotients[0]
 
 
@@ -250,7 +256,7 @@ def test_mul_matches_dict_product(field, order):
         b = _random_terms(rng, field, order, max_terms=rng.choice((1, 1, 4)))
         for ta, tb in ((a, b), (b, a), (a, (const,)), ((const,), a)):
             want = dict_mul(ta, tb, field, order.key)
-            assert pure.mul(ta, tb, field, order.key) == want
+            assert pure.mul(ta, tb, field, order.heap_key) == want
 
 
 # -- Gröbner bases against sympy and pinned pair counts ----------------------

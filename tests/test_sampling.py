@@ -11,6 +11,7 @@ import pytest
 from dfactor import linalg, sampling
 from dfactor.context import Context, FreeObj, MatrixMap, compose, eta_map
 from dfactor.factorization import make_factorization
+from dfactor.fdalg import FDAlgebra
 from dfactor.fields import QQ
 from dfactor.rings import QuotientRing
 from dfactor.schemas import backend_from_json, context_from_json
@@ -21,7 +22,12 @@ from dfactor.sampling import (
     random_graded,
     random_morphism,
 )
-from tests.oracles import dense_defect_rows, naive_compose, sample_by_decoded_basis
+from tests.oracles import (
+    dense_defect_rows,
+    entrywise,
+    naive_compose,
+    sample_by_decoded_basis,
+)
 from tests.test_factorization import ctx_with, mk_fact
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -188,10 +194,23 @@ def _xyz():
 
 COMPOSE_CONTEXTS = {
     "quantum": _quantum,
+    "f7xy": _polynomial("x*y"),
     "f7xy_mod_xy": _quotient,
     "f7xyz_mod_xz_yz": _xyz,
     "q_xy": _rational,
 }
+
+
+def _coefficients(backend, e):
+    return list(e) if isinstance(backend, FDAlgebra) else [c for _, c in e.terms]
+
+
+def _assert_reduced(backend, rows):
+    """Every F_p coefficient of every entry is in [0, p): each sum was
+    reduced, however far its raw integer total ran past p."""
+    p = backend.field.char
+    if p:
+        assert all(0 <= c < p for row in rows for e in row for c in _coefficients(backend, e))
 
 
 @pytest.mark.parametrize("name", sorted(COMPOSE_CONTEXTS))
@@ -213,6 +232,7 @@ def test_compose_matches_triple_loop(name):
         h = compose(g, f)
         assert (h.source, h.target) == (a, c)
         assert h.rows == tuple(naive_compose(g, f))
+        _assert_reduced(backend, h.rows)
         for i, g_row in enumerate(g.rows):
             for k in range(a.rank):
                 live = sum(
@@ -222,6 +242,79 @@ def test_compose_matches_triple_loop(name):
                 multi_term += live >= 2
                 cancelled += live >= 2 and backend.is_zero(h.rows[i][k])
     assert multi_term >= 30 and cancelled >= 5
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_CONTEXTS))
+def test_map_arithmetic_matches_entrywise_reference(name):
+    ctx, _ = COMPOSE_CONTEXTS[name]()
+    backend = ctx.backend
+    rng = random.Random(13)
+    for trial in range(60):
+        a, b = FreeObj.of(rng.randint(0, 3)), FreeObj.of(rng.randint(0, 3))
+        f = _sparse_map(rng, ctx, a, b, (0.4, 0.9)[trial % 2])
+        g = _sparse_map(rng, ctx, a, b, (0.4, 0.9)[trial % 3 > 0])
+        if trial % 4 == 3:
+            g = f  # every entry of f - g cancels
+        for got, want in (
+            (f + g, entrywise(backend.add, f, g)),
+            (f - g, entrywise(backend.sub, f, g)),
+            (-f, entrywise(backend.neg, f)),
+        ):
+            assert (got.source, got.target) == (a, b)
+            assert got.rows == tuple(want)
+            _assert_reduced(backend, got.rows)
+        if g is f:
+            assert (f - g).is_zero
+
+
+def _unit_multiple(backend, k):
+    """k times the unit, built by k backend additions."""
+    out = backend.zero()
+    for _ in range(k):
+        out = backend.add(out, backend.one())
+    return out
+
+
+@pytest.mark.parametrize("name", ["quantum", "f7xy", "f7xy_mod_xy"])
+def test_fp_sums_far_past_p_reduce_once(name):
+    """A 1 x n row times an n x 1 column of one element a, with every
+    coefficient of a equal to 6: each coefficient sum has raw total
+    36n (n = 14 gives 504 = 72 * 7), so it is right only if reduced."""
+    ctx, _ = COMPOSE_CONTEXTS[name]()
+    backend = ctx.backend
+    a = backend.parse("6*x + 6*y + 6") if name != "quantum" else backend.parse("6*x + 6*y + 6*x*y")
+    aa = backend.mul(a, a)
+    for n in range(1, 16):
+        src, mid = FreeObj.of(1), FreeObj.of(n)
+        f = MatrixMap.make(ctx, src, mid, [[a]] * n)
+        g = MatrixMap.make(ctx, mid, src, [[a] * n])
+        h = compose(g, f)
+        assert h.rows == tuple(naive_compose(g, f))
+        assert h.rows[0][0] == backend.mul(_unit_multiple(backend, n), aa)
+        assert backend.is_zero(h.rows[0][0]) == (n % 7 == 0)
+        _assert_reduced(backend, h.rows)
+        total = f
+        for _ in range(n - 1):
+            total = total + f  # n*f by n map additions
+        assert total == MatrixMap.make(ctx, src, mid, [[backend.mul(_unit_multiple(backend, n), a)]] * n)
+        _assert_reduced(backend, total.rows)
+
+
+def test_rational_sums_that_cancel_are_zero():
+    ctx, _ = COMPOSE_CONTEXTS["q_xy"]()
+    ring = ctx.backend
+    a, b = ring.parse("1/2*x - 3/4*y + 2/3"), ring.parse("-5/6*x^2 + y")
+    one, two = FreeObj.of(1), FreeObj.of(2)
+    f = MatrixMap.make(ctx, one, two, [[b], [ring.neg(b)]])
+    g = MatrixMap.make(ctx, two, one, [[a, a]])
+    h = compose(g, f)
+    assert h.rows == ((ring.zero(),),) and h.rows[0][0].terms == ()
+    assert (f - f).rows == ((ring.zero(),), (ring.zero(),))
+    assert (f + (-f)).is_zero
+    # a sum that cancels in some coefficients only
+    g = MatrixMap.make(ctx, two, one, [[a, ring.add(a, ring.parse("1/3"))]])
+    assert compose(g, f).rows == tuple(naive_compose(g, f))
+    assert compose(g, f).rows[0][0] == ring.neg(ring.mul(ring.parse("1/3"), b))
 
 
 @pytest.mark.parametrize("variables", [("x",), ("x", "y")])
