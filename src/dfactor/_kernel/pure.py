@@ -110,7 +110,9 @@ def shift(ta, mon, c, field):
 
 def axpy(ta, s, tb, field, heap_key):
     """ta + s*tb for canonical term tuples and a field element s."""
-    return add(ta, tb if s == 1 else scale(tb, s, field), field, heap_key)
+    if s != 1:
+        tb = scale(tb, s, field)
+    return add(ta, tb, field, heap_key) if ta else tb
 
 
 def dot(pairs, field, heap_key):
@@ -137,9 +139,8 @@ def dot(pairs, field, heap_key):
                 acc[m] = ca * cb if old is None else old + ca * cb
     p = field.char
     if p:
-        for m, c in acc.items():
-            acc[m] = c % p
-    return tuple((m, acc[m]) for m in sorted(acc, key=heap_key) if acc[m])
+        return tuple([(m, c) for m in sorted(acc, key=heap_key) if (c := acc[m] % p)])
+    return tuple([(m, acc[m]) for m in sorted(acc, key=heap_key) if acc[m]])
 
 
 def mul(ta, tb, field, heap_key):
