@@ -229,8 +229,9 @@ def merge_divmod_basis(f, basis, field, heap_key, want_quotients=False):
     whose lead divides the leading term.
 
     The reference for ``_kernel.pure.divmod_basis``; ``heap_key`` is the
-    descending monomial key of the order, which the kernel's merge takes.  Only the reference returns
-    quotients (``want_quotients``), which tests use to recombine f.
+    descending monomial key of the order, which the kernel's merge
+    takes.  Only the reference returns quotients (``want_quotients``),
+    which tests use to recombine f.
     """
     from dfactor._kernel.pure import add, mon_div, mon_divides, shift
 

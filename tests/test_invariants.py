@@ -136,8 +136,9 @@ def test_hot_modules_import_only_at_module_level():
         for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
+            name = getattr(func, "name", "<lambda>")
             for node in ast.walk(func):
                 if isinstance(node, ast.ImportFrom) and node.level > 0:
-                    if (rel, getattr(func, "name", "<lambda>"), node.module) not in DOCUMENTED_CYCLES:
-                        offenders.append(f"{rel}:{node.lineno} from {'.' * node.level}{node.module or ''}")
+                    if (rel, name, node.module) not in DOCUMENTED_CYCLES:
+                        offenders.append(f"{rel}:{node.lineno} from .{node.module}")
     assert not offenders, offenders
