@@ -11,7 +11,7 @@ import pytest
 from dfactor import linalg, sampling
 from dfactor.context import Context, FreeObj, MatrixMap, compose, eta_map
 from dfactor.factorization import make_factorization
-from dfactor.fdalg import FDAlgebra
+from dfactor.fdalg import FDAlgebra, monomial_algebra
 from dfactor.fields import QQ
 from dfactor.rings import QuotientRing
 from dfactor.schemas import backend_from_json, context_from_json
@@ -192,8 +192,14 @@ def _xyz():
     return Context(ring, eta=ring.parse("x*y")), lambda d: []
 
 
+def _rational_algebra():
+    # noncommutative, over Q; w = 0 is central
+    return Context(monomial_algebra(("x", "y"), ["xx", "yy", "xyx", "yxy"], QQ())), lambda d: []
+
+
 COMPOSE_CONTEXTS = {
     "quantum": _quantum,
+    "q_alg": _rational_algebra,
     "f7xy": _polynomial("x*y"),
     "f7xy_mod_xy": _quotient,
     "f7xyz_mod_xz_yz": _xyz,
