@@ -358,13 +358,25 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _nonnegative_int(text: str) -> int:
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
+def _even_d(text: str) -> int:
+    """A ``--d``: even and at least 2, as every JSON input's d is."""
+    value = _int(text)
+    if value < 2 or value % 2:
+        raise argparse.ArgumentTypeError(f"must be even and at least 2, got {text!r}")
     return value
 
 
@@ -387,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--x": dict(required=True, help="central element (expression)"),
         "--n": dict(type=_nonnegative_int, default=1, help="free rank"),
         "--ctx": dict(help="context JSON"),
-        "--d": dict(type=int, default=2),
-        "--trials": dict(type=int, default=50),
+        "--d": dict(type=_even_d, default=2, help="period, even and at least 2"),
+        "--trials": dict(type=_nonnegative_int, default=50, help="trials, at least 0"),
     }
 
     def add(name, *flags, inputs=("input",)):

@@ -8,6 +8,14 @@ double square commutes; the differential is
 Morphisms are the degree-0 cycles, and a homotopy witness for
 phi ~ phi' is a degree -1 element t with phi - phi' = d(t), that is
 phi_i - phi'_i = g_{i-1} t_i + t_{i+1} f_i.  Composition adds degrees.
+
+The differential is written as linear equations once
+(:func:`differential_terms`) and solved blocks become graded elements
+once (:func:`graded_from_grids`), for hom-space cycles at every degree,
+homotopies and lifts.  H^0 is a count, |Z^0| - |V^-1| + |Z^-1| with Z
+the cycles and V the valid elements: d(t) = 0 forces g g t_i =
+t_{i+2} f f, so Z^-1 lies in V^-1, and d maps V^-1 onto the boundaries
+inside Z^0 with kernel Z^-1.
 """
 
 from __future__ import annotations
@@ -133,22 +141,39 @@ def dg_differential(phi: GradedHom) -> GradedHom:
     return GradedHom(X, Y, n + 1, tuple(comps))
 
 
+def differential_terms(X: FactorizationD, Y: FactorizationD, degree: int, t, sign: int = 1):
+    """For i = 1..d, the :class:`linsys.LinearSystem` terms of
+    ``sign * d(t)_i = sign * (g_{i+n} t_i + (-1)^(n+1) t_{i+1} f_i)``,
+    where t is a degree-n element whose component t_i is the unknown
+    block ``t[i - 1]``.  Each block appears in one term per equation."""
+    f_sign = -sign if degree % 2 == 0 else sign
+
+    def rows(m, s):
+        return (m if s > 0 else -m).rows
+
+    return [[(t[i - 1], rows(Y.map_at(i + degree), sign), "left"),
+             (t[i % X.d], rows(X.map_at(i), f_sign), "right")] for i in range(1, X.d + 1)]
+
+
+def graded_from_grids(X: FactorizationD, Y: FactorizationD, degree: int, grids) -> GradedHom:
+    """The degree-``degree`` element whose component i has the entries
+    of ``grids[i - 1]``, in canonical form."""
+    comps = tuple(
+        MatrixMap.make(X.ctx, X.objects[i - 1], Y.obj_at(i + degree), grid)
+        for i, grid in enumerate(grids, start=1)
+    )
+    return GradedHom(X, Y, degree, comps)
+
+
 def h0_dimension(X: FactorizationD, Y: FactorizationD) -> int:
     """dim over the field of degree-0 cohomology: morphisms modulo
-    boundaries of valid degree -1 elements.
+    boundaries of valid degree -1 elements, counted as
+    |Z^0| - |V^-1| + |Z^-1| (see the module docstring).
 
     Requires a backend of finite field dimension: a quotient ring with
     infinitely many standard monomials is UNSUPPORTED.
     """
-    from . import linalg, sampling
+    from .sampling import GradedSpace
 
-    space0 = sampling.GradedSpace(X, Y, 0)
-    z0 = space0.cycle_basis()
-    if not z0:
-        return 0
-    space1 = sampling.GradedSpace(X, Y, -1)
-    vminus1 = space1.valid_basis()
-    if not vminus1:
-        return len(z0)
-    boundary_rows = [space0.encode(dg_differential(space1.decode(v))) for v in vminus1]
-    return len(z0) - linalg.rank(boundary_rows, X.ctx.backend.field)
+    space0, space1 = GradedSpace(X, Y, 0), GradedSpace(X, Y, -1)
+    return len(space0.cycle_basis()) - len(space1.valid_basis()) + len(space1.cycle_basis())

@@ -3,7 +3,8 @@ homotopy calculus: verification, suspension and its inverse, direct
 sums, mapping cones, comparison isomorphisms, standard triangles, and
 the certified homotopy decision procedure.  Morphisms and homotopy
 witnesses are graded elements (:class:`dg.GradedHom`) of degree 0 and
--1.
+-1; the homotopy system phi - phi' = d(t) is written and decoded by
+:func:`dg.differential_terms` and :func:`dg.graded_from_grids`.
 
 Index convention: positions are 1-based modulo d in the twisted sense.
 For m = q*d + r with 1 <= r <= d, the object at position m is the
@@ -24,7 +25,8 @@ from .context import (
     eta_map,
     row_block,
 )
-from .dg import GradedHom, _wrap, compose_graded, dg_differential, graded_hom
+from .dg import (GradedHom, _wrap, compose_graded, dg_differential, differential_terms,
+                 graded_from_grids, graded_hom)
 from .errors import CompositionMismatch, ShapeMismatch
 from .linalg import FredholmCertificate
 from .linsys import LinearSystem
@@ -216,23 +218,19 @@ class NotHomotopic:
 
 
 def homotopy_system(phi: GradedHom, phi2: GradedHom):
-    """The homotopy equations as one :class:`LinearSystem`, with the
-    (source, target) shapes of its unknowns.
+    """The homotopy equations d(t)_i = phi_i - phi2_i, i = 1..d, as one
+    :class:`LinearSystem`, with the handles of t_1..t_d.
 
-    The unknowns are s_i = t_{i+1}: M_{i+1} -> N_i for i = 1..d, and
-    equation i is s_i f_i + g_{i-1} s_{i-1} = phi_i - phi2_i.
+    The blocks are created as s_i = t_{i+1}: M_{i+1} -> N_i for
+    i = 1..d (s_d is t_1 twisted), the layout certificates encode.
     """
     X, Y = phi.source, phi.target
-    psi = phi - phi2
-    shapes = [(X.obj_at(i + 1), Y.objects[i - 1]) for i in range(1, X.d + 1)]
     system = LinearSystem(X.ctx.backend)
-    s = [system.unknown(tgt.rank, src.rank) for src, tgt in shapes]
-    for i in range(1, X.d + 1):
-        system.equation(
-            [(s[i - 1], X.map_at(i).rows, "right"), (s[i - 2], Y.map_at(i - 1).rows, "left")],
-            psi.components[i - 1].rows,
-        )
-    return system, shapes
+    s = [system.unknown(Y.objects[i - 1].rank, X.obj_at(i + 1).rank) for i in range(1, X.d + 1)]
+    t = [s[-1], *s[:-1]]
+    for terms, comp in zip(differential_terms(X, Y, -1, t), (phi - phi2).components):
+        system.equation(terms, comp.rows)
+    return system, t
 
 
 def homotopy_decide(phi: GradedHom, phi2: GradedHom):
@@ -244,16 +242,13 @@ def homotopy_decide(phi: GradedHom, phi2: GradedHom):
     over a finite-dimensional algebra.  A returned witness has been
     re-verified entrywise.
     """
-    X, Y = phi.source, phi.target
-    system, shapes = homotopy_system(phi, phi2)
+    system, t = homotopy_system(phi, phi2)
     grids, cert = system.solve()
     if cert is not None:
         if isinstance(cert, FredholmCertificate):
             return NotHomotopic(cert, "field-linear homotopy system is inconsistent")
         return NotHomotopic(cert, "membership of the flattened system failed")
-    comps = [MatrixMap.make(X.ctx, src, tgt, grid) for (src, tgt), grid in zip(shapes, grids)]
-    # t_1 = s_0 is s_d untwisted, and t_i = s_{i-1} for i >= 2
-    witness = GradedHom(X, Y, -1, (comps[-1].twisted(-1), *comps[:-1]))
+    witness = graded_from_grids(phi.source, phi.target, -1, [grids[k] for k in t])
     if not verify_witness(witness, phi, phi2):
         raise AssertionError("solver returned an invalid homotopy witness")
     return witness

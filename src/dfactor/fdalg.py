@@ -79,9 +79,6 @@ class FDAlgebra:
     def add(self, a, b):
         return tuple(self.field.add(x, y) for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple(self.field.sub(x, y) for x, y in zip(a, b))
-
     def neg(self, a):
         return tuple(self.field.neg(x) for x in a)
 
@@ -149,11 +146,6 @@ class FDAlgebra:
 
     def is_zero(self, a) -> bool:
         return all(x == self.field.zero for x in a)
-
-    def left_mult_matrix(self, a):
-        """Columns are a * basis_j, i.e. the matrix of v -> a*v."""
-        cols = [self.mul(a, self.basis(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     # -- parsing and printing ---------------------------------------------
 
@@ -422,9 +414,15 @@ def check_twist_compatibility(nu: AlgebraMap, w: CentralElement) -> TwistReport:
 
 
 def is_left_regular(w: CentralElement) -> bool:
-    """Injectivity of v -> w*v as a field-linear map."""
+    """Injectivity of v -> w*v as a field-linear map: the field rank of
+    the 1x1 system ``v w`` (a right term, so its products are w*e)."""
+    from .linsys import LinearSystem  # linsys imports this module
+
     alg = w.algebra
-    mat = alg.left_mult_matrix(w.coords)
+    system = LinearSystem(alg)
+    v = system.unknown(1, 1)
+    system.equation([(v, ((w.coords,),), "right")], [[alg.zero()]])
+    mat, _ = system.algebra_matrix()
     return linalg.rank(mat, alg.field) == alg.dim
 
 

@@ -13,6 +13,10 @@ Downstairs objects are modelled two ways at once: as a
 factorization over the quotient context with zero eta (the periodic
 model every homotopy decision runs on, so window size never affects a
 verdict).
+
+The lifting problem behind fullness, d(theta) = 0 and theta - d(t) =
+phibar modulo f, is written and decoded by :func:`dg.differential_terms`
+and :func:`dg.graded_from_grids`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .context import Context, FreeObj, MatrixMap, compose, compose_chain
-from .dg import GradedHom, zero_graded
+from .dg import GradedHom, differential_terms, graded_from_grids, zero_graded
 from .errors import DeadlineExceeded, HypothesesUnmet, ShapeMismatch, UnsupportedOperation
 from .factorization import (
     FactorizationD,
@@ -190,14 +194,9 @@ def reduce_mod_f(X: FactorizationD, f) -> ComplexWindow:
 def reduce_morphism(theta: GradedHom, red_src: Reduction, red_tgt: Reduction) -> GradedHom:
     """Image of a morphism under the reduction functor (periodic model)."""
     ctx_bar = red_src.downstairs.ctx
-    backend = ctx_bar.backend
-    comps = []
-    for m in theta.components:
-        if isinstance(backend, QuotientRing):
-            rows = [[backend.nf(e) for e in row] for row in m.rows]
-        else:
-            raise UnsupportedOperation("morphism reduction implemented for ring backends")
-        comps.append(MatrixMap.make(ctx_bar, m.source, m.target, rows))
+    if not isinstance(ctx_bar.backend, QuotientRing):
+        raise UnsupportedOperation("morphism reduction implemented for ring backends")
+    comps = [MatrixMap.make(ctx_bar, m.source, m.target, m.rows) for m in theta.components]
     return morphism(red_src.downstairs, red_tgt.downstairs, comps)
 
 
@@ -450,75 +449,42 @@ def full_lift(phibar: GradedHom, red_x: Reduction, red_u: Reduction):
     periodic chain map between the reductions of X and U modulo one f,
     by one combined membership solve over the ambient ring.
 
-    Unknowns: entries of the two components of theta over the ring,
-    plus the periodic homotopy entries over the quotient.  Block rows:
-    the two strict commuting squares modulo the defining ideal, and
-    the two homotopy equations modulo (ideal, f).
+    Unknowns: the components alpha, beta of theta over the ring, then
+    the periodic homotopy t = (sigma2, sigma1) over the quotient.  Block
+    rows: d(theta) = 0 modulo the defining ideal, then
+    theta - d(t) = phibar modulo (ideal, f).
     """
     X, U = red_x.upstairs, red_u.upstairs
     f = _require_d2_regular(X, red_x.f)
-    ring: QuotientRing = X.ctx.backend
     if phibar.source != red_x.downstairs or phibar.target != red_u.downstairs:
         raise ShapeMismatch("chain map must run between the two reductions")
-    check = is_morphism(phibar)
-    if not check.ok:
+    if not is_morphism(phibar).ok:
         raise HypothesesUnmet("input is not a verified periodic chain map")
 
-    fX, gX = X.maps
-    p_map, q_map = U.maps
-    rx1, rx2 = X.objects[0].rank, X.objects[1].rank
-    ru1, ru2 = U.objects[0].rank, U.objects[1].rank
-
-    system = LinearSystem(ring)
+    rx1, rx2 = (o.rank for o in X.objects)
+    ru1, ru2 = (o.rank for o in U.objects)
+    system = LinearSystem(X.ctx.backend)
     alpha = system.unknown(ru1, rx1)
     beta = system.unknown(ru2, rx2)
     sigma1 = system.unknown(ru1, rx2)
     sigma2 = system.unknown(ru2, rx1)
-    # E1: p.alpha - beta.fX = 0 and E2: q.beta - (S alpha).gX = 0  (mod I)
-    system.equation(
-        [(alpha, p_map.rows, "left"), (beta, (-fX).rows, "right")],
-        MatrixMap.zero(X.ctx, X.objects[0], U.objects[1]).rows,
-    )
-    system.equation(
-        [(beta, q_map.rows, "left"), (alpha, (-gX).rows, "right")],
-        MatrixMap.zero(X.ctx, X.objects[1], U.objects[0]).rows,
-    )
-    # E3: alpha - sigma1.fX - q.sigma2 = phibar_1 and
-    # E4: beta - sigma2.gX - p.sigma1 = phibar_2  (mod I + f)
-    one1 = MatrixMap.identity(X.ctx, X.objects[0]).rows
-    one2 = MatrixMap.identity(X.ctx, X.objects[1]).rows
-    system.equation(
-        [(alpha, one1, "right"), (sigma1, (-fX).rows, "right"), (sigma2, (-q_map).rows, "left")],
-        phibar.components[0].rows,
-        modulo=(f,),
-    )
-    system.equation(
-        [(beta, one2, "right"), (sigma2, (-gX).rows, "right"), (sigma1, (-p_map).rows, "left")],
-        phibar.components[1].rows,
-        modulo=(f,),
-    )
+    theta_blocks, t = [alpha, beta], [sigma2, sigma1]
+    for i, terms in enumerate(differential_terms(X, U, 0, theta_blocks), start=1):
+        system.equation(terms, MatrixMap.zero(X.ctx, X.objects[i - 1], U.obj_at(i + 1)).rows)
+    minus_dt = differential_terms(X, U, -1, t, sign=-1)
+    for obj, block, terms, target in zip(X.objects, theta_blocks, minus_dt, phibar.components):
+        one = MatrixMap.identity(X.ctx, obj).rows
+        system.equation([(block, one, "right"), *terms], target.rows, modulo=(f,))
     grids, cert = system.solve()
-    if cert is None:
-        theta = morphism(X, U, [
-            MatrixMap.make(X.ctx, X.objects[0], U.objects[0], grids[alpha]),
-            MatrixMap.make(X.ctx, X.objects[1], U.objects[1], grids[beta]),
-        ])
-        rbar: QuotientRing = red_x.downstairs.ctx.backend
-        ctx_bar = red_x.downstairs.ctx
-        sigma1_map = MatrixMap.make(
-            ctx_bar, red_x.downstairs.objects[1], red_u.downstairs.objects[0],
-            [[rbar.nf(e) for e in row] for row in grids[sigma1]],
-        )
-        sigma2_map = MatrixMap.make(
-            ctx_bar,
-            red_x.downstairs.objects[0],
-            red_u.downstairs.objects[1].twist(-1),
-            [[rbar.nf(e) for e in row] for row in grids[sigma2]],
-        )
-        theta_bar = reduce_morphism(theta, red_x, red_u)
-        # the degree -1 witness t has t_1 = sigma2 (untwisted) and t_2 = sigma1
-        witness = GradedHom(red_x.downstairs, red_u.downstairs, -1, (sigma2_map, sigma1_map))
-        if not verify_witness(witness, theta_bar, phibar):
-            raise AssertionError("lift solver produced an invalid downstairs witness")
-        return Lift(theta, witness)
-    return NoLift(cert)
+    if cert is not None:
+        return NoLift(cert)
+    theta = graded_from_grids(X, U, 0, [grids[alpha], grids[beta]])
+    if not is_morphism(theta).ok:
+        raise AssertionError("lift solver produced a non-morphism")
+    witness = graded_from_grids(
+        red_x.downstairs, red_u.downstairs, -1, [grids[sigma2], grids[sigma1]]
+    )
+    theta_bar = reduce_morphism(theta, red_x, red_u)
+    if not verify_witness(witness, theta_bar, phibar):
+        raise AssertionError("lift solver produced an invalid downstairs witness")
+    return Lift(theta, witness)

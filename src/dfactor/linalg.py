@@ -109,7 +109,8 @@ def solve(mat, rhs, field):
 
 
 def kernel_basis(mat, field):
-    """Basis of the right kernel of A."""
+    """Basis of the right kernel of A.  Entries are negated natively, as
+    in :func:`rref`: over F_p ``(-x) % p``, over Q ``-x``."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     if n == 0:
@@ -117,6 +118,7 @@ def kernel_basis(mat, field):
     if m == 0:
         return [[field.one if j == k else field.zero for j in range(n)] for k in range(n)]
     red, pivots = rref(mat, field)
+    p = field.char
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     basis = []
@@ -124,7 +126,7 @@ def kernel_basis(mat, field):
         v = [field.zero] * n
         v[j] = field.one
         for row_idx, c in enumerate(pivots):
-            v[c] = field.neg(red[row_idx][j])
+            v[c] = (-red[row_idx][j]) % p if p else -red[row_idx][j]
         basis.append(v)
     return basis
 

@@ -296,9 +296,6 @@ class QuotientRing:
     def add(self, a, b):
         return self.nf(a + b)
 
-    def sub(self, a, b):
-        return self.nf(a - b)
-
     def neg(self, a):
         return -a
 

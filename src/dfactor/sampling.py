@@ -2,15 +2,17 @@
 
 Everything here is deterministic given the seed (``random.Random``,
 whose algorithm is stable across platforms).  Morphism and graded-hom
-spaces are computed exactly.  The defining squares of a space are one
+spaces are computed exactly.  The defining equations of a space are one
 homogeneous :class:`linsys.LinearSystem` with an unknown block per
-component: each square ``comp . Q - P . comp`` uses fixed maps Q and P
-(the factorizations' maps, or their two-step composites for the double
-squares), computed once per space.  The system's field lowering expands
-the unknowns over a finite field basis of the backend (all of it when
-the backend is finite dimensional, a degree-truncated slice otherwise),
-one unknown per (component, row, column, basis element), and the kernel
-of the resulting field matrix is the space.
+component: the double squares ``comp . Q - P . comp`` (two-step
+composites Q, P computed once per space) for valid elements, and
+d(comp) = 0, from the one writer :func:`dg.differential_terms`, for
+cycles at every degree.  The system's field lowering expands the
+unknowns over a finite field basis of the backend (all of it when the
+backend is finite dimensional, a degree-truncated slice otherwise), one
+unknown per (component, row, column, basis element), and the kernel of
+the resulting field matrix is the space.  H^0 counts kernel vectors
+(:func:`dg.h0_dimension`), so none is ever encoded back.
 
 A space hands out its basis as the kernel's coordinate vectors, in
 ``layout`` order.  Sampling draws one random field combination of them
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import Context, MatrixMap, compose
-from .dg import GradedHom, dg_differential
+from .dg import GradedHom, differential_terms, dg_differential, graded_from_grids
 from .errors import UnsupportedOperation
 from .factorization import (
     FactorizationD,
@@ -87,43 +89,25 @@ def element_basis(backend, cap: int | None):
 
     Rings: standard monomials, all of them when the quotient is finite
     dimensional, else up to total degree ``cap``.  Algebras: the whole
-    basis.  Returns (elements, encode) where encode maps an element to
-    its coordinate list and raises KeyError outside the span.
+    basis.
     """
     if isinstance(backend, FDAlgebra):
-        elems = [backend.basis(i) for i in range(backend.dim)]
-
-        def encode(a):
-            return list(a)
-
-        return elems, encode
+        return [backend.basis(i) for i in range(backend.dim)]
     mons = backend.standard_monomials()
     if mons is None:
         if cap is None:
             raise UnsupportedOperation("the ring has infinite field dimension and no degree cap")
         mons = backend.standard_monomials(max_degree=cap)
-    amb = backend.amb
-    index = {m: i for i, m in enumerate(mons)}
-    elems = [amb.monomial(m) for m in mons]
-
-    def encode(p):
-        out = [amb.field.zero] * len(mons)
-        for mon, c in p.terms:
-            out[index[mon]] = c  # KeyError = outside the slice
-        return out
-
-    return elems, encode
+    return [backend.amb.monomial(m) for m in mons]
 
 
 class GradedSpace:
     """The degree-n hom space between two factorizations, coordinatized.
 
     ``valid_basis`` solves the double-square constraints,
-    ``cycle_basis`` (degree 0) the single squares.  Both return
-    coordinate vectors in ``layout`` order; ``decode`` turns one into
-    its graded element, and ``encode`` expresses any well-shaped
-    element in the same coordinates, so images of the differential can
-    be ranked against cycles.
+    ``cycle_basis`` the equations d(comp) = 0.  Both return coordinate
+    vectors in ``layout`` order; ``decode`` turns one into its graded
+    element.
     """
 
     def __init__(self, X: FactorizationD, Y: FactorizationD, degree: int, cap: int | None = None):
@@ -131,7 +115,7 @@ class GradedSpace:
         backend = X.ctx.backend
         self.backend = backend
         self.field = backend.field
-        self.base_elems, self._encode_elem = element_basis(backend, cap)
+        self.base_elems = element_basis(backend, cap)
         self.shapes = [
             (X.objects[i - 1], Y.obj_at(i + degree)) for i in range(1, X.d + 1)
         ]
@@ -147,18 +131,7 @@ class GradedSpace:
     def decode(self, vec) -> GradedHom:
         """The element whose coordinates, in ``layout`` order, are ``vec``."""
         grids = self._unknowns()[0].decode(vec, self.base_elems)
-        comps = tuple(
-            MatrixMap.make(self.X.ctx, src, tgt, g) for (src, tgt), g in zip(self.shapes, grids)
-        )
-        return GradedHom(self.X, self.Y, self.degree, comps)
-
-    def encode(self, gh: GradedHom):
-        out = []
-        for comp, (src, tgt) in zip(gh.components, self.shapes):
-            for r in range(tgt.rank):
-                for c in range(src.rank):
-                    out.extend(self._encode_elem(comp.rows[r][c]))
-        return out
+        return graded_from_grids(self.X, self.Y, self.degree, grids)
 
     def _unknowns(self):
         """A system with one unknown block per component, in layout order."""
@@ -166,25 +139,24 @@ class GradedSpace:
         return system, [system.unknown(tgt.rank, src.rank) for src, tgt in self.shapes]
 
     def system(self, dg: bool) -> LinearSystem:
-        """The defining squares as a homogeneous system, one equation
-        per i = 1..d.
+        """The defining equations as a homogeneous system, one per
+        i = 1..d.
 
         Double squares (``dg``): ``comp_at(i+2) . Q - P . comp_at(i) = 0``
-        with the two-step composites Q of X and P of Y.  Single squares:
-        ``P . comp_at(i) - comp_at(i+1) . Q = 0`` with the maps themselves.
+        with the two-step composites Q of X and P of Y.  Cycles:
+        ``d(comp)_i = 0``.
         """
         X, Y, n, d = self.X, self.Y, self.degree, self.X.d
         system, comp = self._unknowns()
+        equations = [] if dg else differential_terms(X, Y, n, comp)
         for i in range(1, d + 1):
-            comp_i = comp[(i - 1) % d]
             if dg:
                 Q = compose(X.map_at(i + 1), X.map_at(i))
                 P = compose(Y.map_at(i + n + 1), Y.map_at(i + n))
-                terms = [(comp[(i + 1) % d], Q.rows, "right"), (comp_i, (-P).rows, "left")]
-            else:
-                Q, P = X.map_at(i), Y.map_at(i + n)
-                terms = [(comp_i, P.rows, "left"), (comp[i % d], (-Q).rows, "right")]
-            system.equation(terms, MatrixMap.zero(X.ctx, Q.source, P.target).rows)
+                equations.append([(comp[(i + 1) % d], Q.rows, "right"),
+                                  (comp[i - 1], (-P).rows, "left")])
+            zero = MatrixMap.zero(X.ctx, X.objects[i - 1], Y.obj_at(i + n + (2 if dg else 1)))
+            system.equation(equations[i - 1], zero.rows)
         return system
 
     def valid_basis(self):
@@ -193,8 +165,6 @@ class GradedSpace:
         return self._valid
 
     def cycle_basis(self):
-        if self.degree != 0:
-            raise ValueError("cycles are a degree-0 notion here")
         if self._cycles is None:
             self._cycles = self.system(dg=False).field_kernel(self.base_elems)
         return self._cycles

@@ -77,13 +77,13 @@ def dense_defect_rows(space, dg: bool):
 
     The reference definition of ``GradedSpace`` constraint assembly:
     every elementary unknown becomes a whole graded element, the full
-    defect (double squares when ``dg``, else single squares) is
-    evaluated with ``compose``, and each nonzero coefficient of each
-    block entry becomes a row keyed by (block, row, column, basis unit)
-    in order of first appearance.
+    defect (double squares when ``dg``, else the differential
+    ``dg_differential``) is evaluated with ``compose``, and each nonzero
+    coefficient of each block entry becomes a row keyed by (block, row,
+    column, basis unit) in order of first appearance.
     """
     from dfactor.context import MatrixMap, compose
-    from dfactor.dg import GradedHom
+    from dfactor.dg import GradedHom, dg_differential
     from dfactor.fdalg import FDAlgebra
 
     X, Y, n = space.X, space.Y, space.degree
@@ -97,15 +97,10 @@ def dense_defect_rows(space, dg: bool):
             out.append(lhs - rhs)
         return out
 
-    def square_defect(elem):
-        out = []
-        for i in range(1, X.d + 1):
-            lhs = compose(Y.map_at(i + n), elem.comp_at(i))
-            rhs = compose(elem.comp_at(i + 1), X.map_at(i))
-            out.append(lhs - rhs)
-        return out
+    def differential(elem):
+        return dg_differential(elem).components
 
-    defect = dg_defect if dg else square_defect
+    defect = dg_defect if dg else differential
     rows_index: dict = {}
     cols = []
     for k, r, c, b in space.layout:
@@ -134,6 +129,40 @@ def dense_defect_rows(space, dg: bool):
         for irow, cf in col.items():
             mat[irow][jcol] = cf
     return mat
+
+
+def encode_graded(space, elem):
+    """The coordinates of a graded element over ``space.base_elems``,
+    in ``space.layout`` order; KeyError outside the span."""
+    from dfactor.fdalg import FDAlgebra
+
+    if isinstance(space.backend, FDAlgebra):
+        coords = list
+    else:
+        index = {e.terms[0][0]: b for b, e in enumerate(space.base_elems)}
+
+        def coords(p):
+            out = [space.field.zero] * len(index)
+            for mon, c in p.terms:
+                out[index[mon]] = c
+            return out
+
+    return [x for comp in elem.components for row in comp.rows for e in row for x in coords(e)]
+
+
+def rank_h0(X, Y):
+    """dim H^0 by the rank definition: the degree-0 cycles minus the
+    rank of the boundaries d(v) of the decoded valid degree -1 basis,
+    each encoded in degree-0 coordinates."""
+    from dfactor import linalg
+    from dfactor.dg import dg_differential
+    from dfactor.sampling import GradedSpace
+
+    space0, space1 = GradedSpace(X, Y, 0), GradedSpace(X, Y, -1)
+    boundaries = [
+        encode_graded(space0, dg_differential(space1.decode(v))) for v in space1.valid_basis()
+    ]
+    return len(space0.cycle_basis()) - linalg.rank(boundaries, space0.field)
 
 
 def sample_by_decoded_basis(rng, space, basis):
@@ -175,8 +204,8 @@ def naive_compose(g, f):
 
 def entrywise(op, *maps):
     """The rows of map arithmetic by the reference definition: the
-    backend method ``op`` (``add``, ``sub`` or ``neg``) on each entry
-    in turn."""
+    backend operation ``op`` (``add``, ``neg``, or ``add`` after ``neg``
+    for a difference) on each entry in turn."""
     return [
         tuple(op(*entries) for entries in zip(*rows)) for rows in zip(*(m.rows for m in maps))
     ]

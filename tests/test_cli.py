@@ -427,6 +427,22 @@ def test_odd_d_is_rejected_and_cannot_be_allowed(tmp_path, capsys):
         assert "--allow-odd-d" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--d", "3", "--trials", "0"], "--d"),  # was exit 0 "verified"
+        (["--d", "3", "--trials", "1"], "--d"),  # was exit 1 CompositionMismatch
+        (["--d", "0"], "--d"),
+        (["--trials", "-5"], "--trials"),  # was exit 0 with "trials": -5
+    ],
+)
+def test_axioms_d_and_trials_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as usage_error:
+        main(["axioms", "--ctx", str(FIXTURES / "ctx_f7xy_xy.json"), *argv])
+    assert usage_error.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_no_hidden_cli_flags():
     """Every option of every verb shows in its help."""
     parser = build_parser()

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from dfactor.context import MatrixMap, compose
+from dfactor import linalg
+from dfactor.context import Context, MatrixMap, compose
 from dfactor.dg import (
     GradedHom,
     dg_check,
@@ -18,9 +19,18 @@ from dfactor.factorization import (
     identity_morphism,
     scalar_morphism,
 )
-from dfactor.fields import GF
-from dfactor.sampling import random_graded, random_homotopy_pair, random_morphism
+from dfactor.fields import GF, QQ
+from dfactor.rings import QuotientRing
+from dfactor.sampling import (
+    GradedSpace,
+    make_pool,
+    random_graded,
+    random_homotopy_pair,
+    random_morphism,
+)
+from tests.oracles import dense_defect_rows, rank_h0
 from tests.test_factorization import ctx_with, mk_fact
+from tests.test_sampling import CONTEXTS as SAMPLING_CONTEXTS
 
 F7 = GF(7)
 
@@ -174,3 +184,74 @@ def test_h0_dimension_algebra_backend():
     ctx = Context(B, twist=nu, eta=B.parse("x*y - 2*y*x"))
     T = trivial_factorization(ctx, 2)
     assert h0_dimension(T, T) == 0
+
+
+def _f7_x4():
+    R = QuotientRing.make(F7, ("x",), ["x^4"])
+    ctx = Context(R, eta=R.parse("x^2"))
+
+    def seeds(d):
+        if d == 2:
+            return [mk_fact(ctx, 2, [[["x"]], [["x"]]])]
+        return [mk_fact(ctx, 4, [[["x"]], [["x"]], [["1"]], [["1"]]]),
+                mk_fact(ctx, 4, [[["1"]], [["x"]], [["1"]], [["x"]]])]
+
+    return ctx, seeds
+
+
+def _xy_quotient(field, gens):
+    def build():
+        R = QuotientRing.make(field, ("x", "y"), gens)
+        return Context(R, eta=R.parse("x*y")), lambda d: []
+
+    return build
+
+
+# finite-dimensional backends: H^0 and whole cycle spaces are computable
+FINITE_CONTEXTS = {
+    "f7x_x4": _f7_x4,
+    "f7xy_x3_y3": _xy_quotient(F7, ["x^3", "y^3"]),
+    "qxy_x3_y2": _xy_quotient(QQ(), ["x^3", "y^2"]),
+    "quantum": SAMPLING_CONTEXTS["quantum"],
+}
+
+
+def test_h0_count_matches_rank_oracle():
+    """|Z^0| - |V^-1| + |Z^-1| against the rank of the decoded
+    boundaries, on pools with sums, suspensions and cones."""
+    values = []
+    for name in sorted(FINITE_CONTEXTS):
+        for d in (2, 4):
+            ctx, seeds = FINITE_CONTEXTS[name]()
+            pool = make_pool(ctx, d, seeds(d), max_rank=6)
+            rng = random.Random(31 + d)
+            for _ in range(16):
+                X = pool.random_factorization(rng, steps=2)
+                Y = pool.random_factorization(rng, steps=2)
+                values.append(h0_dimension(X, Y))
+                assert values[-1] == rank_h0(X, Y), (name, d, X, Y)
+    assert len(values) >= 100
+    assert {0, 2, 4, 8} <= set(values)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("name", ["f7xy_x3_y3", "qxy_x3_y2", "quantum"])
+def test_cycles_at_every_degree(name, d):
+    """Every decoded cycle has zero differential, and there are as many
+    as the nullity of d evaluated densely."""
+    ctx, seeds = FINITE_CONTEXTS[name]()
+    pool = make_pool(ctx, d, seeds(d), max_rank=4)
+    rng = random.Random(57 + d)
+    nonzero = 0
+    for _ in range(2):
+        X = pool.random_factorization(rng, steps=2)
+        Y = pool.random_factorization(rng, steps=1)
+        for degree in range(-2, 3):
+            space = GradedSpace(X, Y, degree)
+            cycles = space.cycle_basis()
+            for v in cycles:
+                assert dg_differential(space.decode(v)).is_zero
+            dense = dense_defect_rows(space, False)
+            assert len(cycles) == len(space.layout) - linalg.rank(dense, space.field)
+            nonzero += len(cycles) > 0
+    assert nonzero >= 5

@@ -105,6 +105,8 @@ def test_golden_cases_cover_both_verdicts():
         ("cone", factorization, "_check_squares", 3),
         ("triangle", factorization, "_check_squares", 3),
         ("lift_ring", factorization, "_check_squares", 3),
+        ("homotopic_f7_pos", factorization, "differential_terms", 1),
+        ("lift_ring", functors, "differential_terms", 2),
     ],
 )
 def test_work_done_once_per_call_pinned(name, module, function, count, tmp_path, monkeypatch):
@@ -126,8 +128,12 @@ def test_work_done_once_per_call_pinned(name, module, function, count, tmp_path,
     windows) and 3 (``exact_pos``) exactness problems.  The input
     morphism is checked once: ``cone`` and ``triangle`` then check the
     inclusion and projection, ``lift_ring`` the lift and its reduction;
-    checking the input again in ``cone`` and ``full_lift`` took 4.  The
-    report does not change.
+    checking the input again in ``cone`` and ``full_lift`` took 4.
+    ``differential_terms`` is the one writer of the differential as
+    linear equations: the homotopy system calls it once, and the lift
+    twice (d(theta) = 0 and theta - d(t) = phibar); an equation written
+    by hand instead would leave the count short.  The report does not
+    change.
     """
     calls = [0]
     work = getattr(module, function)

@@ -95,6 +95,8 @@ def test_rref_kernel_and_solve_match_method_calls(field):
             assert all(0 <= v < field.char for row in red for v in row)
         kernel = linalg.kernel_basis(mat, field)
         assert len(kernel) == n - len(pivots)
+        if field.char:
+            assert all(0 <= x < field.char for v in kernel for x in v)
         singular += bool(kernel)
         for v in kernel:
             assert _times(field, mat, v) == [field.zero] * m
