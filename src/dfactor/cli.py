@@ -5,6 +5,11 @@ JSON report (stdout or ``--out``).  Exit codes: 0 = verified/true,
 2 = verified false with a certificate in the report, 1 = error
 (parse failure, unmet hypotheses, deadline).
 
+"Verified" means checked on this output in this call: the factorizations
+a verb builds (sums, suspensions, the suspended source of a cone) are
+valid by construction in the library, and are passed through
+``verify_factorization`` before they are emitted.
+
 Reports are byte-identical across reruns for fixed inputs and seed;
 wall-clock timing is only added under ``--timing``, which is excluded
 from that guarantee.
@@ -32,6 +37,7 @@ from .factorization import (
     standard_triangle,
     suspend,
     unsuspend,
+    verify_factorization,
 )
 from .functors import (
     Lift,
@@ -121,7 +127,7 @@ def _verb_verify(args, report):
 def _verb_sum(args, report):
     a = schemas.factorization_from_json(_load(args, args.input))
     b = schemas.factorization_from_json(_load(args, args.second))
-    s = direct_sum(a, b)
+    s = verify_factorization(direct_sum(a, b))
     report["verdict"] = "verified"
     report["result"] = schemas.factorization_to_json(s)
     return EXIT_OK
@@ -129,7 +135,7 @@ def _verb_sum(args, report):
 
 def _verb_suspend(args, report, inverse=False):
     X = schemas.factorization_from_json(_load(args, args.input))
-    out = unsuspend(X) if inverse else suspend(X)
+    out = verify_factorization(unsuspend(X) if inverse else suspend(X))
     report["verdict"] = "verified"
     report["result"] = schemas.factorization_to_json(out)
     return EXIT_OK
@@ -152,6 +158,7 @@ def _verb_cone(args, report):
         c = cone(phi)
     except CompositionMismatch as exc:
         raise _rotation_false(report, exc) from None
+    verify_factorization(c.project.target)
     report["verdict"] = "verified"
     report["result"] = {
         "cone": schemas.factorization_to_json(c.cone),
@@ -164,6 +171,7 @@ def _verb_cone(args, report):
 def _verb_triangle(args, report):
     phi = _morphism_or_false(args, report, args.input)
     tri = standard_triangle(phi)
+    verify_factorization(tri.sx)
     report["verdict"] = "verified"
     report["result"] = {
         "x": schemas.factorization_to_json(tri.x),

@@ -1,11 +1,13 @@
 """Factorization category: verification, rotations, cones, triangles."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from dfactor import factorization
-from dfactor.context import Context, FreeObj, MatrixMap, compose, compose_chain
+from dfactor.context import Context, FreeObj, MatrixMap, compose, compose_chain, eta_map
 from dfactor.dg import GradedHom, graded_hom, zero_graded
 from dfactor.errors import CompositionMismatch, ShapeMismatch
 from dfactor.factorization import (
@@ -26,9 +28,10 @@ from dfactor.factorization import (
     verify_factorization,
     zero_object,
 )
-from dfactor.fields import GF
+from dfactor.fields import GF, QQ
 from dfactor.rings import QuotientRing
 from dfactor.sampling import make_pool, random_element
+from dfactor.schemas import context_from_json
 from tests.oracles import first_failing_rotation
 
 F7 = GF(7)
@@ -406,3 +409,49 @@ def test_standard_triangle_shapes(X_xy):
     assert tri.sx == suspend(X_xy)
     tri0 = standard_triangle(zero_graded(X_xy, zero_object(X_xy.ctx, 2)))
     assert tri0.z.total_rank == X_xy.total_rank
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _lemma_ctx(name):
+    """A fixture context, or Q[x,y] with w = xy."""
+    if name == "q_xy":
+        R = QuotientRing.make(QQ(), ("x", "y"))
+        return Context(R, eta=R.parse("x*y"))
+    return context_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("name", ["ctx_f7xy_xy", "ctx_f7xy_sos", "quantum_context", "q_xy"])
+def test_constructions_are_valid_by_construction(name, d):
+    """Sums, suspensions, the trivial and zero factorizations and the
+    target of a cone's projection skip ``make_factorization``; each must
+    pass it, over pools built from those very constructions."""
+    ctx = _lemma_ctx(name)
+    obj = FreeObj.of(1)
+    objects = [obj] + [obj.twist(1)] * (d - 1)  # (eta, id, ..., id)
+    maps = [eta_map(obj, ctx)] + [MatrixMap.identity(ctx, obj.twist(1))] * (d - 1)
+    pool = make_pool(ctx, d, [make_factorization(ctx, d, objects, maps)], max_rank=6)
+    rng = random.Random(d)
+    built = [trivial_factorization(ctx, d, rank=2), zero_object(ctx, d)]
+    for _ in range(6):
+        X, Y = pool.random_factorization(rng, steps=3), pool.random_factorization(rng, steps=1)
+        phi = scalar_morphism(X, random_element(rng, ctx.backend, max_degree=1, max_terms=1))
+        if not is_morphism(phi).ok:
+            phi = identity_morphism(X)
+        built += [X, suspend(X), unsuspend(X), direct_sum(X, Y), cone(phi).project.target]
+    for T in built:
+        assert verify_factorization(T) == T
+
+
+def test_odd_d_suspensions_still_raise():
+    """At odd d the rotations of a suspension are -w: criterion 2's
+    d = 3 factorization has no suspension."""
+    ctx = ctx_with("x^3", ("x",))
+    X3 = mk_fact(ctx, 3, [[["x"]], [["x"]], [["x"]]])
+    for rotate in (suspend, unsuspend):
+        with pytest.raises(CompositionMismatch) as exc:
+            rotate(X3)
+        assert exc.value.rotation == 1
+        assert exc.value.residual.format_rows() == [["5*x^3"]]

@@ -7,11 +7,14 @@ homotopies became graded elements; the ``axioms_sos`` and
 ``verify_rotation2`` cases: before matrix entries became one sum of
 products and the rotation checks shared their products); any change
 in the layout of rows, columns or ideal injections changes a witness
-or a certificate and shows here.  The calls run inside ``golden/inputs`` with
+or a certificate and shows here.  The ``sum``, ``suspend`` and
+``unsuspend`` reports were written before those constructions stopped
+going through ``make_factorization``.  The calls run inside ``golden/inputs`` with
 relative paths, so the input keys of a report do not depend on where the
 repository lives.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,10 @@ CASES = {
     "dg_bad": ["dg", "dg_bad.json"],
     "cone": ["cone", "cone_phi.json"],
     "triangle": ["triangle", "cone_phi.json"],
+    # constructions valid by construction, verified before they are emitted
+    "sum": ["sum", "checktac_pos.json", "checktac_pos.json"],
+    "suspend": ["suspend", "../../../fixtures/sos_2x2.json"],
+    "unsuspend": ["unsuspend", "checktac_neg.json"],
     # sampled morphisms, homotopy witnesses and graded elements
     "axioms_d2": ["axioms", "--ctx", "ctx_f7xy_xy.json", "--trials", "10", "--seed", "1"],
     "axioms_d4": [
@@ -107,6 +114,12 @@ def test_golden_cases_cover_both_verdicts():
         ("lift_ring", factorization, "_check_squares", 3),
         ("homotopic_f7_pos", factorization, "differential_terms", 1),
         ("lift_ring", functors, "differential_terms", 2),
+        ("axioms_d2", factorization, "make_factorization", 58),
+        ("cone", factorization, "make_factorization", 2),
+        ("triangle", factorization, "make_factorization", 2),
+        ("sum", factorization, "make_factorization", 1),
+        ("suspend", factorization, "make_factorization", 1),
+        ("unsuspend", factorization, "make_factorization", 1),
     ],
 )
 def test_work_done_once_per_call_pinned(name, module, function, count, tmp_path, monkeypatch):
@@ -132,8 +145,14 @@ def test_work_done_once_per_call_pinned(name, module, function, count, tmp_path,
     ``differential_terms`` is the one writer of the differential as
     linear equations: the homotopy system calls it once, and the lift
     twice (d(theta) = 0 and theta - d(t) = phibar); an equation written
-    by hand instead would leave the count short.  The report does not
-    change.
+    by hand instead would leave the count short.
+    ``factorization.make_factorization`` checks the rotations of one
+    factorization that is not valid by construction, or that a check
+    asks for: the axiom suite's explicit re-verifications, cones, and
+    what a verb emits.  Verifying sums and suspensions as they were
+    built too took 196 (``axioms_d2``).  The CLI verifies each
+    factorization it builds once: the cone, and the suspended source
+    that ``cone`` and ``triangle`` emit.  The report does not change.
     """
     calls = [0]
     work = getattr(module, function)
@@ -148,3 +167,38 @@ def test_work_done_once_per_call_pinned(name, module, function, count, tmp_path,
     main([*CASES[name], "--out", str(out)])
     assert calls[0] == count
     assert out.read_bytes() == (GOLDEN / "reports" / f"{name}.json").read_bytes()
+
+
+def _emitted_factorizations(node):
+    """Every factorization in a report, without its context: the dicts
+    with ``ranks``, wherever they are nested."""
+    if isinstance(node, dict):
+        if "ranks" in node:
+            yield {k: v for k, v in node.items() if k != "context"}
+        for value in node.values():
+            yield from _emitted_factorizations(value)
+
+
+@pytest.mark.parametrize("name", ["sum", "suspend", "unsuspend", "cone", "triangle"])
+def test_construction_verbs_emit_only_verified_factorizations(name, tmp_path, monkeypatch):
+    """A report's "verified" means checked on this output: each
+    factorization a construction verb emits, its inputs and the ones it
+    built alike, is one that ``make_factorization`` accepted in this
+    call."""
+    checked = []
+    build = factorization.make_factorization
+
+    def recording(ctx, d, objects, maps, **kwargs):
+        X = build(ctx, d, objects, maps, **kwargs)
+        checked.append(schemas.factorization_to_json(X, include_context=False))
+        return X
+
+    monkeypatch.setattr(factorization, "make_factorization", recording)
+    monkeypatch.setattr(schemas, "make_factorization", recording)
+    monkeypatch.chdir(GOLDEN / "inputs")
+    out = tmp_path / "report.json"
+    assert main([*CASES[name], "--out", str(out)]) == 0
+    emitted = list(_emitted_factorizations(json.loads(out.read_text())["result"]))
+    assert emitted
+    for fact in emitted:
+        assert fact in checked
