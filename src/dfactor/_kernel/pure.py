@@ -10,13 +10,13 @@ descending keys of :class:`dfactor.rings.MonomialOrder` (smaller heap
 key = bigger monomial): they are cheaper to compute than the ascending
 ``key``.
 
-Outside the division, coefficients are combined in native arithmetic,
-not through the field's methods.  An F_p element is an int in
-``[0, p)``: products and sums are native int operations, reduced
-``% p`` once per output coefficient.  A field (or ring) with ``char``
-0 is the rationals or the integers of fraction-free elimination, whose
-native operators are the field's own; a sum starts from its first
-product, never from an int 0.
+Coefficients are combined in native arithmetic, not through the
+field's methods.  An F_p element is an int in ``[0, p)``: products and
+sums are native int operations, reduced ``% p`` once per output
+coefficient (in a division, when the heap pops its term).  A field (or
+ring) with ``char`` 0 is the rationals or the integers of fraction-free
+elimination, whose native operators are the field's own; a sum starts
+from its first product, never from an int 0.
 """
 
 from __future__ import annotations
@@ -157,9 +157,9 @@ def divmod_basis(f, basis, field, heap_key):
 
     Heap division (Johnson 1974; Monagan & Pearce 2007): the terms
     still to be reduced live in a dict keyed by monomial, and a heap of
-    ``heap_key`` values yields the biggest one next.  A term that
-    cancels is dropped from the dict and skipped when the heap reaches
-    it.  Each step divides by the first basis element whose lead
+    ``heap_key`` values yields the biggest one next.  A term whose
+    coefficient cancels to zero is skipped when the heap reaches it.
+    Each step divides by the first basis element whose lead
     divides the current term, exactly as classical division does, so
     the remainder does not depend on the data structure.
     """
@@ -174,18 +174,19 @@ def divmod_basis(f, basis, field, heap_key):
     if start == n:
         return f, None
 
-    zero = field.zero
-    fmul, fadd, fneg = field.mul, field.add, field.neg
-    invs = [field.inv(g[0][1]) for g in basis]
+    p = field.char
+    ninvs = [field.neg(field.inv(g[0][1])) for g in basis]
     tails = [g[1:] for g in basis]
     rem = list(f[:start])
     acc = dict(f[start:])
     heap = [(heap_key(m), m) for m, _ in f[start:]]  # ascending keys: a heap
     while heap:
         m = heappop(heap)[1]
-        c = acc.pop(m, None)
-        if c is None:
-            continue  # cancelled after it was pushed
+        c = acc.pop(m)
+        if p:
+            c %= p
+        if not c:
+            continue  # cancelled
         for gi, gm in enumerate(leads):
             if all(map(_ile, gm, m)):
                 break
@@ -193,17 +194,15 @@ def divmod_basis(f, basis, field, heap_key):
             rem.append((m, c))
             continue
         qmon = tuple(map(_isub, m, gm))
-        nqc = fneg(fmul(c, invs[gi]))
+        nqc = c * ninvs[gi]
+        if p:
+            nqc %= p
         for tm, tc in tails[gi]:
             mm = tuple(map(_iadd, tm, qmon))
             old = acc.get(mm)
             if old is None:
-                acc[mm] = fmul(tc, nqc)
+                acc[mm] = tc * nqc
                 heappush(heap, (heap_key(mm), mm))
             else:
-                s = fadd(old, fmul(tc, nqc))
-                if s == zero:
-                    del acc[mm]
-                else:
-                    acc[mm] = s
+                acc[mm] = old + tc * nqc
     return tuple(rem), None

@@ -28,9 +28,12 @@ from .errors import ParseError
 
 class _Field:
     def reducer(self, a):
-        """The reduction step by the lead coefficient a: c -> (1, c/a)."""
-        one, inv, mul = self.one, self.inv(a), self.mul
-        return lambda c: (one, mul(c, inv))
+        """The reduction step by the lead coefficient a: c -> (1, c/a),
+        in native arithmetic."""
+        one, inv, p = self.one, self.inv(a), self.char
+        if p:
+            return lambda c: (one, c * inv % p)
+        return lambda c: (one, c * inv)
 
 
 class IntegerRing:

@@ -9,12 +9,17 @@ with position 0 dominant, so elimination of the leading block computes
 syzygies and the tag block of any member records its expression in the
 generators.
 
-Over Q the completion is fraction-free: it runs on primitive integer
-vectors over ``Ambient(ZZ, vars, order)`` and returns monic ``Fraction``
-vectors, so no ``Fraction`` is made inside the pair loop.  The checks
-that do not trust the engine, :func:`is_module_groebner`,
+A completion keeps its divisor data in a :class:`Divisors` table that
+grows with the basis, and hands each S-pair to :func:`vec_divmod` as
+an :class:`SPair`, the two shifted halves whose leads cancel: the
+division fills its accumulators from the two tails, so no S-vector is
+built.  Over Q the completion is fraction-free: it runs on primitive
+integer vectors over ``Ambient(ZZ, vars, order)`` and returns monic
+``Fraction`` vectors, so no ``Fraction`` is made inside the pair loop.
+The checks that do not trust the engine, :func:`is_module_groebner`,
 :meth:`NoSolutionCertificate.reverify` and the division of the target
-in :func:`membership_lift`, stay over the field.
+in :func:`membership_lift`, stay over the field; they bring no table
+and build the S-vectors of :func:`is_module_groebner` whole.
 """
 
 from __future__ import annotations
@@ -110,127 +115,194 @@ def _monic_rational(v: Vec, amb: Ambient, zero: Poly) -> Vec:
     )
 
 
-def vec_divmod(v: Vec, basis: list[Vec], amb: Ambient, leads=None):
+class SPair(tuple):
+    """An S-vector as its two shifted halves ``(index, monomial,
+    coefficient)``: the sum c_i*q_i*g_i + c_j*q_j*g_j of basis elements
+    g_i and g_j, whose lead terms cancel."""
+
+    __slots__ = ()
+
+
+class Divisors:
+    """The divisor data of a basis, kept beside it and grown with it.
+
+    ``groups`` maps each lead position to the ``(index, lead monomial)``
+    of the elements whose lead sits there, in basis order; :meth:`admit`
+    files a new element.  ``entries`` maps an index to its reduction
+    step ``reducer(lead coefficient)`` and its tail terms by position:
+    the lead position's terms after the lead, then each later nonzero
+    position whole.  :meth:`entry` builds an entry the first time its
+    element divides, so a one-off division pays only for the divisors
+    it uses.  ``firsts`` remembers, per position, which element first
+    divides a monomial: its index k in the position's group, or -1 - n
+    when none of the first n elements does.  A group only grows at its
+    end, so a found divisor stays the first one, and a miss is
+    extended by trying only the elements filed since.
+    ``basis`` and ``leads`` are shared, not copied: append to both,
+    then admit.
+    """
+
+    def __init__(self, basis, ring, leads=None):
+        self.basis = basis
+        self.leads = [vec_lead(g) for g in basis] if leads is None else leads
+        self.reducer = ring.reducer
+        self.groups: dict[int, list] = {}
+        self.entries: dict[int, tuple] = {}
+        self.firsts: dict[int, dict] = {}
+        for idx in range(len(self.leads)):
+            self.admit(idx)
+
+    def admit(self, idx: int) -> None:
+        lead = self.leads[idx]
+        if lead is not None:
+            self.groups.setdefault(lead[0], []).append((idx, lead[1]))
+
+    def entry(self, idx: int):
+        entry = self.entries.get(idx)
+        if entry is None:
+            g, (pos, _, a) = self.basis[idx], self.leads[idx]
+            tails = [(pos, g[pos].terms[1:])]
+            tails += [(p2, g[p2].terms) for p2 in range(pos + 1, len(g)) if g[p2].terms]
+            entry = self.entries[idx] = (self.reducer(a), tails)
+        return entry
+
+
+def vec_divmod(v, basis, amb: Ambient, leads=None):
     """Full reduction of v by basis vectors; positions ascending.
 
-    Returns ``(remainder, None)``: v - remainder lies in the span of the
-    basis vectors (over ZZ, a multiple of v; see below) and no remainder
-    term is divisible by a same-position basis lead.  ``leads``, when
-    given, holds ``vec_lead`` of each basis vector.
+    ``v`` is a vector or an :class:`SPair` of the basis; ``basis`` is a
+    list of vectors or their :class:`Divisors`.  ``leads``, when given
+    with a list, holds ``vec_lead`` of each basis vector.  Returns
+    ``(remainder, None)``: v - remainder lies in the span of the basis
+    vectors (over ZZ, a multiple of v; see below) and no remainder term
+    is divisible by a same-position basis lead.
 
     Heap division per position, as in ``_kernel.pure.divmod_basis``:
     the current position's terms live in a dict keyed by monomial and a
-    heap of ``heap_key`` values yields the biggest one next; cancelled
-    terms are skipped when the heap reaches them.  A reduction also
-    subtracts the divisor's later positions, which collect in dicts of
-    their own until the loop reaches them.  Each step divides by the
-    first same-position basis vector whose lead divides the current
-    term, so the result does not depend on the data structure.
+    heap of ``heap_key`` values yields the biggest one next; a term whose
+    coefficient cancelled to zero is skipped when the heap reaches it.
+    A reduction also subtracts the divisor's later positions, which
+    collect in dicts of their own until the loop reaches them.  Each
+    step divides by the first same-position basis vector whose lead
+    divides the current term, so the result does not depend on the data
+    structure.  An S-pair's halves go straight into those dicts from
+    the two elements' tails: their leads cancel, so the S-vector is
+    never built.
 
-    Each step is h <- s*h - t*m*g with (s, t) from the coefficient
-    domain's ``reducer``.  Over a field s is 1.  Over ZZ s is a positive
+    Coefficients are combined with native operators.  Over F_p they are
+    ints left unreduced in the dicts and reduced ``% p`` when the heap
+    pops their term, for the zero test and the remainder.
+
+    Each step is h <- s*h - t*m*g with (s, t) from the divisor's
+    reduction step.  Over a field s is 1.  Over ZZ s is a positive
     integer and the remainder is the product of the s's times the
     remainder over Q.  The scaling is lazy: the current position's terms
     are scaled at once, and every other position is brought to the
     running product ``scale`` when the loop next writes it (a later
     position) or at the end (a finished or untouched position).
     """
-    ring = amb.field
+    table = basis if isinstance(basis, Divisors) else Divisors(basis, amb.field, leads)
+    groups, entries, entry, firsts = table.groups, table.entries, table.entry, table.firsts
+    p = amb.field.char
     heap_key = amb.order.heap_key
-    zero, one, fmul, fadd, fneg = ring.zero, ring.one, ring.mul, ring.add, ring.neg
-    if leads is None:
-        leads = [vec_lead(g) for g in basis]
-    groups: dict[int, list] = {}
-    for idx, lead in enumerate(leads):
-        if lead is not None:
-            groups.setdefault(lead[0], []).append((idx, lead[1]))
-    plans: dict = {}  # idx -> (reduction step, [(position, terms to subtract)])
     later: dict[int, dict] = {}  # position ahead of the loop -> its terms so far
-    later_at: dict[int, object] = {}  # ... -> the scale they are at, when not one
-    scale = one  # product of the steps' s
-    finished_at: dict[int, object] = {}  # finished position -> its scale, when not one
+    later_at: dict[int, int] = {}  # ... -> the scale they are at, when not 1
+    if isinstance(v, SPair):
+        for idx, q, c in v:
+            for p2, terms in entry(idx)[1]:
+                d = later.get(p2)
+                if d is None:
+                    d = later[p2] = {}
+                for tm, tc in terms:
+                    mm = tuple(map(_iadd, tm, q))
+                    old = d.get(mm)
+                    d[mm] = tc * c if old is None else old + tc * c
+        v = (Poly(amb, ()),) * len(table.basis[v[0][0]])
+    scale = 1  # product of the steps' s
+    finished_at: dict[int, int] = {}  # finished position -> its scale, when not 1
     remainder = []
-    for pos, p in enumerate(v):
+    for pos, f in enumerate(v):
         cands = groups.get(pos, ())
         acc = later.pop(pos, None)
         if acc is None:
             if not cands:
-                remainder.append(p)  # untouched, at scale one
+                remainder.append(f)  # untouched, at scale 1
                 continue
-            acc = dict(p.terms)
-            at = one
+            acc = dict(f.terms)
+            at = 1
         else:
-            at = later_at.pop(pos, one)
+            at = later_at.pop(pos, 1)
         if at != scale:
-            _rescale(acc, scale // at, fmul)
+            k = scale // at
+            for m in acc:
+                acc[m] *= k
         heap = [(heap_key(m), m) for m in acc]
         heapify(heap)
         rem = []
+        n = len(cands)
+        first = firsts.get(pos)
+        if first is None:
+            first = firsts[pos] = {}
         while heap:
             m = heappop(heap)[1]
-            c = acc.pop(m, None)
-            if c is None:
-                continue  # cancelled after it was pushed
-            for idx, gm in cands:
-                if all(map(_ile, gm, m)):
-                    break
-            else:
-                rem.append((m, c))
-                continue
-            plan = plans.get(idx)
-            if plan is None:
-                g = basis[idx]
-                plan = plans[idx] = (
-                    ring.reducer(leads[idx][2]),
-                    [(pos, g[pos].terms[1:])]
-                    + [(p2, g[p2].terms) for p2 in range(pos + 1, len(g)) if g[p2].terms],
-                )
-            s, t = plan[0](c)
-            if s != one:
-                scale = fmul(scale, s)
-                _rescale(acc, s, fmul)
-                rem = [(rm, fmul(rc, s)) for rm, rc in rem]
+            c = acc.pop(m)
+            if p:
+                c %= p
+            if not c:
+                continue  # cancelled
+            k = first.get(m, -1)
+            if k < 0:
+                k = -1 - k
+                while k < n and not all(map(_ile, cands[k][1], m)):
+                    k += 1
+                if k == n:
+                    first[m] = -1 - n
+                    rem.append((m, c))
+                    continue
+                first[m] = k
+            idx, gm = cands[k]
+            step, tails = entries.get(idx) or entry(idx)
+            s, t = step(c)
+            if s != 1:
+                scale *= s
+                for mm in acc:
+                    acc[mm] *= s
+                rem = [(rm, rc * s) for rm, rc in rem]
             qmon = tuple(map(_isub, m, gm))
-            nqc = fneg(t)
-            for p2, terms in plan[1]:
+            nqc = -t
+            for p2, terms in tails:
                 here = p2 == pos
                 d = acc if here else later.get(p2)
                 if d is None:
                     d = later[p2] = dict(v[p2].terms)
-                    if scale != one:
-                        _rescale(d, scale, fmul)
+                    if scale != 1:
+                        for mm in d:
+                            d[mm] *= scale
                         later_at[p2] = scale
-                elif scale != one and not here and later_at.get(p2, one) != scale:
-                    _rescale(d, scale // later_at.get(p2, one), fmul)
+                elif scale != 1 and not here and later_at.get(p2, 1) != scale:
+                    k = scale // later_at.get(p2, 1)
+                    for mm in d:
+                        d[mm] *= k
                     later_at[p2] = scale
                 for tm, tc in terms:
                     mm = tuple(map(_iadd, tm, qmon))
                     old = d.get(mm)
                     if old is None:
-                        d[mm] = fmul(tc, nqc)
+                        d[mm] = tc * nqc
                         if here:
                             heappush(heap, (heap_key(mm), mm))
                     else:
-                        new = fadd(old, fmul(tc, nqc))
-                        if new == zero:
-                            del d[mm]
-                        else:
-                            d[mm] = new
+                        d[mm] = old + tc * nqc
         remainder.append(Poly(amb, tuple(rem)))
-        if scale != one:
+        if scale != 1:
             finished_at[pos] = scale
-    if scale != one:
-        for pos, p in enumerate(remainder):
-            at = finished_at.get(pos, one)
-            if at != scale and p.terms:
+    if scale != 1:
+        for pos, f in enumerate(remainder):
+            at = finished_at.get(pos, 1)
+            if at != scale and f.terms:
                 k = scale // at
-                remainder[pos] = Poly(amb, tuple((m, fmul(c, k)) for m, c in p.terms))
+                remainder[pos] = Poly(amb, tuple((m, c * k) for m, c in f.terms))
     return tuple(remainder), None
-
-
-def _rescale(d: dict, k, fmul) -> None:
-    for m in d:
-        d[m] = fmul(d[m], k)
 
 
 def module_groebner(vecs, amb: Ambient):
@@ -258,7 +330,12 @@ def module_groebner(vecs, amb: Ambient):
     path.  S-vectors reduce against every element found so far, in the
     order found: reduced by the active set alone, some lex completions
     over the rationals ran through far longer chains of swollen
-    coefficients.
+    coefficients.  Those elements' leads, reduction steps and tails sit
+    in one :class:`Divisors` table, filed as each element is installed,
+    and each S-pair goes to ``vec_divmod`` as its two halves
+    (:class:`SPair`), so the S-vector is formed inside the division.
+    The interreduction keeps a table of its own for the elements it has
+    reduced.
 
     Pairs are taken lowest sugar first (Giovini, Mora, Niesi, Robbiano &
     Traverso, ISSAC 1991), ties by lcm degree: a generator's sugar is
@@ -307,6 +384,7 @@ def _complete(vecs, amb: Ambient):
         basis = [_integer_vec(v, work, zero) for v in vecs]
     key = amb.order.key
     leads: list = []
+    table = Divisors(basis, work.field, leads)
     sugars = [max(p.total_degree() for p in v) for v in basis]
     active: list = []  # indices of the non-redundant elements, ascending
     live: dict = {}  # queued pairs (i, j) -> lcm of their leads; pruned pairs leave
@@ -315,6 +393,7 @@ def _complete(vecs, amb: Ambient):
     def install(h):
         pos, mh, _ = lead = vec_lead(basis[h])
         leads.append(lead)
+        table.admit(h)
         new = [(g, mon_lcm(leads[g][1], mh)) for g in active if leads[g][0] == pos]
         kept = []
         for n, (g, lcm) in enumerate(new):
@@ -343,7 +422,6 @@ def _complete(vecs, amb: Ambient):
     for h in range(len(basis)):
         install(h)
 
-    ring = work.field
     done = 0
     while pairs:
         if expired():
@@ -354,10 +432,9 @@ def _complete(vecs, amb: Ambient):
             continue
         done += 1
         li, lj = leads[i], leads[j]
-        s, t = ring.reducer(li[2])(lj[2])  # s*a_j = t*a_i
-        left = vec_shift(basis[i], mon_div(lcm, li[1]), t)
-        right = vec_shift(basis[j], mon_div(lcm, lj[1]), ring.neg(s))
-        rem, _ = vec_divmod(vec_add(left, right), basis, work, leads=leads)
+        s, t = table.entry(i)[0](lj[2])  # s*a_j = t*a_i
+        halves = SPair(((i, mon_div(lcm, li[1]), t), (j, mon_div(lcm, lj[1]), -s)))
+        rem, _ = vec_divmod(halves, table, work)
         if not vec_is_zero(rem):
             basis.append(normalize(rem))
             sugars.append(rank[0])
@@ -390,6 +467,7 @@ def _reduce_module_basis(basis, leads, amb, normalize):
             minimal.append(k)
     reduced: list = []
     reduced_leads: list = []
+    table = Divisors(reduced, amb.field, reduced_leads)
     for k in minimal:
         if expired():
             raise DeadlineExceeded(
@@ -398,10 +476,11 @@ def _reduce_module_basis(basis, leads, amb, normalize):
         pos, mon, _ = leads[k]
         rem = basis[k]
         if reduced:
-            rem, _ = vec_divmod(rem, reduced, amb, leads=reduced_leads)
+            rem, _ = vec_divmod(rem, table, amb)
             rem = normalize(rem, (pos, mon, rem[pos].lead_coeff))
         reduced.append(rem)
         reduced_leads.append((pos, mon, rem[pos].lead_coeff))
+        table.admit(len(reduced) - 1)
     return tuple(reversed(reduced))
 
 

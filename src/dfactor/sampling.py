@@ -245,8 +245,11 @@ def seeds_for_ring_fixture(ctx: Context, d: int):
     """Known splittings for w = x*y, x^2 + y^2 and x^4.
 
     A candidate w matches only in a ring that has its variables, so
-    x^4 is recognised in one variable too.  Unknown contexts just get
-    the trivial seeds that FixturePool adds.
+    x^4 is recognised in one variable too.  At an even d >= 6 each
+    d = 2 splitting AB = BA = w is followed by d - 2 identity maps:
+    every rotation is then a cyclic product holding both AB and BA,
+    each w*I.  Unknown contexts, and odd d, just get the trivial seeds
+    that FixturePool adds.
     """
     backend = ctx.backend
     if not isinstance(backend, QuotientRing):
@@ -255,7 +258,6 @@ def seeds_for_ring_fixture(ctx: Context, d: int):
 
     amb = backend.amb
     w = ctx.eta
-    seeds = []
 
     def fact_from_strings(matrices):
         objects = [FreeObj.of(len(m[0])) for m in matrices]
@@ -269,27 +271,33 @@ def seeds_for_ring_fixture(ctx: Context, d: int):
     def is_eta(text, variables):
         return set(variables) <= set(amb.vars) and w == backend.parse(text)
 
+    one = [["1"]]
     if is_eta("x*y", "xy"):
-        if d == 2:
-            seeds = [fact_from_strings([[["x"]], [["y"]]]),
-                     fact_from_strings([[["y"]], [["x"]]])]
-        elif d == 4:
-            seeds = [fact_from_strings([[["x"]], [["y"]], [["1"]], [["1"]]]),
-                     fact_from_strings([[["1"]], [["x"]], [["1"]], [["y"]]])]
+        at_2 = [[[["x"]], [["y"]]], [[["y"]], [["x"]]]]
+        at_4 = [[[["x"]], [["y"]], one, one], [one, [["x"]], one, [["y"]]]]
     elif is_eta("x^2 + y^2", "xy"):
         pair = [[["x", "y"], ["-y", "x"]], [["x", "-y"], ["y", "x"]]]
-        if d == 2:
-            seeds = [fact_from_strings(pair)]
-        elif d == 4:
-            ident = [["1", "0"], ["0", "1"]]
-            seeds = [fact_from_strings([pair[0], pair[1], ident, ident])]
+        ident = [["1", "0"], ["0", "1"]]
+        at_2 = [pair]
+        at_4 = [[pair[0], pair[1], ident, ident]]
     elif is_eta("x^4", "x"):
-        if d == 2:
-            seeds = [fact_from_strings([[["x"]], [["x^3"]]]),
-                     fact_from_strings([[["x^2"]], [["x^2"]]])]
-        elif d == 4:
-            seeds = [fact_from_strings([[["x"]], [["x"]], [["x"]], [["x"]]])]
-    return seeds
+        at_2 = [[[["x"]], [["x^3"]]], [[["x^2"]], [["x^2"]]]]
+        at_4 = [[[["x"]]] * 4]
+    else:
+        return []
+    if d == 2:
+        chosen = at_2
+    elif d == 4:
+        chosen = at_4
+    elif d % 2 == 0 and d >= 6:
+        chosen = []
+        for a, b in at_2:
+            n = len(a[0])
+            ident = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+            chosen.append([a, b] + [ident] * (d - 2))
+    else:
+        return []
+    return [fact_from_strings(matrices) for matrices in chosen]
 
 
 def make_pool(ctx: Context, d: int, extra_seeds=(), max_rank: int = 8) -> FixturePool:

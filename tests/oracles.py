@@ -382,7 +382,9 @@ def all_pairs_module_groebner(vecs, amb):
     basis = [vec_monic(v) for v in vecs if not vec_is_zero(v)]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
-        i, j = pairs.pop()
+        # oldest first: newest first ran some Q ideals of three
+        # generators of degree 2 for minutes on swelling fractions
+        i, j = pairs.pop(0)
         (pi, mi, ci), (pj, mj, cj) = vec_lead(basis[i]), vec_lead(basis[j])
         if pi != pj:
             continue

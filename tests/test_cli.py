@@ -301,6 +301,17 @@ def test_axioms_verb(capsys):
     assert rep["result"]["failures"] == []
 
 
+@pytest.mark.parametrize("name", ["ctx_f7xy_xy", "ctx_f7xy_sos"])
+def test_axioms_at_d6(capsys, name):
+    code, rep = run_cli(
+        ["axioms", "--ctx", FIXTURES / f"{name}.json", "--d", "6", "--seed", "42", "--trials", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert rep["verdict"] == "verified"
+    assert rep["result"]["failures"] == []
+
+
 def test_axioms_quantum_context(capsys):
     code, rep = run_cli(
         ["axioms", "--ctx", FIXTURES / "quantum_context.json", "--seed", "7", "--trials", "3"],

@@ -1,6 +1,7 @@
 """Module engine: syzygies, membership lifts, colon ideals, solving."""
 
 import dataclasses
+import itertools
 import math
 import random
 import time
@@ -24,8 +25,10 @@ from dfactor.modgb import (
     module_groebner,
     solve_linear,
     syzygy_gens,
+    vec_add,
     vec_divmod,
     vec_lead,
+    vec_shift,
 )
 from dfactor.reuse import one_call
 from dfactor.rings import GREVLEX, LEX, Ambient, Ideal, Poly, QuotientRing
@@ -396,6 +399,94 @@ def test_module_groebner_matches_all_pairs_oracle(field, order, monkeypatch):
         assert got[4][1] is None  # a sum of two generators is a member
 
 
+
+def test_s_pairs_divide_as_the_built_s_vector():
+    """An S-pair handed to the division as its two halves reduces like
+    the S-vector built from them, over a field and over ZZ, where the
+    pair's own s and the steps' s are not 1."""
+    for field in (GF(7), QQ(), ZZ):
+        amb = Ambient(field, ("x", "y"))
+        rng = random.Random(9201 + field.char)
+        for _ in range(40):
+            size = rng.randint(1, 3)
+            basis = []
+            for _ in range(rng.randint(2, 5)):
+                start = rng.randrange(size)
+                g = tuple(
+                    amb.zero() if k < start else _random_poly(rng, amb, 4, 2) for k in range(size)
+                )
+                if field is ZZ:
+                    g = tuple(Poly(amb, tuple((m, c.numerator) for m, c in p.terms)) for p in g)
+                basis.append(g)
+            leads = [vec_lead(g) for g in basis]
+            for j, i in itertools.combinations(range(len(basis)), 2):
+                li, lj = leads[i], leads[j]
+                if li is None or lj is None or li[0] != lj[0]:
+                    continue
+                lcm = tuple(map(max, li[1], lj[1]))
+                qi, qj = (tuple(map(int.__sub__, lcm, lead[1])) for lead in (li, lj))
+                s, t = field.reducer(li[2])(lj[2])
+                built = vec_add(vec_shift(basis[i], qi, t), vec_shift(basis[j], qj, -s))
+                halves = modgb.SPair(((i, qi, t), (j, qj, -s)))
+                want = vec_divmod(built, basis, amb)
+                assert vec_divmod(halves, basis, amb) == want
+                assert vec_divmod(halves, modgb.Divisors(basis, field), amb) == want
+
+
+# -- the groebner workload's shape: rank 1 in three variables ----------------
+
+_DEGREE_2 = [m for m in itertools.product(range(3), repeat=3) if sum(m) <= 2]
+
+
+def _degree_2_ideal(rng, amb):
+    """3 generators in x, y, z, each with 4 to 6 of the 10 monomials of
+    total degree at most 2 and coefficients in {1, 2, 3, -1, -2, -3}."""
+    gens = []
+    for _ in range(3):
+        poly = amb.zero()
+        for mon in rng.sample(_DEGREE_2, rng.randint(4, 6)):
+            poly = poly + amb.monomial(mon, rng.choice((1, 2, 3, -1, -2, -3)))
+        gens.append((poly,))
+    return gens
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ()], ids=["F7", "Q"])
+def test_degree_2_ideals_match_all_pairs_oracle(field, monkeypatch):
+    """Over Q the completion runs over ZZ, and leads 2 and 3 make steps
+    with s != 1 inside the divisions of S-pairs."""
+    amb = Ambient(field, ("x", "y", "z"))
+    rng = random.Random(9401 + field.char)
+    in_pair, pair_scales = [False], []
+    divmod, reducer = modgb.vec_divmod, ZZ.reducer
+
+    def spying_divmod(v, *args, **kwargs):
+        in_pair[0] = isinstance(v, modgb.SPair)
+        try:
+            return divmod(v, *args, **kwargs)
+        finally:
+            in_pair[0] = False
+
+    def spying_reducer(a):
+        step = reducer(a)
+
+        def spy(c):
+            s, t = step(c)
+            if in_pair[0]:
+                pair_scales.append(s)
+            return s, t
+
+        return spy
+
+    monkeypatch.setattr(modgb, "vec_divmod", spying_divmod)
+    monkeypatch.setattr(ZZ, "reducer", spying_reducer)
+    for _ in range(16):
+        gens = _degree_2_ideal(rng, amb)
+        got = module_groebner(gens, amb)
+        assert got == all_pairs_module_groebner(gens, amb)
+        assert is_module_groebner(got, amb)
+    assert field.char or any(s != 1 for s in pair_scales)
+
+
 _P7 = Ambient(GF(7), ("x", "y", "z"))
 
 
@@ -446,6 +537,23 @@ def test_matrix_kernel_pair_reductions_pinned(monkeypatch):
     ring = QuotientRing(_P7, Ideal(_P7, [P("x*y"), P("z^2")]))
     rows = [(P("x"), P("y"), P("x + z")), (P("y"), P("x^2"), _P7.zero())]
     assert _pinned_pair_reductions(monkeypatch, lambda: matrix_kernel(rows, ring)) == [19]
+
+
+
+@pytest.mark.parametrize(
+    "field, gens",
+    [
+        (GF(7), ["5*x^2 + 5*x*y + 5*x*z + 2*y*z + 5*y + 3", "6*x^2 + 6*x*y + 4*y*z + 3*z^2",
+                 "5*x^2 + 5*y^2 + y*z + 3*x + 2*y + z"]),
+        (QQ(), ["-2*x^2 + x*z - z^2 + 3*y + 2", "-x^2 + 3*x*y - 2*x - 3*z + 1",
+                "3*x^2 + 3*x*z - y*z - 3*z^2 - x - 3*z"]),
+    ],
+    ids=["F7", "Q"],
+)
+def test_degree_2_ideal_pair_reductions_pinned(monkeypatch, field, gens):
+    amb = Ambient(field, ("x", "y", "z"))
+    vecs = [(amb.poly(g),) for g in gens]
+    assert _pinned_pair_reductions(monkeypatch, lambda: module_groebner(vecs, amb)) == [12]
 
 
 # -- certificates that a forger cannot pass off ---------------------------------

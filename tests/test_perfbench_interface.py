@@ -34,9 +34,10 @@ def test_traced_groebner_run_sees_the_kernel():
     assert result["correct"] and result["failed"] == 0
     metrics = result["metrics"]
     # rings.groebner is the rank-1 case of the module engine, which
-    # divides with vec_divmod and builds S-vectors with the kernel's shift
-    assert metrics["kernel.add.calls"]["value"] > 0
-    assert metrics["kernel.shift.calls"]["value"] > 0
+    # forms S-vectors inside vec_divmod and makes elements monic with
+    # the kernel's scale
+    assert metrics["kernel.scale.calls"]["value"] > 0
+    assert metrics["modgb.vec_divmod.calls"]["value"] > 0
     assert metrics["modgb.module_groebner.calls"]["value"] > 0
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from dfactor import linalg, sampling
 from dfactor.context import Context, FreeObj, MatrixMap, compose, eta_map
-from dfactor.factorization import make_factorization
+from dfactor.factorization import make_factorization, verify_factorization
 from dfactor.fdalg import FDAlgebra, monomial_algebra
 from dfactor.fields import QQ
 from dfactor.rings import QuotientRing
@@ -311,5 +311,19 @@ def test_x4_seeds_in_one_and_two_variables(variables):
     # a candidate w in variables the ring lacks (x*y over F_7[x]) does
     # not match, and the x^4 splittings are still found
     ctx = ctx_with("x^4", variables)
-    assert [len(sampling.seeds_for_ring_fixture(ctx, d)) for d in (2, 4)] == [2, 1]
+    assert [len(sampling.seeds_for_ring_fixture(ctx, d)) for d in (2, 4, 6)] == [2, 1, 2]
     assert sampling.seeds_for_ring_fixture(ctx_with("x^3", variables), 2) == []
+
+
+@pytest.mark.parametrize("d", [6, 8])
+@pytest.mark.parametrize("name", ["ctx_f7xy_xy.json", "ctx_f7xy_sos.json"])
+def test_pools_past_d4_hold_the_d2_splittings(name, d):
+    """At even d >= 6 each d = 2 splitting, padded with identity maps,
+    seeds the pool beside the trivial seed."""
+    ctx = context_from_json(_fixture(name))
+    pool = make_pool(ctx, d)
+    want = len(sampling.seeds_for_ring_fixture(ctx, 2))
+    assert len(pool.seeds) == want + 1 > 1
+    for X in pool.seeds:
+        assert X.d == d
+        assert verify_factorization(X) == X
