@@ -225,7 +225,7 @@ def vec_divmod(v, basis, amb: Ambient, leads=None):
         cands = groups.get(pos, ())
         acc = later.pop(pos, None)
         if acc is None:
-            if not cands:
+            if not cands or not f.terms:
                 remainder.append(f)  # untouched, at scale 1
                 continue
             acc = dict(f.terms)
@@ -240,9 +240,10 @@ def vec_divmod(v, basis, amb: Ambient, leads=None):
         heapify(heap)
         rem = []
         n = len(cands)
-        first = firsts.get(pos)
-        if first is None:
-            first = firsts[pos] = {}
+        if n:
+            first = firsts.get(pos)
+            if first is None:
+                first = firsts[pos] = {}
         while heap:
             m = heappop(heap)[1]
             c = acc.pop(m)
@@ -250,6 +251,9 @@ def vec_divmod(v, basis, amb: Ambient, leads=None):
                 c %= p
             if not c:
                 continue  # cancelled
+            if not n:
+                rem.append((m, c))
+                continue
             k = first.get(m, -1)
             if k < 0:
                 k = -1 - k
@@ -330,8 +334,9 @@ def module_groebner(vecs, amb: Ambient):
     path.  S-vectors reduce against every element found so far, in the
     order found: reduced by the active set alone, some lex completions
     over the rationals ran through far longer chains of swollen
-    coefficients.  Those elements' leads, reduction steps and tails sit
-    in one :class:`Divisors` table, filed as each element is installed,
+    coefficients.  Those elements' leads, reduction steps and tails,
+    and the first divisor of each monomial met, sit in one
+    :class:`Divisors` table, filed as each element is installed,
     and each S-pair goes to ``vec_divmod`` as its two halves
     (:class:`SPair`), so the S-vector is formed inside the division.
     The interreduction keeps a table of its own for the elements it has
