@@ -2,7 +2,9 @@
 
 ``ops_for(field, order)`` returns the operation set the ring layer
 uses: the functions of :mod:`.pure` with the field and the order's keys
-bound once.  ``HAVE_SPEEDUPS`` is always False; it stays for tools that
+bound once.  ``divmod_basis`` is the one division, of vectors by a
+:class:`.pure.Divisors` table; ring normal forms are its one-position
+case.  ``HAVE_SPEEDUPS`` is always False; it stays for tools that
 report which kernel ran.
 """
 
@@ -38,5 +40,5 @@ def ops_for(field, order) -> KernelOps:
         mul=lambda a, b: pure.mul(a, b, field, heap_key),
         dot=lambda pairs: pure.dot(pairs, field, heap_key),
         axpy=lambda a, s, b: pure.axpy(a, s, b, field, heap_key),
-        divmod_basis=lambda f, basis: pure.divmod_basis(f, basis, field, heap_key),
+        divmod_basis=lambda v, table: pure.divmod_basis(v, table, field, heap_key),
     )

@@ -9,28 +9,27 @@ with position 0 dominant, so elimination of the leading block computes
 syzygies and the tag block of any member records its expression in the
 generators.
 
-A completion keeps its divisor data in a :class:`Divisors` table that
-grows with the basis, and hands each S-pair to :func:`vec_divmod` as
-an :class:`SPair`, the two shifted halves whose leads cancel: the
-division fills its accumulators from the two tails, so no S-vector is
-built.  Over Q the completion is fraction-free: it runs on primitive
-integer vectors over ``Ambient(ZZ, vars, order)`` and returns monic
-``Fraction`` vectors, so no ``Fraction`` is made inside the pair loop.
-The checks that do not trust the engine, :func:`is_module_groebner`,
+Every division is the term kernel's (``_kernel.pure.divmod_basis``),
+through :func:`vec_divmod`.  A completion files each element it finds
+in the kernel's :class:`Divisors` table once, and hands each S-pair to
+the division as an :class:`SPair`, so no S-vector is built.  Over Q
+the completion is fraction-free: it runs on primitive integer vectors
+over ``Ambient(ZZ, vars, order)`` and returns monic ``Fraction``
+vectors, so no ``Fraction`` is made inside the pair loop.  The checks
+that do not trust the engine, :func:`is_module_groebner`,
 :meth:`NoSolutionCertificate.reverify` and the division of the target
-in :func:`membership_lift`, stay over the field; they bring no table
-and build the S-vectors of :func:`is_module_groebner` whole.
+in :func:`membership_lift`, stay over the field and build the
+S-vectors of :func:`is_module_groebner` whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd, lcm as int_lcm
-from operator import add as _iadd, le as _ile, sub as _isub
 
-from ._kernel.pure import mon_div, mon_divides, mon_lcm
+from ._kernel.pure import Divisors, SPair, mon_div, mon_divides, mon_lcm
 from .errors import DeadlineExceeded
 from .fields import ZZ
 from .reuse import expired, reuse
@@ -41,6 +40,11 @@ Vec = tuple  # tuple[Poly, ...]
 
 def vec_is_zero(v: Vec) -> bool:
     return not any(p.terms for p in v)
+
+
+def _terms(v: Vec) -> tuple:
+    """The term tuples of v, as the kernel's division takes them."""
+    return tuple([p.terms for p in v])
 
 
 def vec_lead(v: Vec):
@@ -115,198 +119,21 @@ def _monic_rational(v: Vec, amb: Ambient, zero: Poly) -> Vec:
     )
 
 
-class SPair(tuple):
-    """An S-vector as its two shifted halves ``(index, monomial,
-    coefficient)``: the sum c_i*q_i*g_i + c_j*q_j*g_j of basis elements
-    g_i and g_j, whose lead terms cancel."""
-
-    __slots__ = ()
-
-
-class Divisors:
-    """The divisor data of a basis, kept beside it and grown with it.
-
-    ``groups`` maps each lead position to the ``(index, lead monomial)``
-    of the elements whose lead sits there, in basis order; :meth:`admit`
-    files a new element.  ``entries`` maps an index to its reduction
-    step ``reducer(lead coefficient)`` and its tail terms by position:
-    the lead position's terms after the lead, then each later nonzero
-    position whole.  :meth:`entry` builds an entry the first time its
-    element divides, so a one-off division pays only for the divisors
-    it uses.  ``firsts`` remembers, per position, which element first
-    divides a monomial: its index k in the position's group, or -1 - n
-    when none of the first n elements does.  A group only grows at its
-    end, so a found divisor stays the first one, and a miss is
-    extended by trying only the elements filed since.
-    ``basis`` and ``leads`` are shared, not copied: append to both,
-    then admit.
+def vec_divmod(v, basis, amb: Ambient):
+    """``(remainder, None)``: the kernel's division of v, a vector or an
+    :class:`SPair`, by a list of vectors or the :class:`Divisors` table
+    of their term tuples.  Untouched positions keep their :class:`Poly`.
     """
-
-    def __init__(self, basis, ring, leads=None):
-        self.basis = basis
-        self.leads = [vec_lead(g) for g in basis] if leads is None else leads
-        self.reducer = ring.reducer
-        self.groups: dict[int, list] = {}
-        self.entries: dict[int, tuple] = {}
-        self.firsts: dict[int, dict] = {}
-        for idx in range(len(self.leads)):
-            self.admit(idx)
-
-    def admit(self, idx: int) -> None:
-        lead = self.leads[idx]
-        if lead is not None:
-            self.groups.setdefault(lead[0], []).append((idx, lead[1]))
-
-    def entry(self, idx: int):
-        entry = self.entries.get(idx)
-        if entry is None:
-            g, (pos, _, a) = self.basis[idx], self.leads[idx]
-            tails = [(pos, g[pos].terms[1:])]
-            tails += [(p2, g[p2].terms) for p2 in range(pos + 1, len(g)) if g[p2].terms]
-            entry = self.entries[idx] = (self.reducer(a), tails)
-        return entry
-
-
-def vec_divmod(v, basis, amb: Ambient, leads=None):
-    """Full reduction of v by basis vectors; positions ascending.
-
-    ``v`` is a vector or an :class:`SPair` of the basis; ``basis`` is a
-    list of vectors or their :class:`Divisors`.  ``leads``, when given
-    with a list, holds ``vec_lead`` of each basis vector.  Returns
-    ``(remainder, None)``: v - remainder lies in the span of the basis
-    vectors (over ZZ, a multiple of v; see below) and no remainder term
-    is divisible by a same-position basis lead.
-
-    Heap division per position, as in ``_kernel.pure.divmod_basis``:
-    the current position's terms live in a dict keyed by monomial and a
-    heap of ``heap_key`` values yields the biggest one next; a term whose
-    coefficient cancelled to zero is skipped when the heap reaches it.
-    A reduction also subtracts the divisor's later positions, which
-    collect in dicts of their own until the loop reaches them.  Each
-    step divides by the first same-position basis vector whose lead
-    divides the current term, so the result does not depend on the data
-    structure.  An S-pair's halves go straight into those dicts from
-    the two elements' tails: their leads cancel, so the S-vector is
-    never built.
-
-    Coefficients are combined with native operators.  Over F_p they are
-    ints left unreduced in the dicts and reduced ``% p`` when the heap
-    pops their term, for the zero test and the remainder.
-
-    Each step is h <- s*h - t*m*g with (s, t) from the divisor's
-    reduction step.  Over a field s is 1.  Over ZZ s is a positive
-    integer and the remainder is the product of the s's times the
-    remainder over Q.  The scaling is lazy: the current position's terms
-    are scaled at once, and every other position is brought to the
-    running product ``scale`` when the loop next writes it (a later
-    position) or at the end (a finished or untouched position).
-    """
-    table = basis if isinstance(basis, Divisors) else Divisors(basis, amb.field, leads)
-    groups, entries, entry, firsts = table.groups, table.entries, table.entry, table.firsts
-    p = amb.field.char
-    heap_key = amb.order.heap_key
-    later: dict[int, dict] = {}  # position ahead of the loop -> its terms so far
-    later_at: dict[int, int] = {}  # ... -> the scale they are at, when not 1
+    if not isinstance(basis, Divisors):
+        basis = Divisors(amb.field, [_terms(g) for g in basis])
     if isinstance(v, SPair):
-        for idx, q, c in v:
-            for p2, terms in entry(idx)[1]:
-                d = later.get(p2)
-                if d is None:
-                    d = later[p2] = {}
-                for tm, tc in terms:
-                    mm = tuple(map(_iadd, tm, q))
-                    old = d.get(mm)
-                    d[mm] = tc * c if old is None else old + tc * c
-        v = (Poly(amb, ()),) * len(table.basis[v[0][0]])
-    scale = 1  # product of the steps' s
-    finished_at: dict[int, int] = {}  # finished position -> its scale, when not 1
-    remainder = []
-    for pos, f in enumerate(v):
-        cands = groups.get(pos, ())
-        acc = later.pop(pos, None)
-        if acc is None:
-            if not cands or not f.terms:
-                remainder.append(f)  # untouched, at scale 1
-                continue
-            acc = dict(f.terms)
-            at = 1
-        else:
-            at = later_at.pop(pos, 1)
-        if at != scale:
-            k = scale // at
-            for m in acc:
-                acc[m] *= k
-        heap = [(heap_key(m), m) for m in acc]
-        heapify(heap)
-        rem = []
-        n = len(cands)
-        if n:
-            first = firsts.get(pos)
-            if first is None:
-                first = firsts[pos] = {}
-        while heap:
-            m = heappop(heap)[1]
-            c = acc.pop(m)
-            if p:
-                c %= p
-            if not c:
-                continue  # cancelled
-            if not n:
-                rem.append((m, c))
-                continue
-            k = first.get(m, -1)
-            if k < 0:
-                k = -1 - k
-                while k < n and not all(map(_ile, cands[k][1], m)):
-                    k += 1
-                if k == n:
-                    first[m] = -1 - n
-                    rem.append((m, c))
-                    continue
-                first[m] = k
-            idx, gm = cands[k]
-            step, tails = entries.get(idx) or entry(idx)
-            s, t = step(c)
-            if s != 1:
-                scale *= s
-                for mm in acc:
-                    acc[mm] *= s
-                rem = [(rm, rc * s) for rm, rc in rem]
-            qmon = tuple(map(_isub, m, gm))
-            nqc = -t
-            for p2, terms in tails:
-                here = p2 == pos
-                d = acc if here else later.get(p2)
-                if d is None:
-                    d = later[p2] = dict(v[p2].terms)
-                    if scale != 1:
-                        for mm in d:
-                            d[mm] *= scale
-                        later_at[p2] = scale
-                elif scale != 1 and not here and later_at.get(p2, 1) != scale:
-                    k = scale // later_at.get(p2, 1)
-                    for mm in d:
-                        d[mm] *= k
-                    later_at[p2] = scale
-                for tm, tc in terms:
-                    mm = tuple(map(_iadd, tm, qmon))
-                    old = d.get(mm)
-                    if old is None:
-                        d[mm] = tc * nqc
-                        if here:
-                            heappush(heap, (heap_key(mm), mm))
-                    else:
-                        d[mm] = old + tc * nqc
-        remainder.append(Poly(amb, tuple(rem)))
-        if scale != 1:
-            finished_at[pos] = scale
-    if scale != 1:
-        for pos, f in enumerate(remainder):
-            at = finished_at.get(pos, 1)
-            if at != scale and f.terms:
-                k = scale // at
-                remainder[pos] = Poly(amb, tuple((m, c * k) for m, c in f.terms))
-    return tuple(remainder), None
+        zero = Poly(amb, ())
+        return tuple([Poly(amb, t) if t else zero for t in amb.ops.divmod_basis(v, basis)]), None
+    terms = _terms(v)
+    rem = amb.ops.divmod_basis(terms, basis)
+    if rem == terms:  # nothing was divisible
+        return tuple(v), None
+    return tuple([f if t is f.terms else Poly(amb, t) for f, t in zip(v, rem)]), None
 
 
 def module_groebner(vecs, amb: Ambient):
@@ -372,7 +199,7 @@ def module_groebner(vecs, amb: Ambient):
     """
     vecs = list(vecs)
     return reuse(
-        lambda: ("module_groebner", amb, tuple(tuple(p.terms for p in v) for v in vecs)),
+        lambda: ("module_groebner", amb, tuple(_terms(v) for v in vecs)),
         lambda: _complete(vecs, amb),
     )
 
@@ -388,17 +215,16 @@ def _complete(vecs, amb: Ambient):
         zero = Poly(work, ())
         basis = [_integer_vec(v, work, zero) for v in vecs]
     key = amb.order.key
-    leads: list = []
-    table = Divisors(basis, work.field, leads)
+    table = Divisors(work.field)
+    leads = table.leads
     sugars = [max(p.total_degree() for p in v) for v in basis]
     active: list = []  # indices of the non-redundant elements, ascending
     live: dict = {}  # queued pairs (i, j) -> lcm of their leads; pruned pairs leave
     pairs: list = []  # heap over the ranks of queued and pruned pairs
 
     def install(h):
-        pos, mh, _ = lead = vec_lead(basis[h])
-        leads.append(lead)
-        table.admit(h)
+        table.admit(_terms(basis[h]))
+        pos, mh, _ = leads[h]
         new = [(g, mon_lcm(leads[g][1], mh)) for g in active if leads[g][0] == pos]
         kept = []
         for n, (g, lcm) in enumerate(new):
@@ -446,7 +272,8 @@ def _complete(vecs, amb: Ambient):
             install(len(basis) - 1)
 
     reduced = _reduce_module_basis(
-        [basis[g] for g in active], [leads[g] for g in active], work, normalize
+        [basis[g] for g in active], [table[g] for g in active], [leads[g] for g in active],
+        work, normalize,
     )
     if work is amb:
         return reduced
@@ -454,15 +281,16 @@ def _complete(vecs, amb: Ambient):
     return tuple(_monic_rational(v, amb, zero) for v in reduced)
 
 
-def _reduce_module_basis(basis, leads, amb, normalize):
+def _reduce_module_basis(basis, vecs, leads, amb, normalize):
     """Minimalize and tail-reduce; returns the biggest lead first.
 
-    The minimal elements are reduced in ascending order (position
-    descending, then monomial ascending), each against those already
-    reduced: a tail term sits below its element's lead, so only a
-    smaller lead can divide it.  The lead itself is never reduced, so
+    ``vecs`` and ``leads`` hold the term tuples and the lead of each
+    basis vector.  The minimal elements are reduced in ascending order
+    (position descending, then monomial ascending), each against those
+    already reduced: a tail term sits below its element's lead, so only
+    a smaller lead can divide it.  The lead itself is never reduced, so
     each result keeps its lead; ``normalize`` (monic over a field,
-    primitive over ZZ) is applied to each.
+    primitive over ZZ) is applied to each that a step changed.
     """
     key = amb.order.key
     minimal: list = []  # indices into basis, ascending
@@ -471,28 +299,29 @@ def _reduce_module_basis(basis, leads, amb, normalize):
         if not any(leads[h][0] == pos and mon_divides(leads[h][1], mon) for h in minimal):
             minimal.append(k)
     reduced: list = []
-    reduced_leads: list = []
-    table = Divisors(reduced, amb.field, reduced_leads)
+    table = Divisors(amb.field)
     for k in minimal:
         if expired():
             raise DeadlineExceeded(
                 f"module groebner interreduction: {len(reduced)} of {len(minimal)} elements"
             )
         pos, mon, _ = leads[k]
-        rem = basis[k]
+        rem, vec = basis[k], vecs[k]
         if reduced:
-            rem, _ = vec_divmod(rem, table, amb)
-            rem = normalize(rem, (pos, mon, rem[pos].lead_coeff))
+            out, _ = vec_divmod(rem, table, amb)
+            if out is not rem:  # a tail term was divisible
+                rem = normalize(out, (pos, mon, out[pos].lead_coeff))
+                vec = _terms(rem)
         reduced.append(rem)
-        reduced_leads.append((pos, mon, rem[pos].lead_coeff))
-        table.admit(len(reduced) - 1)
+        table.admit(vec)
     return tuple(reversed(reduced))
 
 
 def is_module_groebner(basis, amb) -> bool:
     """Buchberger criterion: every same-position S-vector reduces to 0."""
     basis = list(basis)
-    leads = [vec_lead(v) for v in basis]
+    table = Divisors(amb.field, [_terms(v) for v in basis])
+    leads = table.leads
     for j in range(len(basis)):
         for i in range(j):
             li, lj = leads[i], leads[j]
@@ -503,7 +332,7 @@ def is_module_groebner(basis, amb) -> bool:
             right = vec_shift(
                 basis[j], mon_div(lcm, lj[1]), amb.field.neg(amb.field.inv(lj[2]))
             )
-            rem, _ = vec_divmod(vec_add(left, right), basis, amb, leads=leads)
+            rem, _ = vec_divmod(vec_add(left, right), table, amb)
             if not vec_is_zero(rem):
                 return False
     return True
@@ -565,14 +394,13 @@ class NoSolutionCertificate:
                     acc[i] = acc[i] + coeff * gen[i]
             if tuple(acc) != tuple(main):
                 return False
-        gb = list(self.gb)
-        leads = [vec_lead(g) for g in gb]
+        table = Divisors(amb.field, [_terms(g) for g in self.gb])
         for gen in _augment(self.gens, amb):
-            if not vec_is_zero(vec_divmod(gen, gb, amb, leads=leads)[0]):
+            if not vec_is_zero(vec_divmod(gen, table, amb)[0]):
                 return False
-        if not is_module_groebner(gb, amb):
+        if not is_module_groebner(self.gb, amb):
             return False
-        if vec_divmod(self.target, gb, amb, leads=leads)[0] != tuple(self.remainder):
+        if vec_divmod(self.target, table, amb)[0] != tuple(self.remainder):
             return False
         return any(not p.is_zero for p in self.remainder[:m])
 
@@ -594,7 +422,7 @@ def membership_lift(gens, target, amb: Ambient):
     gb = module_groebner(_augment(gens, amb), amb)
     zero = amb.zero()
     target_aug = tuple(target) + tuple(zero for _ in gens)
-    rem, _ = vec_divmod(target_aug, list(gb), amb)
+    rem, _ = vec_divmod(target_aug, gb, amb)
     if all(p.is_zero for p in rem[:m]):
         coeffs = tuple(-p for p in rem[m:])
         return coeffs, None
@@ -745,7 +573,7 @@ def matrix_kernel(rows, ring: QuotientRing):
         v = tuple(ring.nf(p) for p in s[:n])
         if all(p.is_zero for p in v):
             continue
-        sig = tuple(p.terms for p in v)
+        sig = _terms(v)
         if sig not in seen:
             seen.add(sig)
             out.append(v)

@@ -5,8 +5,9 @@ The commutative backend of the whole package.  Elements of a
 (the unique remainder modulo the reduced Gröbner basis of the defining
 ideal), so equality of ring elements is term-tuple equality.  Gröbner
 bases of ideals come from the module engine in :mod:`dfactor.modgb`,
-run on rank-1 vectors; normal forms are heap division
-(``_kernel.pure.divmod_basis``).
+run on rank-1 vectors.  Normal forms are the rank-1 case of the
+kernel's one heap division (``_kernel.pure.divmod_basis``), by a
+divisor table that each ring builds once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from operator import add as _iadd
 
 from . import _kernel
-from ._kernel.pure import mon_divides
+from ._kernel.pure import Divisors, mon_divides
 from .errors import ParseError
 from .exprs import format_poly, parse_poly
 from .fields import GF, QQ, field_from_json, field_to_json
@@ -264,7 +265,8 @@ class QuotientRing:
         self.ideal = ideal if ideal is not None else Ideal(amb, ())
         if self.ideal.amb is not amb:
             raise ValueError("ideal lives in a different ambient ring")
-        self._gb_terms = [b.terms for b in self.ideal.basis]
+        # divides every normal form; falsy exactly when the ideal is empty
+        self._gb_terms = Divisors(self.field, [(b.terms,) for b in self.ideal.basis])
 
     @classmethod
     def make(cls, field, variables, ideal_gens=(), order=GREVLEX) -> "QuotientRing":
@@ -279,8 +281,7 @@ class QuotientRing:
             raise ParseError("polynomial from a different ring")
         if not self._gb_terms:
             return p
-        rem, _ = self.amb.ops.divmod_basis(p.terms, self._gb_terms)
-        return Poly(self.amb, rem)
+        return Poly(self.amb, self.amb.ops.divmod_basis((p.terms,), self._gb_terms)[0])
 
     # -- backend protocol (shared with FDAlgebra) ---------------------
 
@@ -316,7 +317,8 @@ class QuotientRing:
         factors nonzero, normalized once when the ideal is nonempty.
         A monomial times a monomial is built directly."""
         amb, gb, p = self.amb, self._gb_terms, self.field.char
-        dot, divmod_basis, zero = amb.ops.dot, amb.ops.divmod_basis, amb.zero()
+        dot, zero = amb.ops.dot, amb.zero()
+        divmod_basis = amb.ops.divmod_basis if gb else None
         f_cols = [
             [(j, t) for j, row in enumerate(f_rows) if (t := row[k].terms)] for k in range(ncols)
         ]
@@ -335,8 +337,8 @@ class QuotientRing:
                     t = ((tuple(map(_iadd, ma, mb)), ca * cb % p if p else ca * cb),)
                 else:
                     t = dot(pairs)
-                if t and gb:
-                    t = divmod_basis(t, gb)[0]
+                if t and divmod_basis:
+                    t = divmod_basis((t,), gb)[0]
                 row.append(Poly(amb, t) if t else zero)
             rows.append(tuple(row))
         return tuple(rows)

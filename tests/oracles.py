@@ -257,10 +257,11 @@ def merge_divmod_basis(f, basis, field, heap_key, want_quotients=False):
     working polynomial on every step, take the first basis element
     whose lead divides the leading term.
 
-    The reference for ``_kernel.pure.divmod_basis``; ``heap_key`` is the
-    descending monomial key of the order, which the kernel's merge
-    takes.  Only the reference returns quotients (``want_quotients``),
-    which tests use to recombine f.
+    The reference for the one-position case of
+    ``_kernel.pure.divmod_basis``, which ring normal forms run;
+    ``heap_key`` is the descending monomial key of the order, which the
+    kernel's merge takes.  Only the reference returns quotients
+    (``want_quotients``), which tests use to recombine f.
     """
     from dfactor._kernel.pure import add, mon_div, mon_divides, shift
 
@@ -286,7 +287,7 @@ def merge_divmod_basis(f, basis, field, heap_key, want_quotients=False):
     return tuple(rem), None
 
 
-def merge_vec_divmod(v, basis, amb, want_combo=False, leads=None):
+def merge_vec_divmod(v, basis, amb, want_combo=False):
     """Classical module division, positions ascending: on every step
     merge the scaled divisor into the whole working polynomial of the
     current position and of each later one, take the first basis
@@ -302,8 +303,7 @@ def merge_vec_divmod(v, basis, amb, want_combo=False, leads=None):
 
     field, heap_key = amb.field, amb.order.heap_key
     s = len(v)
-    if leads is None:
-        leads = [vec_lead(g) for g in basis]
+    leads = [vec_lead(g) for g in basis]
     groups: dict = {}
     for idx, (g, lead) in enumerate(zip(basis, leads)):
         if lead is not None:
@@ -350,7 +350,7 @@ def dict_mul(ta, tb, field, key):
     The reference for ``_kernel.pure.mul``; ``key`` is the ascending
     monomial key of the order.
     """
-    from dfactor._kernel.pure import mon_mul
+    from operator import add
 
     if not ta or not tb:
         return ()
@@ -358,7 +358,7 @@ def dict_mul(ta, tb, field, key):
     zero = field.zero
     for ma, ca in ta:
         for mb, cb in tb:
-            m = mon_mul(ma, mb)
+            m = tuple(map(add, ma, mb))
             c = field.add(acc.get(m, zero), field.mul(ca, cb))
             if c == zero:
                 acc.pop(m, None)

@@ -256,8 +256,8 @@ def _check_vec_division(v, basis, amb):
     leads = [vec_lead(g) for g in basis]
     rem, combo = merge_vec_divmod(v, basis, amb, want_combo=True)
     assert vec_divmod(v, basis, amb) == (rem, None)
-    assert vec_divmod(v, basis, amb, leads=leads) == (rem, None)
-    assert merge_vec_divmod(v, basis, amb, leads=leads) == (rem, None)
+    table = modgb.Divisors(amb.field, [tuple(p.terms for p in g) for g in basis])
+    assert vec_divmod(v, table, amb) == (rem, None)
     recombined = list(rem)
     for c, g in zip(combo, basis):
         recombined = [a + c * b for a, b in zip(recombined, g)]
@@ -430,7 +430,8 @@ def test_s_pairs_divide_as_the_built_s_vector():
                 halves = modgb.SPair(((i, qi, t), (j, qj, -s)))
                 want = vec_divmod(built, basis, amb)
                 assert vec_divmod(halves, basis, amb) == want
-                assert vec_divmod(halves, modgb.Divisors(basis, field), amb) == want
+                table = modgb.Divisors(field, [tuple(p.terms for p in g) for g in basis])
+                assert vec_divmod(halves, table, amb) == want
 
 
 # -- the groebner workload's shape: rank 1 in three variables ----------------

@@ -4,8 +4,12 @@
 for its run environment, and its tracer patches ``_kernel.ops_for`` and
 wraps the returned ops with ``KernelOps._replace``; it counts hom-space
 unknowns from ``GradedSpace.layout``, ``_valid``, ``_cycles`` and
-``degree``.  A short traced run breaks here, not at the next benchmark
-run, if any of them goes.
+``degree``.  Its division rows read three things: the kernel's one
+division, ``KernelOps.divmod_basis``, wrapped by that field name; the
+truthiness of ``QuotientRing._gb_terms``, false exactly when the ideal
+is empty; and the ``Poly`` entries of the remainder that
+``modgb.vec_divmod`` returns first.  A short traced run breaks here,
+not at the next benchmark run, if any of them goes.
 """
 
 import json
@@ -34,9 +38,10 @@ def test_traced_groebner_run_sees_the_kernel():
     assert result["correct"] and result["failed"] == 0
     metrics = result["metrics"]
     # rings.groebner is the rank-1 case of the module engine, which
-    # forms S-vectors inside vec_divmod and makes elements monic with
-    # the kernel's scale
+    # divides through vec_divmod by the kernel's division and makes
+    # elements monic with the kernel's scale
     assert metrics["kernel.scale.calls"]["value"] > 0
+    assert metrics["kernel.divmod.calls"]["value"] > 0
     assert metrics["modgb.vec_divmod.calls"]["value"] > 0
     assert metrics["modgb.module_groebner.calls"]["value"] > 0
 

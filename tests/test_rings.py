@@ -86,12 +86,11 @@ def test_groebner_nontrivial_spair():
     # lead terms overlap: {x^2 - y, x*y - x} forces new elements
     amb = Ambient(GF(7), ("x", "y"))
     basis = groebner([amb.poly("x^2 - y"), amb.poly("x*y - x")])
+    table = pure.Divisors(amb.field, [(b.terms,) for b in basis])
     for g in [amb.poly("x^2 - y"), amb.poly("x*y - x")]:
-        rem, _ = amb.ops.divmod_basis(g.terms, [b.terms for b in basis])
-        assert not rem
+        assert amb.ops.divmod_basis((g.terms,), table) == ((),)
     # y^2 - y = y*(x^2 - y)*(-1) + (x + 1)*(x*y - x) ... reduces to 0
-    rem, _ = amb.ops.divmod_basis(amb.poly("y^2 - y").terms, [b.terms for b in basis])
-    assert not rem
+    assert amb.ops.divmod_basis((amb.poly("y^2 - y").terms,), table) == ((),)
 
 
 def _random_poly(rng, amb, max_deg=2, max_terms=3):
@@ -203,7 +202,8 @@ def _check_division(f, basis, field, order):
     """Heap division against the merge reducer, whose quotients show
     that f = sum(q * g) + remainder."""
     rem, quotients = merge_divmod_basis(f, basis, field, order.heap_key, want_quotients=True)
-    assert pure.divmod_basis(f, basis, field, order.heap_key) == (rem, None)
+    table = pure.Divisors(field, [(g,) for g in basis])
+    assert pure.divmod_basis((f,), table, field, order.heap_key) == (rem,)
     recombined = rem
     for q, g in zip(quotients, basis):
         recombined = pure.add(
@@ -241,9 +241,47 @@ def test_heap_division_edge_cases(field, order):
     f = ((x2, field.one), (xy, c), (y, field.one))
     assert f[0][0] == x2
     _check_division(f, [g], field, order)
-    rem, _ = pure.divmod_basis(f, [g], field, order.heap_key)
+    (rem,) = pure.divmod_basis((f,), pure.Divisors(field, [(g,)]), field, order.heap_key)
     _, quotients = merge_divmod_basis(f, [g], field, order.heap_key, want_quotients=True)
     assert rem[0] == (x2, field.one) and quotients[0]
+
+
+@pytest.mark.parametrize("gens", [("x*y", "y^2 - x"), ("y^2 - x", "x^3")], ids=["xy", "x3"])
+@pytest.mark.parametrize("field", [GF(7), QQ()], ids=["F7", "Q"])
+def test_normal_forms_by_a_warm_table(field, gens):
+    """One ring divides 200 random polynomials in a row, so its divisor
+    table and first-divisor memo stay warm across calls: each normal
+    form is the merge reducer's remainder and that of a fresh table.
+    Some polynomials have no divisible term and pass through whole.
+    Modulo (y^2 - x, x^3), whose standard monomial x^2*y sits above the
+    lead y^2, some have an irreducible leading term and later terms
+    that reduce."""
+    amb = Ambient(field, ("x", "y"))
+    ring = QuotientRing(amb, Ideal(amb, [amb.poly(g) for g in gens]))
+    basis = [b.terms for b in ring.ideal.basis]
+    heap_key = amb.order.heap_key
+    standard = set(ring.standard_monomials())
+    mons = [(i, j) for i in range(5) for j in range(5 - i)]
+    rng = random.Random(7501 + field.char + 10 * ("x^3" in gens))
+    kinds = {"pass": 0, "late": 0}
+    for k in range(200):
+        pool = sorted(standard) if k % 4 == 0 else mons
+        f = amb.zero()
+        for mon in rng.sample(pool, rng.randint(1, min(5, len(pool)))):
+            f = f + amb.monomial(mon, rng.choice((1, 2, 3, -1, -5)))
+        if not f.terms:
+            continue
+        got = ring.nf(f)
+        rem, _ = merge_divmod_basis(f.terms, basis, field, heap_key)
+        assert got.terms == rem
+        fresh = pure.Divisors(field, [(g,) for g in basis])
+        assert pure.divmod_basis((f.terms,), fresh, field, heap_key) == (rem,)
+        divisible = [m not in standard for m, _ in f.terms]
+        kinds["pass"] += not any(divisible)
+        kinds["late"] += not divisible[0] and any(divisible)
+    assert kinds["pass"] >= 40
+    assert kinds["late"] > 0 if "x^3" in gens else kinds["late"] == 0
+    assert ring._gb_terms.firsts  # the memo carried over between calls
 
 
 @pytest.mark.parametrize("field", [GF(7), QQ()], ids=["F7", "Q"])
