@@ -171,7 +171,9 @@ class Divisors(list):
     monomial: its index k in the position's group, or -1 - n when none
     of the first n vectors does.  A group only grows at its end, so a
     found divisor stays the first one, and a miss is extended by trying
-    only the vectors filed since.
+    only the vectors filed since.  ``keys`` remembers the ``heap_key`` of
+    each monomial the division has met, so a table serves one monomial
+    order.
     """
 
     def __init__(self, field, vecs=()):
@@ -181,6 +183,7 @@ class Divisors(list):
         self.groups: dict[int, list] = {}
         self.entries: dict[int, tuple] = {}
         self.firsts: dict[int, dict] = {}
+        self.keys: dict = {}
         for vec in vecs:
             self.admit(vec)
 
@@ -236,6 +239,7 @@ def divmod_basis(v, table, field, heap_key):
     position) or at the end (a finished or untouched position).
     """
     groups, entries, entry, firsts = table.groups, table.entries, table.entry, table.firsts
+    keys = table.keys
     p = field.char
     later: dict[int, dict] = {}  # position ahead of the loop -> its terms so far
     later_at: dict[int, int] = {}  # ... -> the scale they are at, when not 1
@@ -293,7 +297,7 @@ def divmod_basis(v, table, field, heap_key):
             for m in acc:
                 acc[m] *= k
             rem = [(rm, rc * k) for rm, rc in rem]
-        heap = [(heap_key(m), m) for m in acc]
+        heap = [(keys.get(m) or keys.setdefault(m, heap_key(m)), m) for m in acc]
         heapify(heap)
         while heap:
             m = heappop(heap)[1]
@@ -345,7 +349,7 @@ def divmod_basis(v, table, field, heap_key):
                     if old is None:
                         d[mm] = tc * nqc
                         if here:
-                            heappush(heap, (heap_key(mm), mm))
+                            heappush(heap, (keys.get(mm) or keys.setdefault(mm, heap_key(mm)), mm))
                     else:
                         d[mm] = old + tc * nqc
         remainder.append(tuple(rem))
