@@ -388,6 +388,43 @@ def _even_d(text: str) -> int:
     return value
 
 
+# flags some verbs read, each added only to the verbs that list it
+_FLAGS = {
+    "--window": dict(type=int, default=None, help="window length (default 4d)"),
+    "--f": dict(help="reduction element (expression)"),
+    "--g": dict(required=True, help="cyclic generator (expression)"),
+    "--x": dict(required=True, help="central element (expression)"),
+    "--n": dict(type=_nonnegative_int, default=1, help="free rank"),
+    "--ctx": dict(help="context JSON"),
+    "--d": dict(type=_even_d, default=2, help="period, even and at least 2"),
+    "--trials": dict(type=_nonnegative_int, default=50, help="trials, at least 0"),
+}
+_INPUTS = {"input": "input JSON file", "second": "second input JSON file"}
+_ONE, _TWO = ("input",), ("input", "second")
+
+# verb -> (handler, positional inputs, flags): the parser and ``main`` both read it
+VERBS = {
+    "verify": (_verb_verify, _ONE, ()),
+    "sum": (_verb_sum, _TWO, ()),
+    "suspend": (_verb_suspend, _ONE, ()),
+    "unsuspend": (functools.partial(_verb_suspend, inverse=True), _ONE, ()),
+    "cone": (_verb_cone, _ONE, ()),
+    "triangle": (_verb_triangle, _ONE, ()),
+    "homotopic": (_verb_homotopic, _TWO, ()),
+    "dg": (_verb_dg, _ONE, ()),
+    "reduce": (_verb_reduce, _ONE, ("--f", "--window")),
+    "exact": (_verb_exact, _ONE, ()),
+    "checktac": (_verb_checktac, _ONE, ("--f",)),
+    "endring": (_verb_endring, _ONE, ("--g",)),
+    "dualq": (_verb_dualq, _ONE, ("--x", "--n")),
+    "faithful": (_verb_faithful, _ONE, ("--f",)),
+    "lift": (_verb_lift, _ONE, ("--f",)),
+    "axioms": (_verb_axioms, (), ("--ctx", "--d", "--trials")),
+}
+# looked up per call, so a wrapper put in here is the one that runs
+_HANDLERS = {verb: handler for verb, (handler, _, _) in VERBS.items()}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
@@ -398,23 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
         "decide homotopy, reduce to periodic complexes.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    # flags some verbs read, each added only to those verbs
-    extra = {
-        "--window": dict(type=int, default=None, help="window length (default 4d)"),
-        "--f": dict(help="reduction element (expression)"),
-        "--g": dict(required=True, help="cyclic generator (expression)"),
-        "--x": dict(required=True, help="central element (expression)"),
-        "--n": dict(type=_nonnegative_int, default=1, help="free rank"),
-        "--ctx": dict(help="context JSON"),
-        "--d": dict(type=_even_d, default=2, help="period, even and at least 2"),
-        "--trials": dict(type=_nonnegative_int, default=50, help="trials, at least 0"),
-    }
-
-    def add(name, *flags, inputs=("input",)):
+    for name, (_, inputs, flags) in VERBS.items():
         p = sub.add_parser(name)
         for arg in inputs:
-            p.add_argument(arg, help={"input": "input JSON file", "second": "second input JSON file"}[arg])
+            p.add_argument(arg, help=_INPUTS[arg])
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
@@ -422,45 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--timing", action="store_true")
         for flag in flags:
-            p.add_argument(flag, **extra[flag])
-
-    add("verify")
-    add("sum", inputs=("input", "second"))
-    add("suspend")
-    add("unsuspend")
-    add("cone")
-    add("triangle")
-    add("homotopic", inputs=("input", "second"))
-    add("dg")
-    add("reduce", "--f", "--window")
-    add("exact")
-    add("checktac", "--f")
-    add("endring", "--g")
-    add("dualq", "--x", "--n")
-    add("faithful", "--f")
-    add("lift", "--f")
-    add("axioms", "--ctx", "--d", "--trials", inputs=())
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_HANDLERS = {
-    "verify": _verb_verify,
-    "sum": _verb_sum,
-    "suspend": _verb_suspend,
-    "unsuspend": functools.partial(_verb_suspend, inverse=True),
-    "cone": _verb_cone,
-    "triangle": _verb_triangle,
-    "homotopic": _verb_homotopic,
-    "dg": _verb_dg,
-    "reduce": _verb_reduce,
-    "exact": _verb_exact,
-    "checktac": _verb_checktac,
-    "endring": _verb_endring,
-    "dualq": _verb_dualq,
-    "faithful": _verb_faithful,
-    "lift": _verb_lift,
-    "axioms": _verb_axioms,
-}
 
 
 def _emit(report: dict, out_path: str | None):

@@ -19,10 +19,16 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+_NAME = "[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})|([-+*/^()]))")
 # Each nesting level costs the recursive descent four frames; this keeps
 # any input well inside the interpreter's recursion limit.
 MAX_DEPTH = 100
+
+
+def is_name(text: str) -> bool:
+    """True when ``text`` reads as one NAME token of the grammar."""
+    return re.fullmatch(_NAME, text) is not None
 
 
 def _tokenize(text: str):
@@ -163,10 +169,7 @@ class _PolyAlg:
 
 
 def parse_poly(text: str, amb):
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty expression")
-    return _Parser(tokens, _PolyAlg(amb)).parse()
+    return parse_with_alg(text, _PolyAlg(amb))
 
 
 def parse_with_alg(text: str, alg):

@@ -268,8 +268,8 @@ def monomial_algebra(gens, relation_words, field, degree_cap: int = 12) -> FDAlg
                     nxt.append(w2)
         words.extend(nxt)
         frontier = nxt
-    if len(words) > DIM_CAP:
-        raise ValueError(f"dimension {len(words)} exceeds cap {DIM_CAP}")
+        if len(words) > DIM_CAP:
+            raise ValueError(f"dimension {len(words)} exceeds cap {DIM_CAP}")
 
     index = {w: i for i, w in enumerate(words)}
     dim = len(words)
@@ -429,57 +429,38 @@ def is_left_regular(w: CentralElement) -> bool:
 def quotient_by_central(B: FDAlgebra, w: CentralElement, nu: AlgebraMap | None = None):
     """A = B/(BwB) with its projection map.
 
-    The two-sided ideal is the field span of b_i*w*b_j.  Pivots are
-    chosen at the highest basis index so the earliest-listed words
-    survive as representatives of the quotient basis.
+    The two-sided ideal is the field span of the left multiples b_i*w:
+    w*b = nu(b)*w with nu unital, so each b_i*w*b_j is b_i*nu(b_j)*w.
+    Pivots are chosen at the highest basis index so the earliest-listed
+    words survive as representatives of the quotient basis.
     """
     ok, witness = w.check_central(nu)
     if not ok:
         raise ValueError(f"element fails its centrality law at basis {witness!r}")
     field = B.field
-    span_rows = []
-    for i in range(B.dim):
-        bw = B.mul(B.basis(i), w.coords)
-        for j in range(B.dim):
-            v = B.mul(bw, B.basis(j))
-            if not B.is_zero(v):
-                span_rows.append(list(v))
+    p = field.char
+    span_rows = [v for v in (B.mul(B.basis(i), w.coords) for i in range(B.dim)) if any(v)]
     # eliminate with columns scanned right-to-left
-    reversed_rows = [row[::-1] for row in span_rows]
-    red, pivots = linalg.rref(reversed_rows, field) if span_rows else ([], [])
-    ideal_rows = [row[::-1] for row in red if any(c != field.zero for c in row)]
-    pivot_cols = sorted(B.dim - 1 - c for c in pivots)
+    red, pivots = linalg.rref([row[::-1] for row in span_rows], field)
+    # each ideal row is 1 at its pivot and 0 at every other pivot
+    ideal = [(B.dim - 1 - c, row[::-1]) for c, row in zip(pivots, red)]
+    pivot_cols = sorted(piv for piv, _ in ideal)
     kept = [i for i in range(B.dim) if i not in pivot_cols]
     if B.unit_index in pivot_cols:
         raise ValueError("ideal contains the unit; quotient is the zero algebra")
 
     def reduce_vec(v):
         v = list(v)
-        for row in ideal_rows:
-            # row's pivot is its last nonzero coordinate
-            piv = max(k for k, c in enumerate(row) if c != field.zero)
-            if v[piv] != field.zero:
-                f = field.mul(v[piv], field.inv(row[piv]))
-                v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
+        for piv, row in ideal:
+            c = v[piv]
+            if c:
+                v = [(a - c * b) % p if p else a - c * b for a, b in zip(v, row)]
         return tuple(v[i] for i in kept)
 
-    dim_a = len(kept)
     labels = [B.labels[i] for i in kept]
     words = [B.words[i] for i in kept] if B.words is not None else None
-    table = []
-    for ii in kept:
-        row = []
-        for jj in kept:
-            row.append(reduce_vec(B.table[ii][jj]))
-        table.append(tuple(row))
-    A = FDAlgebra(
-        field,
-        labels,
-        table,
-        kept.index(B.unit_index),
-        words=words,
-        gens=B.gens,
-    )
+    table = [tuple(reduce_vec(B.table[ii][jj]) for jj in kept) for ii in kept]
+    A = FDAlgebra(field, labels, table, kept.index(B.unit_index), words=words, gens=B.gens)
     proj_images = [reduce_vec(B.basis(i)) for i in range(B.dim)]
     projection = AlgebraMap(B, A, proj_images, automorphism=False)
     return A, projection

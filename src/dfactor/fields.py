@@ -19,7 +19,6 @@ a new object, dozens of int products, which is why
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd
 
@@ -43,9 +42,6 @@ class IntegerRing:
     char = 0
     zero = 0
     one = 1
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
 
     def reducer(self, a):
         """The reduction step by the lead coefficient a: c -> (a/e, c/e)
@@ -178,9 +174,9 @@ def field_from_json(desc) -> RationalField | PrimeField:
     """Field descriptor: ``{"rationals": true}`` or ``{"char": p}``."""
     if not isinstance(desc, dict):
         raise ParseError(f"bad field descriptor {desc!r}")
-    if desc.get("rationals"):
+    if desc.keys() == {"rationals"} and desc["rationals"] is True:
         return QQ()
-    if "char" in desc:
+    if desc.keys() == {"char"}:
         char = desc["char"]
         if isinstance(char, bool) or not isinstance(char, int):
             raise ParseError(f"field characteristic must be an integer, got {char!r}")

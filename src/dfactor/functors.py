@@ -64,7 +64,7 @@ def end_ring_cyclic(R: QuotientRing, g: Poly) -> EndRingPresentation:
     g = R.nf(g)
     if g.is_zero:
         raise ValueError("cyclic generator must be nonzero in the ring")
-    basis, _certs = colon_ideal([], g, R)
+    basis = colon_ideal([], g, R)
     gamma = QuotientRing(R.amb, Ideal(R.amb, list(basis)))
     return EndRingPresentation(R, g, gamma, tuple(basis))
 
@@ -97,19 +97,31 @@ class ComplexWindow:
     def backend(self):
         return self.ctx.backend
 
-    def check_period(self) -> None:
+    def _poll(self, phase: str, k: int) -> None:
+        if expired():
+            raise DeadlineExceeded(
+                f"window [{self.lo}, {self.hi}]: {phase} at position {self.lo + k}"
+            )
+
+    def check_period(self, poll: bool = False) -> None:
+        """ShapeMismatch unless the maps repeat, twisted, every period;
+        with ``poll`` the deadline is polled once per position."""
         for k in range(len(self.maps) - self.period):
+            if poll:
+                self._poll("period check", k)
             if self.maps[k + self.period] != self.maps[k].twisted(1):
                 raise ShapeMismatch(f"window is not {self.period}-periodic at offset {k}")
 
     def validate(self) -> "ComplexWindow":
         for k in range(len(self.maps) - 1):
+            self._poll("shape check", k)
             if self.maps[k].target != self.maps[k + 1].source:
                 raise ShapeMismatch(f"window breaks between positions {self.lo+k} and {self.lo+k+1}")
-        self.check_period()
+        self.check_period(poll=True)
         if self.nilpotency is not None:
             t = self.nilpotency
             for k in range(len(self.maps) - t + 1):
+                self._poll("nilpotency check", k)
                 comp = compose_chain(self.maps[k : k + t])
                 if not comp.is_zero:
                     raise ShapeMismatch(
@@ -119,10 +131,16 @@ class ComplexWindow:
 
 
 def window_from_factorization(X: FactorizationD, lo: int, hi: int, nilpotency):
-    """Unroll positions lo..hi; position p carries X's map at index p+1."""
-    maps = tuple(X.map_at(p + 1) for p in range(lo, hi))
+    """Unroll positions lo..hi; position p carries X's map at index p+1.
+    The deadline is polled once per position, here and in each check of
+    :meth:`ComplexWindow.validate`."""
+    maps = []
+    for p in range(lo, hi):
+        if expired():
+            raise DeadlineExceeded(f"window [{lo}, {hi}]: unrolling at position {p}")
+        maps.append(X.map_at(p + 1))
     return ComplexWindow(
-        ctx=X.ctx, lo=lo, hi=hi, maps=maps, period=X.d, nilpotency=nilpotency
+        ctx=X.ctx, lo=lo, hi=hi, maps=tuple(maps), period=X.d, nilpotency=nilpotency
     ).validate()
 
 
@@ -315,6 +333,15 @@ def dual_window(C: ComplexWindow) -> ComplexWindow:
     ).validate()
 
 
+def _regular(ring: QuotientRing, f) -> Poly:
+    """The reduction element f (a Poly or its text) in normal form,
+    checked to be regular on ``ring``."""
+    f = ring.nf(f if isinstance(f, Poly) else ring.parse(f))
+    if f.is_zero or not is_regular(f, ring):
+        raise HypothesesUnmet("reduction element is not regular on the backend")
+    return f
+
+
 @dataclass(frozen=True)
 class TotalAcyclicityReport:
     primal: ExactnessReport
@@ -334,10 +361,7 @@ def total_acyclicity_report(X: FactorizationD, f) -> TotalAcyclicityReport:
     ring = X.ctx.backend
     if not isinstance(ring, QuotientRing):
         raise UnsupportedOperation("total acyclicity is a commutative-backend notion")
-    f = ring.nf(f if isinstance(f, Poly) else ring.parse(f))
-    if f.is_zero or not is_regular(f, ring):
-        raise HypothesesUnmet("reduction element is not regular on the backend")
-    red = reduce_full(X, f)
+    red = reduce_full(X, _regular(ring, f))
     primal = window_exact(red.window)
     if not primal.ok:
         return TotalAcyclicityReport(primal, None)
@@ -410,10 +434,7 @@ def _require_d2_regular(X: FactorizationD, f):
         raise HypothesesUnmet("instance checks are stated for d = 2")
     if not isinstance(ring, QuotientRing):
         raise HypothesesUnmet("instance checks need a commutative backend")
-    f = ring.nf(f if isinstance(f, Poly) else ring.parse(f))
-    if f.is_zero or not is_regular(f, ring):
-        raise HypothesesUnmet("reduction element is not regular on the backend")
-    return f
+    return _regular(ring, f)
 
 
 def faithful_check(theta: GradedHom, f) -> FaithfulVerdict:

@@ -225,15 +225,12 @@ def _complete(vecs, amb: Ambient):
     def install(h):
         table.admit(_terms(basis[h]))
         pos, mh, _ = leads[h]
-        new = [(g, mon_lcm(leads[g][1], mh)) for g in active if leads[g][0] == pos]
-        kept = []
-        for n, (g, lcm) in enumerate(new):
-            # chain criterion among the new pairs: of equal lcms the last is kept
-            if not (
-                any(mon_divides(other, lcm) for _, other in new[n + 1 :])
-                or any(mon_divides(other, lcm) for _, other in kept)
-            ):
-                kept.append((g, lcm))
+        # chain criterion among the new pairs: of each minimal lcm the last pair is kept
+        last = {mon_lcm(leads[g][1], mh): g for g in active if leads[g][0] == pos}
+        kept = [
+            (g, lcm) for lcm, g in last.items()
+            if not any(other != lcm and mon_divides(other, lcm) for other in last)
+        ]
         for (i, j), lcm in list(live.items()):
             if (
                 leads[i][0] == pos
@@ -458,8 +455,8 @@ def colon_ideal(ideal_gens, g: Poly, ring: QuotientRing):
     Computed from syzygies of [g, I-gens, defining-ideal gens]: the
     first tag coordinate of each relation multiplies g into the ideal.
     Returns the reduced ambient basis of the colon (which contains the
-    defining ideal) together with membership certificates, one
-    quotient tuple per generator expressing r*g in the lifted ideal.
+    defining ideal).  Each generator r is checked to put r*g in the
+    lifted ideal by a membership lift, which raises if it fails.
     """
     amb = ring.amb
     if g.is_zero:
@@ -469,17 +466,12 @@ def colon_ideal(ideal_gens, g: Poly, ring: QuotientRing):
     syz = syzygy_gens(vecs, amb)
     firsts = [s[0] for s in syz if not s[0].is_zero]
     basis = groebner(firsts + lifted)
-    certs = []
     if lifted:
         gen_vecs = [(h,) for h in lifted]
         for r in basis:
-            coeffs, fail = membership_lift(gen_vecs, (r * g,), amb)
-            if fail is not None:
+            if membership_lift(gen_vecs, (r * g,), amb)[1] is not None:
                 raise AssertionError("colon generator failed its own membership")
-            certs.append(coeffs)
-    else:
-        certs = [() for _ in basis]
-    return basis, tuple(certs)
+    return basis
 
 
 def is_regular(f: Poly, ring: QuotientRing) -> bool:
@@ -488,7 +480,7 @@ def is_regular(f: Poly, ring: QuotientRing) -> bool:
     f = ring.nf(f)
     if f.is_zero:
         raise ValueError("regularity of 0 is degenerate")
-    basis, _ = colon_ideal([], f, ring)
+    basis = colon_ideal([], f, ring)
     return all(ring.nf(b).is_zero for b in basis)
 
 

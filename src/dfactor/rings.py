@@ -19,7 +19,7 @@ from operator import add as _iadd
 from . import _kernel
 from ._kernel.pure import Divisors, mon_divides
 from .errors import ParseError
-from .exprs import format_poly, parse_poly
+from .exprs import format_poly, is_name, parse_poly
 from .fields import GF, QQ, field_from_json, field_to_json
 from .reuse import reuse
 
@@ -428,6 +428,8 @@ class QuotientRing:
         variables = desc.get("vars")
         if not variables or not _strings(variables):
             raise ParseError("ring description needs \"vars\", a list of names")
+        if len(set(variables)) != len(variables) or not all(map(is_name, variables)):
+            raise ParseError(f"ring \"vars\" must be distinct expression names, got {variables!r}")
         order = desc.get("order", "grevlex")
         if not isinstance(order, str):
             raise ParseError("monomial order must be a name")

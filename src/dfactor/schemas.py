@@ -199,15 +199,18 @@ def ends_from_json(desc: dict):
     return ctx, src, tgt
 
 
-def components_from_json(desc: dict, src: FactorizationD, tgt: FactorizationD) -> list:
-    """The degree-0 components of a morphism description, as maps from
-    the objects of ``src`` to those of ``tgt`` over ``src``'s context."""
+def components_from_json(
+    desc: dict, src: FactorizationD, tgt: FactorizationD, degree: int = 0
+) -> list:
+    """The components of a morphism-shaped description over ``src``'s
+    context: component i maps object i of ``src`` to object i + degree
+    of ``tgt``."""
     mats = desc.get("components", [])
     if not isinstance(mats, list) or len(mats) != src.d:
         raise ParseError(f"need {src.d} components")
     return [
-        MatrixMap.from_strings(src.ctx, a, b, m)
-        for a, b, m in zip(src.objects, tgt.objects, mats)
+        MatrixMap.from_strings(src.ctx, a, tgt.obj_at(i + degree), m)
+        for i, (a, m) in enumerate(zip(src.objects, mats), start=1)
     ]
 
 
@@ -227,14 +230,9 @@ def morphism_to_json(phi: GradedHom) -> dict:
 
 
 def graded_from_json(desc: dict):
-    ctx, src, tgt = ends_from_json(desc)
+    _, src, tgt = ends_from_json(desc)
     degree = _int(desc.get("degree", 0), "\"degree\"")
-    comps = []
-    for i, m in enumerate(_list(desc.get("components", []), "\"components\""), start=1):
-        comps.append(
-            MatrixMap.from_strings(ctx, src.objects[i - 1], tgt.obj_at(i + degree), m)
-        )
-    return graded_hom(src, tgt, degree, comps)
+    return graded_hom(src, tgt, degree, components_from_json(desc, src, tgt, degree))
 
 
 def graded_to_json(gh: GradedHom) -> dict:

@@ -20,6 +20,7 @@ from dfactor.fields import GF
 from dfactor.reuse import expired, one_call
 from dfactor.rings import Ambient, groebner
 from dfactor.schemas import context_from_json
+from tests.test_golden import CASES as GOLDEN_CASES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -583,6 +584,36 @@ def test_whole_document_mutants_are_reported_deterministically(tmp_path, data):
     assert runs[0] == runs[1]
 
 
+def _list_mutants(doc):
+    """``doc`` with one list at depth 3 or less grown by a copy of its
+    last element, and with that list shrunk by one."""
+    for where in _json_paths(doc):
+        node = doc
+        for key in where:
+            node = node[key]
+        if len(where) <= 3 and isinstance(node, list) and node:
+            yield where, node + [node[-1]]
+            yield where, node[:-1]
+
+
+def test_list_length_mutants_of_golden_inputs_are_reported(tmp_path):
+    # a list one too long or one too short, such as a dg input with d + 1
+    # components, must end in a report and never in an IndexError
+    mutant, out = tmp_path / "mutant.json", tmp_path / "report.json"
+    runs = 0
+    for argv in GOLDEN_CASES.values():
+        if argv[0] == "axioms" or sum(a.endswith(".json") for a in argv) != 1:
+            continue
+        doc = json.loads((GOLDEN_INPUTS / argv[1]).read_text())
+        for where, value in _list_mutants(doc):
+            mutant.write_text(json.dumps(_mutated(doc, where, value)))
+            code = main([argv[0], str(mutant), *argv[2:], "--out", str(out)])
+            assert code in (0, 1, 2), (argv, where)
+            assert isinstance(json.loads(out.read_text()), dict), (argv, where)
+            runs += 1
+    assert runs > 200
+
+
 def test_wrong_json_type_is_parse_error(tmp_path, capsys):
     # a morphism without "source", and ranks written as a string
     morph = json.loads(_morphism_file(tmp_path, "m.json", [[["1"]], [["1"]]]).read_text())
@@ -778,6 +809,55 @@ def test_huge_characteristic_is_rejected_quickly(tmp_path, capsys):
     path.write_text(json.dumps(desc))
     code, report = run_cli(["verify", path], capsys)
     assert code == 0 and report["verdict"] == "verified"
+
+
+@pytest.mark.parametrize(
+    "field, variables",
+    [
+        ({"rationals": "no", "char": 7}, ["x", "y"]),  # was read as Q
+        ({"rationals": 1}, ["x", "y"]),
+        ({"rationals": True, "char": 7}, ["x", "y"]),
+        ({"char": 7, "rationals": False}, ["x", "y"]),  # was read as F_7
+        ({"char": 7}, ["x", "y", "y"]),  # the second y could never be named
+        ({"char": 7}, ["x", "y", "y z"]),
+        ({"char": 7}, ["x", "y", "2z"]),
+        ({"char": 7}, ["x", "y", ""]),
+    ],
+)
+def test_misread_descriptors_are_parse_errors(field, variables, tmp_path, capsys):
+    desc = json.loads((FIXTURES / "classical_xy.json").read_text())
+    desc["context"]["ring"].update(field=field, vars=variables)
+    path = tmp_path / "misread.json"
+    path.write_text(json.dumps(desc))
+    _assert_parse_error(*run_cli(["verify", path], capsys))
+
+
+def test_monomial_algebra_cap_is_checked_at_each_degree(tmp_path, capsys):
+    # k<x,y>/(xx) has 87 words of length at most 7; the words up to the
+    # degree cap 26 number about 800,000
+    ring = {"gens": ["x", "y"], "monomial_rels": ["xx"], "field": {"char": 7}, "degree_cap": 26}
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps({
+        "context": {"ring": ring, "twist": "identity", "eta": "0"},
+        "d": 2, "ranks": [1, 1], "maps": [[["x"]], [["y"]]],
+    }))
+    start = time.monotonic()
+    code, rep = run_cli(["verify", path, "--deadline", "0.2"], capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and rep["error"] == "dimension 87 exceeds cap 64"
+
+
+def test_reduce_window_respects_the_deadline(capsys):
+    # unrolling and checking 100,000 positions takes over a second
+    start = time.monotonic()
+    code, rep = run_cli(
+        ["reduce", FIXTURES / "classical_xy.json", "--f", "x", "--window", "100000",
+         "--deadline", "0.25"],
+        capsys,
+    )
+    assert time.monotonic() - start < 0.5
+    assert code == 1 and rep["kind"] == "DeadlineExceeded"
+    assert rep["error"].startswith("window [-50000, 50000]: ")
 
 
 def test_missing_input_file_is_parse_error(tmp_path, capsys):

@@ -98,6 +98,10 @@ def test_graded_roundtrip():
     assert gh.degree == -1
     again = graded_from_json(graded_to_json(gh))
     assert again.components == gh.components
+    # one component too many or too few is read as for a morphism
+    for comps in ([[["3"]], [["5"]], [["5"]]], [[["3"]]]):
+        with pytest.raises(ParseError, match="^need 2 components$"):
+            graded_from_json(dict(desc, components=comps))
 
 
 def test_window_roundtrip_including_dual():
