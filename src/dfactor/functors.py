@@ -72,6 +72,11 @@ def end_ring_cyclic(R: QuotientRing, g: Poly) -> EndRingPresentation:
 # -- windows -------------------------------------------------------------
 
 
+def _poll_window(lo: int, hi: int, phase: str, p: int) -> None:
+    if expired():
+        raise DeadlineExceeded(f"window [{lo}, {hi}]: {phase} at position {p}")
+
+
 @dataclass(frozen=True)
 class ComplexWindow:
     """Finite window of a d-periodic sequence of matrices.
@@ -97,31 +102,25 @@ class ComplexWindow:
     def backend(self):
         return self.ctx.backend
 
-    def _poll(self, phase: str, k: int) -> None:
-        if expired():
-            raise DeadlineExceeded(
-                f"window [{self.lo}, {self.hi}]: {phase} at position {self.lo + k}"
-            )
-
     def check_period(self, poll: bool = False) -> None:
         """ShapeMismatch unless the maps repeat, twisted, every period;
         with ``poll`` the deadline is polled once per position."""
         for k in range(len(self.maps) - self.period):
             if poll:
-                self._poll("period check", k)
+                _poll_window(self.lo, self.hi, "period check", self.lo + k)
             if self.maps[k + self.period] != self.maps[k].twisted(1):
                 raise ShapeMismatch(f"window is not {self.period}-periodic at offset {k}")
 
     def validate(self) -> "ComplexWindow":
         for k in range(len(self.maps) - 1):
-            self._poll("shape check", k)
+            _poll_window(self.lo, self.hi, "shape check", self.lo + k)
             if self.maps[k].target != self.maps[k + 1].source:
                 raise ShapeMismatch(f"window breaks between positions {self.lo+k} and {self.lo+k+1}")
         self.check_period(poll=True)
         if self.nilpotency is not None:
             t = self.nilpotency
             for k in range(len(self.maps) - t + 1):
-                self._poll("nilpotency check", k)
+                _poll_window(self.lo, self.hi, "nilpotency check", self.lo + k)
                 comp = compose_chain(self.maps[k : k + t])
                 if not comp.is_zero:
                     raise ShapeMismatch(
@@ -136,8 +135,7 @@ def window_from_factorization(X: FactorizationD, lo: int, hi: int, nilpotency):
     :meth:`ComplexWindow.validate`."""
     maps = []
     for p in range(lo, hi):
-        if expired():
-            raise DeadlineExceeded(f"window [{lo}, {hi}]: unrolling at position {p}")
+        _poll_window(lo, hi, "unrolling", p)
         maps.append(X.map_at(p + 1))
     return ComplexWindow(
         ctx=X.ctx, lo=lo, hi=hi, maps=tuple(maps), period=X.d, nilpotency=nilpotency
