@@ -96,20 +96,24 @@ def _witness_json(t: GradedHom):
     return {"components": [t.comp_at(i + 1).format_rows() for i in range(1, t.source.d + 1)]}
 
 
+def _verdict(report, code: int, verdict: str, **fields) -> int:
+    """Write the verdict and its fields into the report; return the exit code."""
+    report.update(verdict=verdict, **fields)
+    return code
+
+
 class _Outcome(Exception):
-    def __init__(self, code, report):
+    """A verdict already written, raised from inside a helper."""
+
+    def __init__(self, code):
         self.code = code
-        self.report = report
 
 
-def _false(report, certificate) -> _Outcome:
-    """The "false" verdict with its certificate, as an outcome to raise."""
-    report["verdict"] = "false"
-    report["certificate"] = certificate
-    return _Outcome(EXIT_FALSE, report)
+def _false(report, certificate) -> int:
+    return _verdict(report, EXIT_FALSE, "false", certificate=certificate)
 
 
-def _rotation_false(report, exc: CompositionMismatch) -> _Outcome:
+def _rotation_false(report, exc: CompositionMismatch) -> int:
     return _false(report, {"rotation": exc.rotation, "residual": exc.residual.format_rows()})
 
 
@@ -118,37 +122,31 @@ def _verb_verify(args, report):
     try:
         X = schemas.factorization_from_json(desc)
     except CompositionMismatch as exc:
-        raise _rotation_false(report, exc) from None
-    report["verdict"] = "verified"
-    report["result"] = schemas.factorization_to_json(X)
-    return EXIT_OK
+        return _rotation_false(report, exc)
+    return _verdict(report, EXIT_OK, "verified", result=schemas.factorization_to_json(X))
 
 
 def _verb_sum(args, report):
     a = schemas.factorization_from_json(_load(args, args.input))
     b = schemas.factorization_from_json(_load(args, args.second))
     s = verify_factorization(direct_sum(a, b))
-    report["verdict"] = "verified"
-    report["result"] = schemas.factorization_to_json(s)
-    return EXIT_OK
+    return _verdict(report, EXIT_OK, "verified", result=schemas.factorization_to_json(s))
 
 
 def _verb_suspend(args, report, inverse=False):
     X = schemas.factorization_from_json(_load(args, args.input))
     out = verify_factorization(unsuspend(X) if inverse else suspend(X))
-    report["verdict"] = "verified"
-    report["result"] = schemas.factorization_to_json(out)
-    return EXIT_OK
+    return _verdict(report, EXIT_OK, "verified", result=schemas.factorization_to_json(out))
 
 
 def _morphism_or_false(args, report, path):
     phi = schemas.morphism_from_json(_load(args, path))
     check = is_morphism(phi)
     if not check.ok:
-        raise _false(
+        raise _Outcome(_false(
             report,
             {"failing_square": check.failing_square, "residual": check.residual.format_rows()},
-        )
+        ))
     return phi
 
 
@@ -157,23 +155,20 @@ def _verb_cone(args, report):
     try:
         c = cone(phi)
     except CompositionMismatch as exc:
-        raise _rotation_false(report, exc) from None
+        return _rotation_false(report, exc)
     verify_factorization(c.project.target)
-    report["verdict"] = "verified"
-    report["result"] = {
+    return _verdict(report, EXIT_OK, "verified", result={
         "cone": schemas.factorization_to_json(c.cone),
         "include": schemas.morphism_to_json(c.include),
         "project": schemas.morphism_to_json(c.project),
-    }
-    return EXIT_OK
+    })
 
 
 def _verb_triangle(args, report):
     phi = _morphism_or_false(args, report, args.input)
     tri = standard_triangle(phi)
     verify_factorization(tri.sx)
-    report["verdict"] = "verified"
-    report["result"] = {
+    return _verdict(report, EXIT_OK, "verified", result={
         "x": schemas.factorization_to_json(tri.x),
         "y": schemas.factorization_to_json(tri.y, include_context=False),
         "z": schemas.factorization_to_json(tri.z, include_context=False),
@@ -181,8 +176,7 @@ def _verb_triangle(args, report):
         "u": schemas.morphism_to_json(tri.u),
         "v": schemas.morphism_to_json(tri.v),
         "w": schemas.morphism_to_json(tri.w),
-    }
-    return EXIT_OK
+    })
 
 
 def _verb_homotopic(args, report):
@@ -192,38 +186,32 @@ def _verb_homotopic(args, report):
         raise ShapeMismatch("the two morphisms are not parallel")
     verdict = homotopy_decide(phi, psi)
     if isinstance(verdict, GradedHom):
-        report["verdict"] = "homotopic"
-        report["witness"] = _witness_json(verdict)
-        return EXIT_OK
-    report["verdict"] = "not_homotopic"
-    report["certificate"] = {
+        return _verdict(report, EXIT_OK, "homotopic", witness=_witness_json(verdict))
+    return _verdict(report, EXIT_FALSE, "not_homotopic", certificate={
         "detail": verdict.detail,
         "solver": _cert_json(verdict.certificate),
-    }
-    raise _Outcome(EXIT_FALSE, report)
+    })
 
 
 def _verb_dg(args, report):
     gh = schemas.graded_from_json(_load(args, args.input))
     if not dg_check(gh):
-        raise _false(report, {"reason": "a double square does not commute"})
+        return _false(report, {"reason": "a double square does not commute"})
     diff = dg_differential(gh)
-    report["verdict"] = "verified"
-    report["result"] = {
+    return _verdict(report, EXIT_OK, "verified", result={
         "differential": schemas.graded_to_json(diff),
         "differential_squares_to_zero": dg_differential(diff).is_zero,
-    }
-    return EXIT_OK
+    })
 
 
 def _verb_reduce(args, report):
     X = schemas.factorization_from_json(_load(args, args.input))
     f = _parse_scalar(X.ctx.backend, args.f)
     red = reduce_full(X, f, length=args.window)
-    report["verdict"] = "verified"
-    report["result"] = schemas.window_to_json(red.window)
-    report["certificate"] = {"factors_through": X.ctx.backend.format(red.h)}
-    return EXIT_OK
+    return _verdict(
+        report, EXIT_OK, "verified", result=schemas.window_to_json(red.window),
+        certificate={"factors_through": X.ctx.backend.format(red.h)},
+    )
 
 
 def _parse_scalar(backend, text):
@@ -238,11 +226,7 @@ def _exactness_cert(outcome, fmt):
         "detail": outcome.detail,
     }
     if outcome.witness is not None:
-        witness = outcome.witness
-        if witness and isinstance(witness[0], tuple):
-            cert["witness"] = [[fmt(e) for e in row] for row in witness]
-        else:
-            cert["witness"] = [fmt(e) for e in witness]
+        cert["witness"] = [fmt(e) for e in outcome.witness]
     if outcome.certificate is not None:
         cert["solver"] = _cert_json(outcome.certificate)
     return cert
@@ -252,11 +236,9 @@ def _verb_exact(args, report):
     W = schemas.window_from_json(_load(args, args.input))
     outcome = window_exact(W)
     if outcome.ok:
-        report["verdict"] = "exact"
-        return EXIT_OK
-    report["verdict"] = "not_exact"
-    report["certificate"] = _exactness_cert(outcome, W.backend.format)
-    raise _Outcome(EXIT_FALSE, report)
+        return _verdict(report, EXIT_OK, "exact")
+    return _verdict(report, EXIT_FALSE, "not_exact",
+                    certificate=_exactness_cert(outcome, W.backend.format))
 
 
 def _verb_checktac(args, report):
@@ -264,43 +246,35 @@ def _verb_checktac(args, report):
     f = _parse_scalar(X.ctx.backend, args.f)
     outcome = total_acyclicity_report(X, f)
     if outcome.ok:
-        report["verdict"] = "totally_acyclic"
-        return EXIT_OK
-    report["verdict"] = "not_totally_acyclic"
-    fmt = X.ctx.backend.format
-    if not outcome.primal.ok:
-        report["certificate"] = {"side": "primal", **_exactness_cert(outcome.primal, fmt)}
-    else:
-        report["certificate"] = {"side": "dual", **_exactness_cert(outcome.dual, fmt)}
-    raise _Outcome(EXIT_FALSE, report)
+        return _verdict(report, EXIT_OK, "totally_acyclic")
+    side, failed = ("primal", outcome.primal) if not outcome.primal.ok else ("dual", outcome.dual)
+    return _verdict(report, EXIT_FALSE, "not_totally_acyclic", certificate={
+        "side": side, **_exactness_cert(failed, X.ctx.backend.format)
+    })
 
 
 def _verb_endring(args, report):
     ring = QuotientRing.from_json(_load(args, args.input))
     pres = end_ring_cyclic(ring, ring.parse(args.g))
-    report["verdict"] = "verified"
-    report["result"] = {
+    return _verdict(report, EXIT_OK, "verified", result={
         "gamma": pres.gamma.to_json(),
         "colon_basis": [repr(p) for p in pres.colon_basis],
-    }
-    return EXIT_OK
+    })
 
 
 def _verb_dualq(args, report):
     ring = QuotientRing.from_json(_load(args, args.input))
-    ok = dual_quotient_check(args.n, ring.parse(args.x), ring, seed=args.seed)
-    if ok:
-        report["verdict"] = "verified"
-        return EXIT_OK
-    report["verdict"] = "false"
-    raise _Outcome(EXIT_FALSE, report)
+    if dual_quotient_check(args.n, ring.parse(args.x), ring, seed=args.seed):
+        return _verdict(report, EXIT_OK, "verified")
+    return _verdict(report, EXIT_FALSE, "false")
 
 
 def _verb_faithful(args, report):
     theta = _morphism_or_false(args, report, args.input)
     f = _parse_scalar(theta.source.ctx.backend, args.f)
     verdict = faithful_check(theta, f)
-    report["result"] = {
+    code, text = (EXIT_OK, "consistent") if verdict.consistent else (EXIT_FALSE, "contradiction")
+    return _verdict(report, code, text, result={
         "downstairs_null": verdict.downstairs_null,
         "downstairs_witness": _witness_json(verdict.downstairs_witness)
         if verdict.downstairs_witness
@@ -308,12 +282,7 @@ def _verb_faithful(args, report):
         "upstairs_witness": _witness_json(verdict.upstairs_witness)
         if verdict.upstairs_witness
         else None,
-    }
-    if verdict.consistent:
-        report["verdict"] = "consistent"
-        return EXIT_OK
-    report["verdict"] = "contradiction"
-    raise _Outcome(EXIT_FALSE, report)
+    })
 
 
 def _verb_lift(args, report):
@@ -329,18 +298,14 @@ def _verb_lift(args, report):
         raise HypothesesUnmet(f"input is not a periodic chain map: {exc}") from exc
     outcome = full_lift(phibar, red_x, red_u)
     if isinstance(outcome, Lift):
-        report["verdict"] = "lifted"
-        report["result"] = {
+        return _verdict(report, EXIT_OK, "lifted", result={
             "theta": schemas.morphism_to_json(outcome.theta),
             "downstairs_witness": _witness_json(outcome.downstairs_witness),
-        }
-        return EXIT_OK
-    report["verdict"] = "no_lift"
-    report["certificate"] = {
+        })
+    return _verdict(report, EXIT_FALSE, "no_lift", certificate={
         "contradiction_under_certified_hypotheses": True,
         "solver": _cert_json(outcome.certificate),
-    }
-    raise _Outcome(EXIT_FALSE, report)
+    })
 
 
 def _verb_axioms(args, report):
@@ -348,11 +313,10 @@ def _verb_axioms(args, report):
         raise ParseError("axioms requires --ctx")
     ctx = schemas.context_from_json(_load(args, args.ctx))
     ok, suite = run_axiom_suite(ctx, args.d, seed=args.seed, trials=args.trials)
-    report["result"] = suite
     if ok:
-        report["verdict"] = "verified"
-        return EXIT_OK
-    raise _false(report, {"failures": suite["failures"]})
+        return _verdict(report, EXIT_OK, "verified", result=suite)
+    return _verdict(report, EXIT_FALSE, "false", result=suite,
+                    certificate={"failures": suite["failures"]})
 
 
 def _seconds(text: str) -> float:
@@ -482,7 +446,6 @@ def main(argv=None) -> int:
         with one_call(deadline=start + args.deadline):
             code = _HANDLERS[args.verb](args, report)
     except _Outcome as outcome:
-        report = outcome.report
         code = outcome.code
     except DFactorError as exc:
         return _fail(args, str(exc), type(exc).__name__)

@@ -214,9 +214,6 @@ class MatrixMap:
             return self
         return MatrixMap(self.ctx, self.source.twist(k), self.target.twist(k), self.rows)
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def format_rows(self):
         fmt = self.ctx.backend.format
         return [[fmt(e) for e in row] for row in self.rows]

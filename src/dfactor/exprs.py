@@ -26,9 +26,19 @@ _TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})|([-+*/^()]))")
 MAX_DEPTH = 100
 
 
-def is_name(text: str) -> bool:
-    """True when ``text`` reads as one NAME token of the grammar."""
-    return re.fullmatch(_NAME, text) is not None
+def is_strings(value) -> bool:
+    """True when ``value`` is a JSON list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def check_names(value, what: str):
+    """Raise ParseError unless ``value`` (a ring's "vars", an algebra's
+    "gens") lists distinct names that each read as one NAME token, so
+    that an expression can write every one of them."""
+    if not is_strings(value) or len(set(value)) != len(value) or not all(
+        re.fullmatch(_NAME, v) for v in value
+    ):
+        raise ParseError(f"{what} must be distinct expression names, got {value!r}")
 
 
 def _tokenize(text: str):
@@ -146,30 +156,8 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}")
 
 
-class _PolyAlg:
-    def __init__(self, amb):
-        self.amb = amb
-
-    def const(self, q):
-        return self.amb.const(q)
-
-    def atom(self, name):
-        if name not in self.amb.vars:
-            raise ParseError(f"unknown variable {name!r}")
-        return self.amb.var(name)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-
 def parse_poly(text: str, amb):
-    return parse_with_alg(text, _PolyAlg(amb))
+    return parse_with_alg(text, amb)
 
 
 def parse_with_alg(text: str, alg):

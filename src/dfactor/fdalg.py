@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import ParseError
-from .exprs import parse_with_alg
+from .exprs import check_names, is_strings, parse_with_alg
 from .fields import field_from_json, field_to_json
 
 DIM_CAP = 64
@@ -466,10 +466,6 @@ def quotient_by_central(B: FDAlgebra, w: CentralElement, nu: AlgebraMap | None =
     return A, projection
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def _int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -481,12 +477,12 @@ def _square(grid, n: int) -> bool:
 def algebra_from_json(desc: dict) -> FDAlgebra:
     field = field_from_json(desc.get("field", {}))
     gens = desc.get("gens")
-    if gens is not None and not _strings(gens):
-        raise ParseError("\"gens\" must be a list of generator names")
+    if gens is not None:
+        check_names(gens, "algebra \"gens\"")
     if gens is not None and "monomial_rels" in desc:
         rels = desc["monomial_rels"]
         cap = desc.get("degree_cap", 12)
-        if not _strings(rels) or not _int(cap):
+        if not is_strings(rels) or not _int(cap):
             raise ParseError("\"monomial_rels\" must be a list of words, \"degree_cap\" an integer")
         return monomial_algebra(gens, rels, field, degree_cap=cap)
     if "basis" in desc and "table" in desc:
@@ -496,7 +492,7 @@ def algebra_from_json(desc: dict) -> FDAlgebra:
             return field.from_fraction(Fraction(text))
 
         labels, table, unit = desc["basis"], desc["table"], desc.get("unit", 0)
-        n = len(labels) if _strings(labels) else 0
+        n = len(labels) if is_strings(labels) else 0
         rows_ok = _square(table, n) and all(_square(row, n) for row in table)
         if not n or not _int(unit) or not rows_ok or not all(
             _square(cell, n) and all(isinstance(c, (str, int)) for c in cell)

@@ -271,14 +271,7 @@ def window_exact(C: ComplexWindow) -> ExactnessReport:
 
 
 def _exact_at_ring(incoming: MatrixMap, outgoing: MatrixMap, ring: QuotientRing):
-    if outgoing.source.rank == 0:
-        return True, None, None
-    kernel = matrix_kernel([list(r) for r in outgoing.rows], ring)
-    if incoming.source.rank == 0:
-        for v in kernel:
-            if not all(ring.nf(e).is_zero for e in v):
-                return False, v, None
-        return True, None, None
+    kernel = matrix_kernel([list(r) for r in outgoing.rows], outgoing.source.rank, ring)
     rows = [list(r) for r in incoming.rows]
     for v in kernel:
         outcome = solve_linear(rows, list(v), ring)

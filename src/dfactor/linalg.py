@@ -58,8 +58,6 @@ def rref(mat, field, pivot_limit=None):
 
 
 def rank(mat, field) -> int:
-    if not mat:
-        return 0
     return len(rref(mat, field)[1])
 
 
@@ -115,8 +113,6 @@ def kernel_basis(mat, field):
     n = len(mat[0]) if m else 0
     if n == 0:
         return []
-    if m == 0:
-        return [[field.one if j == k else field.zero for j in range(n)] for k in range(n)]
     red, pivots = rref(mat, field)
     p = field.char
     pivot_set = set(pivots)

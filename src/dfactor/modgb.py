@@ -410,12 +410,6 @@ def membership_lift(gens, target, amb: Ambient):
     """
     gens = list(gens)
     m = len(target)
-    if not gens:
-        if vec_is_zero(tuple(target)):
-            return (), None
-        return None, NoSolutionCertificate(
-            gens=(), gb=(), remainder=tuple(target), main_len=m, target=tuple(target)
-        )
     gb = module_groebner(_augment(gens, amb), amb)
     zero = amb.zero()
     target_aug = tuple(target) + tuple(zero for _ in gens)
@@ -484,16 +478,16 @@ def is_regular(f: Poly, ring: QuotientRing) -> bool:
     return all(ring.nf(b).is_zero for b in basis)
 
 
-def _columns_and_injections(rows, ring: QuotientRing, modulo=None):
+def _columns_and_injections(rows, n: int, ring: QuotientRing, modulo=None):
     """Module generators whose span is the column space of the matrix
-    modulo the defining ideal (and each row's extra generators).
+    with ``n`` columns modulo the defining ideal (and each row's extra
+    generators).
 
     The columns come first, then one h*e_i per generator h and row i it
     applies to, generator-major: the ideal's basis first, then the extra
     generators in order of first appearance.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
     if modulo is not None and len(modulo) != m:
@@ -531,7 +525,7 @@ def solve_linear(rows, rhs, ring: QuotientRing, modulo=None):
     if len(rhs) != m:
         raise ValueError("dimension mismatch between matrix and rhs")
     n = len(rows[0]) if m else 0
-    gens = _columns_and_injections(rows, ring, modulo)
+    gens = _columns_and_injections(rows, n, ring, modulo)
     coeffs, cert = membership_lift(gens, tuple(rhs), ring.amb)
     if cert is not None:
         return cert
@@ -551,14 +545,15 @@ def solve_linear(rows, rhs, ring: QuotientRing, modulo=None):
     return LinearSolution(solution)
 
 
-def matrix_kernel(rows, ring: QuotientRing):
-    """Column vectors generating the kernel of the matrix over the ring.
+def matrix_kernel(rows, n: int, ring: QuotientRing):
+    """Column vectors generating the kernel of the matrix with ``n``
+    columns over the ring.  ``n`` is given, not read from ``rows``: a map
+    into the zero module has no rows, and its kernel is all of P^n.
 
     Syzygies of the columns together with defining-ideal injections;
     the column-coefficient block of each relation is a kernel element.
     """
-    n = len(rows[0]) if rows else 0
-    syz = syzygy_gens(_columns_and_injections(rows, ring), ring.amb)
+    syz = syzygy_gens(_columns_and_injections(rows, n, ring), ring.amb)
     out = []
     seen = set()
     for s in syz:

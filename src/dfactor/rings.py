@@ -19,8 +19,8 @@ from operator import add as _iadd
 from . import _kernel
 from ._kernel.pure import Divisors, mon_divides
 from .errors import ParseError
-from .exprs import format_poly, is_name, parse_poly
-from .fields import GF, QQ, field_from_json, field_to_json
+from .exprs import check_names, format_poly, is_strings, parse_poly
+from .fields import field_from_json, field_to_json
 from .reuse import reuse
 
 
@@ -122,10 +122,22 @@ class Ambient:
             return self.field.from_fraction(Fraction(c))
         return c
 
-    def var(self, name: str) -> Poly:
-        i = self.vars.index(name)
-        mon = tuple(1 if j == i else 0 for j in range(self.nvars))
+    # -- the arithmetic the expression parser reads ---------------------
+
+    def atom(self, name: str) -> Poly:
+        if name not in self.vars:
+            raise ParseError(f"unknown variable {name!r}")
+        mon = tuple(int(v == name) for v in self.vars)
         return Poly(self, ((mon, self.field.one),))
+
+    def add(self, a: Poly, b: Poly) -> Poly:
+        return a + b
+
+    def neg(self, a: Poly) -> Poly:
+        return -a
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        return a * b
 
     def monomial(self, mon, c=1) -> Poly:
         c = self.coeff(c)
@@ -165,15 +177,8 @@ class Poly:
         return Poly(self.amb, self.amb.ops.neg(self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         self._check(other)
         return Poly(self.amb, self.amb.ops.mul(self.terms, other.terms))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, c) -> Poly:
         return Poly(self.amb, self.amb.ops.scale(self.terms, self.amb.coeff(c)))
@@ -234,8 +239,7 @@ class Ideal:
 
     def __init__(self, amb: Ambient, gens):
         self.amb = amb
-        self.gens = tuple(g for g in gens if not g.is_zero)
-        self.basis = groebner(self.gens)
+        self.basis = groebner(gens)
 
     def __eq__(self, other):
         return isinstance(other, Ideal) and other.amb is self.amb and other.basis == self.basis
@@ -245,10 +249,6 @@ class Ideal:
 
     def __repr__(self):
         return "Ideal(" + ", ".join(map(repr, self.basis)) + ")"
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 class QuotientRing:
@@ -426,15 +426,14 @@ class QuotientRing:
     def from_json(cls, desc: dict) -> "QuotientRing":
         field = field_from_json(desc.get("field", {}))
         variables = desc.get("vars")
-        if not variables or not _strings(variables):
+        if not variables:
             raise ParseError("ring description needs \"vars\", a list of names")
-        if len(set(variables)) != len(variables) or not all(map(is_name, variables)):
-            raise ParseError(f"ring \"vars\" must be distinct expression names, got {variables!r}")
+        check_names(variables, "ring \"vars\"")
         order = desc.get("order", "grevlex")
         if not isinstance(order, str):
             raise ParseError("monomial order must be a name")
         ideal = desc.get("ideal", [])
-        if not _strings(ideal):
+        if not is_strings(ideal):
             raise ParseError("\"ideal\" must be a list of expressions")
         return cls.make(field, variables, ideal, order_from_name(order))
 
@@ -451,18 +450,3 @@ class QuotientRing:
     def __repr__(self):
         gens = ", ".join(map(repr, self.ideal.basis))
         return f"{self.amb.field}[{','.join(self.amb.vars)}]/({gens})"
-
-
-__all__ = [
-    "Ambient",
-    "GREVLEX",
-    "LEX",
-    "GF",
-    "QQ",
-    "Ideal",
-    "MonomialOrder",
-    "Poly",
-    "QuotientRing",
-    "groebner",
-    "order_from_name",
-]

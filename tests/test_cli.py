@@ -12,14 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dfactor import modgb
+from dfactor import axioms, modgb
 from dfactor.axioms import run_axiom_suite
 from dfactor.cli import build_parser, main
 from dfactor.context import FreeObj
 from dfactor.fields import GF
+from dfactor.functors import window_exact
 from dfactor.reuse import expired, one_call
 from dfactor.rings import Ambient, groebner
-from dfactor.schemas import context_from_json
+from dfactor.schemas import context_from_json, window_from_json
 from tests.test_golden import CASES as GOLDEN_CASES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -185,6 +186,20 @@ def test_reduce_exact_checktac(tmp_path, capsys):
     assert code == 0
 
 
+def test_reduce_writes_a_structure_constant_algebra_that_exact_reads(tmp_path, capsys):
+    ctx = json.loads((FIXTURES / "quantum_context.json").read_text())
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(
+        {"context": ctx, "d": 2, "ranks": [1, 1], "maps": [[["1"]], [["x*y - 2*y*x"]]]}
+    ))
+    code, rep = run_cli(["reduce", path, "--f", "x*y - 2*y*x"], capsys)
+    assert (code, rep["verdict"]) == (0, "verified")
+    assert set(rep["result"]["ring"]) == {"field", "basis", "unit", "table", "gens"}
+    window = tmp_path / "window.json"
+    window.write_text(json.dumps(rep["result"]))
+    code, rep = run_cli(["exact", window], capsys)
+    assert (code, rep["verdict"]) == (0, "exact")
+
 def test_reduce_hypotheses_unmet_exit_1(capsys):
     code, rep = run_cli(
         ["reduce", FIXTURES / "classical_xy.json", "--f", "x^2"], capsys
@@ -234,6 +249,33 @@ def test_exact_false_with_witness(tmp_path, capsys):
     assert "witness" in rep["certificate"]
     assert rep["certificate"]["solver"]["kind"] == "module_groebner"
 
+
+_ZERO_OBJECT_RINGS = {
+    "ring": {"field": {"char": 7}, "vars": ["x"], "order": "grevlex", "ideal": []},
+    "algebra": {"gens": ["x"], "monomial_rels": ["xx"], "field": {"char": 7}},
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_ZERO_OBJECT_RINGS))
+def test_exact_sees_the_kernel_of_a_map_into_zero(backend, tmp_path, capsys):
+    # P -> 0 -> P -> 0 -> P: at position 2 the kernel of P -> 0 is all of
+    # P, and the image of 0 -> P is zero
+    desc = {
+        "ring": _ZERO_OBJECT_RINGS[backend], "lo": 0, "hi": 4, "period": 2, "nilpotency": 2,
+        "offsets": [[0], [], [1], [], [2]], "maps": [[], [[]], [], [[]]],
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(desc))
+    code, rep = run_cli(["exact", path], capsys)
+    assert (code, rep["verdict"]) == (2, "not_exact")
+    assert rep["certificate"]["failing_position"] == 2
+    if backend == "ring":
+        assert rep["certificate"]["witness"] == ["1"]
+        assert rep["certificate"]["solver"] == {
+            "kind": "module_groebner", "main_len": 1, "gens": [], "gb": [], "remainder": ["1"],
+        }
+        W = window_from_json(desc)
+        assert window_exact(W).certificate.reverify(W.backend.amb)
 
 def test_endring_verbs(capsys):
     code, rep = run_cli(
@@ -321,6 +363,21 @@ def test_axioms_quantum_context(capsys):
     assert code == 0
 
 
+def test_axiom_check_that_raises_is_a_recorded_failure(monkeypatch, capsys):
+    def broken(X):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(axioms, "verify_factorization", broken)
+    code, rep = run_cli(
+        ["axioms", "--ctx", FIXTURES / "ctx_f7xy_xy.json", "--seed", "42", "--trials", "1"],
+        capsys,
+    )
+    assert (code, rep["verdict"]) == (2, "false")
+    failures = rep["result"]["failures"]
+    assert {"trial": 0, "check": "reverify"} in failures
+    assert rep["certificate"] == {"failures": failures}
+    assert "reverify: boom" in rep["result"]["records"][0]["errors"]
+
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):
@@ -340,6 +397,14 @@ def test_determinism_byte_identical(tmp_path):
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
 
+
+def test_timing_adds_only_timing_ms(capsys):
+    args = ["reduce", FIXTURES / "classical_xy.json", "--f", "x"]
+    _, plain = run_cli(args, capsys)
+    code, timed = run_cli(args + ["--timing"], capsys)
+    assert code == 0
+    assert timed.pop("timing_ms") >= 0
+    assert timed == plain
 
 def test_console_entrypoint_runs():
     proc = subprocess.run(
@@ -831,6 +896,18 @@ def test_misread_descriptors_are_parse_errors(field, variables, tmp_path, capsys
     path.write_text(json.dumps(desc))
     _assert_parse_error(*run_cli(["verify", path], capsys))
 
+
+@pytest.mark.parametrize(
+    "gens", [["x", "x"], ["x", "y z"], ["x", "2y"], ["x", ""], "xy", ["x", 1]]
+)
+def test_algebra_gens_are_read_like_ring_vars(gens, tmp_path, capsys):
+    ctx = json.loads((FIXTURES / "quantum_context.json").read_text())
+    ctx["ring"].update(gens=gens, monomial_rels=["xx"])
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"context": ctx, "d": 2, "ranks": [1, 1], "maps": [[["x"]], [["x"]]]}))
+    code, rep = run_cli(["verify", path], capsys)
+    _assert_parse_error(code, rep)
+    assert "algebra \"gens\" must be distinct expression names" in rep["error"]
 
 def test_monomial_algebra_cap_is_checked_at_each_degree(tmp_path, capsys):
     # k<x,y>/(xx) has 87 words of length at most 7; the words up to the

@@ -166,7 +166,7 @@ def test_solve_linear_respects_quotient(amb, R_xy):
 
 def test_matrix_kernel(amb, R_xy):
     # kernel of (x) over F7[x,y]/(xy) is generated by (y)
-    kern = matrix_kernel([(amb.poly("x"),)], R_xy)
+    kern = matrix_kernel([(amb.poly("x"),)], 1, R_xy)
     mons = {v[0].monic() for v in kern}
     assert amb.poly("y") in mons
 
@@ -384,7 +384,7 @@ def test_module_groebner_matches_all_pairs_oracle(field, order, monkeypatch):
                 syzygy_gens(gens, amb),
                 membership_lift(gens, target, amb),
                 membership_lift(gens, member, amb),
-                matrix_kernel(rows, ring),
+                matrix_kernel(rows, len(gens), ring),
             )
 
         got = outputs()
@@ -536,7 +536,7 @@ def test_matrix_kernel_pair_reductions_pinned(monkeypatch):
     P = _P7.poly
     ring = QuotientRing(_P7, Ideal(_P7, [P("x*y"), P("z^2")]))
     rows = [(P("x"), P("y"), P("x + z")), (P("y"), P("x^2"), _P7.zero())]
-    assert _pinned_pair_reductions(monkeypatch, lambda: matrix_kernel(rows, ring)) == [19]
+    assert _pinned_pair_reductions(monkeypatch, lambda: matrix_kernel(rows, 3, ring)) == [19]
 
 
 
