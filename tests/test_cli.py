@@ -200,6 +200,7 @@ def test_reduce_writes_a_structure_constant_algebra_that_exact_reads(tmp_path, c
     code, rep = run_cli(["exact", window], capsys)
     assert (code, rep["verdict"]) == (0, "exact")
 
+
 def test_reduce_hypotheses_unmet_exit_1(capsys):
     code, rep = run_cli(
         ["reduce", FIXTURES / "classical_xy.json", "--f", "x^2"], capsys
@@ -276,6 +277,7 @@ def test_exact_sees_the_kernel_of_a_map_into_zero(backend, tmp_path, capsys):
         }
         W = window_from_json(desc)
         assert window_exact(W).certificate.reverify(W.backend.amb)
+
 
 def test_endring_verbs(capsys):
     code, rep = run_cli(
@@ -378,6 +380,7 @@ def test_axiom_check_that_raises_is_a_recorded_failure(monkeypatch, capsys):
     assert rep["certificate"] == {"failures": failures}
     assert "reverify: boom" in rep["result"]["records"][0]["errors"]
 
+
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):
@@ -405,6 +408,7 @@ def test_timing_adds_only_timing_ms(capsys):
     assert code == 0
     assert timed.pop("timing_ms") >= 0
     assert timed == plain
+
 
 def test_console_entrypoint_runs():
     proc = subprocess.run(
@@ -908,6 +912,7 @@ def test_algebra_gens_are_read_like_ring_vars(gens, tmp_path, capsys):
     code, rep = run_cli(["verify", path], capsys)
     _assert_parse_error(code, rep)
     assert "algebra \"gens\" must be distinct expression names" in rep["error"]
+
 
 def test_monomial_algebra_cap_is_checked_at_each_degree(tmp_path, capsys):
     # k<x,y>/(xx) has 87 words of length at most 7; the words up to the
