@@ -151,11 +151,7 @@ def _morphism_or_false(args, report, path):
 
 
 def _verb_cone(args, report):
-    phi = _morphism_or_false(args, report, args.input)
-    try:
-        c = cone(phi)
-    except CompositionMismatch as exc:
-        return _rotation_false(report, exc)
+    c = cone(_morphism_or_false(args, report, args.input))
     verify_factorization(c.project.target)
     return _verdict(report, EXIT_OK, "verified", result={
         "cone": schemas.factorization_to_json(c.cone),

@@ -141,18 +141,14 @@ def dg_differential(phi: GradedHom) -> GradedHom:
     return GradedHom(X, Y, n + 1, tuple(comps))
 
 
-def differential_terms(X: FactorizationD, Y: FactorizationD, degree: int, t, sign: int = 1):
+def differential_terms(X: FactorizationD, Y: FactorizationD, degree: int, t):
     """For i = 1..d, the :class:`linsys.LinearSystem` terms of
-    ``sign * d(t)_i = sign * (g_{i+n} t_i + (-1)^(n+1) t_{i+1} f_i)``,
-    where t is a degree-n element whose component t_i is the unknown
-    block ``t[i - 1]``.  Each block appears in one term per equation."""
-    f_sign = -sign if degree % 2 == 0 else sign
-
-    def rows(m, s):
-        return (m if s > 0 else -m).rows
-
-    return [[(t[i - 1], rows(Y.map_at(i + degree), sign), "left"),
-             (t[i % X.d], rows(X.map_at(i), f_sign), "right")] for i in range(1, X.d + 1)]
+    ``d(t)_i = g_{i+n} t_i + (-1)^(n+1) t_{i+1} f_i``, where t is a
+    degree-n element whose component t_i is the unknown block
+    ``t[i - 1]``.  Each block appears in one term per equation."""
+    return [[(t[i - 1], Y.map_at(i + degree).rows, "left"),
+             (t[i % X.d], (X.map_at(i) if degree % 2 else -X.map_at(i)).rows, "right")]
+            for i in range(1, X.d + 1)]
 
 
 def graded_from_grids(X: FactorizationD, Y: FactorizationD, degree: int, grids) -> GradedHom:

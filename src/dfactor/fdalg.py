@@ -422,8 +422,7 @@ def is_left_regular(w: CentralElement) -> bool:
     system = LinearSystem(alg)
     v = system.unknown(1, 1)
     system.equation([(v, ((w.coords,),), "right")], [[alg.zero()]])
-    mat, _ = system.algebra_matrix()
-    return linalg.rank(mat, alg.field) == alg.dim
+    return system.field_rank() == alg.dim
 
 
 def quotient_by_central(B: FDAlgebra, w: CentralElement, nu: AlgebraMap | None = None):

@@ -15,15 +15,15 @@ model every homotopy decision runs on, so window size never affects a
 verdict).
 
 The lifting problem behind fullness, d(theta) = 0 and theta - d(t) =
-phibar modulo f, is written and decoded by :func:`dg.differential_terms`
-and :func:`dg.graded_from_grids`.
+phibar modulo f, is one ring system with "modulo f" written as an
+unknown multiple of f; its differentials are written and decoded by
+:func:`dg.differential_terms` and :func:`dg.graded_from_grids`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .context import Context, FreeObj, MatrixMap, compose, compose_chain
 from .dg import GradedHom, differential_terms, graded_from_grids, zero_graded
 from .errors import DeadlineExceeded, HypothesesUnmet, ShapeMismatch, UnsupportedOperation
@@ -102,12 +102,11 @@ class ComplexWindow:
     def backend(self):
         return self.ctx.backend
 
-    def check_period(self, poll: bool = False) -> None:
+    def check_period(self) -> None:
         """ShapeMismatch unless the maps repeat, twisted, every period;
-        with ``poll`` the deadline is polled once per position."""
+        the deadline is polled once per position."""
         for k in range(len(self.maps) - self.period):
-            if poll:
-                _poll_window(self.lo, self.hi, "period check", self.lo + k)
+            _poll_window(self.lo, self.hi, "period check", self.lo + k)
             if self.maps[k + self.period] != self.maps[k].twisted(1):
                 raise ShapeMismatch(f"window is not {self.period}-periodic at offset {k}")
 
@@ -116,7 +115,7 @@ class ComplexWindow:
             _poll_window(self.lo, self.hi, "shape check", self.lo + k)
             if self.maps[k].target != self.maps[k + 1].source:
                 raise ShapeMismatch(f"window breaks between positions {self.lo+k} and {self.lo+k+1}")
-        self.check_period(poll=True)
+        self.check_period()
         if self.nilpotency is not None:
             t = self.nilpotency
             for k in range(len(self.maps) - t + 1):
@@ -285,8 +284,7 @@ def _field_rank(m: MatrixMap, alg: FDAlgebra) -> int:
     system = LinearSystem(alg)
     v = system.unknown(m.source.rank, 1)
     system.equation([(v, m.rows, "left")], [[alg.zero()]] * m.target.rank)
-    mat, _ = system.algebra_matrix()
-    return linalg.rank(mat, alg.field)
+    return system.field_rank()
 
 
 def _exact_at_algebra(incoming: MatrixMap, outgoing: MatrixMap, alg: FDAlgebra) -> bool:
@@ -461,10 +459,11 @@ def full_lift(phibar: GradedHom, red_x: Reduction, red_u: Reduction):
     periodic chain map between the reductions of X and U modulo one f,
     by one combined membership solve over the ambient ring.
 
-    Unknowns: the components alpha, beta of theta over the ring, then
-    the periodic homotopy t = (sigma2, sigma1) over the quotient.  Block
-    rows: d(theta) = 0 modulo the defining ideal, then
-    theta - d(t) = phibar modulo (ideal, f).
+    Unknowns: the components alpha, beta of theta, a degree -1 element
+    s = (sigma2, sigma1), and one block k_i per position standing for
+    the multiple of f that "modulo f" allows.  Block rows: d(theta) = 0,
+    then theta + d(s) + k f = phibar, all modulo the defining ideal.
+    The downstairs witness is t = -s: theta - phibar = d(t) modulo f.
     """
     X, U = red_x.upstairs, red_u.upstairs
     f = _require_d2_regular(X, red_x.f)
@@ -480,20 +479,22 @@ def full_lift(phibar: GradedHom, red_x: Reduction, red_u: Reduction):
     beta = system.unknown(ru2, rx2)
     sigma1 = system.unknown(ru1, rx2)
     sigma2 = system.unknown(ru2, rx1)
-    theta_blocks, t = [alpha, beta], [sigma2, sigma1]
+    theta_blocks, s = [alpha, beta], [sigma2, sigma1]
     for i, terms in enumerate(differential_terms(X, U, 0, theta_blocks), start=1):
         system.equation(terms, MatrixMap.zero(X.ctx, X.objects[i - 1], U.obj_at(i + 1)).rows)
-    minus_dt = differential_terms(X, U, -1, t, sign=-1)
-    for obj, block, terms, target in zip(X.objects, theta_blocks, minus_dt, phibar.components):
+    ds = differential_terms(X, U, -1, s)
+    for obj, block, terms, target in zip(X.objects, theta_blocks, ds, phibar.components):
+        k = system.unknown(target.target.rank, obj.rank)
         one = MatrixMap.identity(X.ctx, obj).rows
-        system.equation([(block, one, "right"), *terms], target.rows, modulo=(f,))
+        times_f = MatrixMap.scalar(X.ctx, obj, f).rows
+        system.equation([(block, one, "right"), *terms, (k, times_f, "right")], target.rows)
     grids, cert = system.solve()
     if cert is not None:
         return NoLift(cert)
     theta = graded_from_grids(X, U, 0, [grids[alpha], grids[beta]])
     if not is_morphism(theta).ok:
         raise AssertionError("lift solver produced a non-morphism")
-    witness = graded_from_grids(
+    witness = -graded_from_grids(
         red_x.downstairs, red_u.downstairs, -1, [grids[sigma2], grids[sigma1]]
     )
     theta_bar = reduce_morphism(theta, red_x, red_u)

@@ -2,12 +2,13 @@
 
 Every linear problem of the package is one of these: homotopy decision
 (``s_i f_i + g_{i-1} s_{i-1} = phi_i - phi'_i``), the lifting problem of
-the reduction functor, the factors-through certificate eta = h*f of a
-reduction, the defining squares of a hom space, and the field rank of
-an algebra map.  A :class:`LinearSystem` holds unknown blocks and
-equations once and lays them out as one flat system: unknown blocks in
-the order they were added, each row-major; equations in the order they
-were added, each entry row-major.
+the reduction functor ("modulo f" is an unknown multiple of f), the
+factors-through certificate eta = h*f of a reduction, the defining
+squares of a hom space, and the field rank of an algebra map
+(:meth:`LinearSystem.field_rank`).  A :class:`LinearSystem` holds
+unknown blocks and equations once and lays them out as one flat system:
+unknown blocks in the order they were added, each row-major; equations
+in the order they were added, each entry row-major.
 
 Over a quotient ring the flat system goes to the module Gröbner solver
 (:func:`modgb.solve_linear`).  Every field matrix comes from one field
@@ -45,7 +46,6 @@ class LinearSystem:
         self.size = 0
         self.terms = []  # per scalar equation: its (flat unknown index, coefficient, side)
         self.rhs = []
-        self.modulo = []  # per scalar equation: extra generators it is taken modulo
 
     def unknown(self, rows: int, cols: int) -> int:
         """Add a rows x cols block of unknowns; returns its handle."""
@@ -53,10 +53,8 @@ class LinearSystem:
         self.size += rows * cols
         return len(self.blocks) - 1
 
-    def equation(self, terms, rhs, modulo=()):
-        """Add ``sum(terms) = rhs`` entrywise (``rhs`` a grid), each entry
-        taken modulo the generators ``modulo`` on top of the backend's
-        own relations."""
+    def equation(self, terms, rhs):
+        """Add ``sum(terms) = rhs`` entrywise (``rhs`` a grid)."""
         is_zero = self.backend.is_zero
         for a, rhs_row in enumerate(rhs):
             for b, value in enumerate(rhs_row):
@@ -70,7 +68,6 @@ class LinearSystem:
                     row.extend((k, c, side) for k, c in cells if not is_zero(c))
                 self.terms.append(row)
                 self.rhs.append(value)
-                self.modulo.append(tuple(modulo))
 
     # -- the field lowering ---------------------------------------------
 
@@ -136,8 +133,6 @@ class LinearSystem:
         of scalar equation i, column ``k*dim + b`` is unknown k set to
         basis element b."""
         alg: FDAlgebra = self.backend
-        if any(self.modulo):
-            raise TypeError("extra moduli need a quotient-ring backend")
         dim = alg.dim
         mat = [[self.field.zero] * (self.size * dim) for _ in range(len(self.terms) * dim)]
         basis = [alg.basis(b) for b in range(dim)]
@@ -145,6 +140,10 @@ class LinearSystem:
             for i, t, cf in column:
                 mat[i * dim + t][j] = cf
         return mat, [v for value in self.rhs for v in value]
+
+    def field_rank(self) -> int:
+        """Field rank of the homogeneous system over an algebra."""
+        return linalg.rank(self.algebra_matrix()[0], self.field)
 
     def decode(self, vec, basis):
         """Grids per block of the unknowns whose coordinates over
@@ -175,9 +174,7 @@ class LinearSystem:
             return self._grids([self.backend.zero()] * self.size), None
         if isinstance(self.backend, QuotientRing):
             return self._solve_ring()
-        if isinstance(self.backend, FDAlgebra):
-            return self._solve_algebra()
-        raise TypeError("unsupported backend")
+        return self._solve_algebra()
 
     def _solve_ring(self):
         ring: QuotientRing = self.backend
@@ -188,7 +185,7 @@ class LinearSystem:
             for k, c, _ in terms:
                 row[k] = c if row[k].is_zero else ring.add(row[k], c)
             rows.append(row)
-        outcome = solve_linear(rows, self.rhs, ring, modulo=self.modulo)
+        outcome = solve_linear(rows, self.rhs, ring)
         if not isinstance(outcome, LinearSolution):
             return None, outcome
         return self._grids(list(outcome.solution)), None

@@ -478,29 +478,19 @@ def is_regular(f: Poly, ring: QuotientRing) -> bool:
     return all(ring.nf(b).is_zero for b in basis)
 
 
-def _columns_and_injections(rows, n: int, ring: QuotientRing, modulo=None):
+def _columns_and_injections(rows, n: int, ring: QuotientRing):
     """Module generators whose span is the column space of the matrix
-    with ``n`` columns modulo the defining ideal (and each row's extra
-    generators).
-
-    The columns come first, then one h*e_i per generator h and row i it
-    applies to, generator-major: the ideal's basis first, then the extra
-    generators in order of first appearance.
+    with ``n`` columns modulo the defining ideal: the columns, then
+    h*e_i for each basis element h of the ideal and each row i,
+    generator-major.
     """
     m = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    if modulo is not None and len(modulo) != m:
-        raise ValueError("one modulus tuple per row is needed")
     zero = ring.amb.zero()
     gens = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
-    moduli = [(h, range(m)) for h in ring.ideal.basis]
-    extra = []
-    for hs in modulo or ():
-        extra.extend(h for h in hs if h not in extra)
-    moduli += [(h, [i for i in range(m) if h in modulo[i]]) for h in extra]
-    for h, applies in moduli:
-        for i in applies:
+    for h in ring.ideal.basis:
+        for i in range(m):
             gens.append(tuple(h if k == i else zero for k in range(m)))
     return gens
 
@@ -510,37 +500,31 @@ class LinearSolution:
     solution: tuple
 
 
-def solve_linear(rows, rhs, ring: QuotientRing, modulo=None):
+def solve_linear(rows, rhs, ring: QuotientRing):
     """Solve A*s = b over a quotient ring, or certify no solution.
 
     ``rows`` is the matrix as row tuples of ring elements, ``rhs`` the
-    column.  ``modulo``, when given, holds for each row a tuple of extra
-    generators that row is taken modulo.  Success returns
-    :class:`LinearSolution` whose entries are normal forms satisfying
-    the system entrywise after reduction; failure returns
-    :class:`NoSolutionCertificate` (membership of the column module
-    fails, decided by a module Gröbner basis).
+    column.  Success returns :class:`LinearSolution` whose entries are
+    normal forms satisfying the system entrywise after reduction;
+    failure returns :class:`NoSolutionCertificate` (membership of the
+    column module fails, decided by a module Gröbner basis).
     """
     m = len(rows)
     if len(rhs) != m:
         raise ValueError("dimension mismatch between matrix and rhs")
     n = len(rows[0]) if m else 0
-    gens = _columns_and_injections(rows, n, ring, modulo)
+    gens = _columns_and_injections(rows, n, ring)
     coeffs, cert = membership_lift(gens, tuple(rhs), ring.amb)
     if cert is not None:
         return cert
     solution = tuple(ring.nf(c) for c in coeffs[:n])
     live = [(j, s) for j, s in enumerate(solution) if not s.is_zero]
-    reducers = {(): ring}
     for i in range(m):
-        extra = modulo[i] if modulo is not None else ()
-        if extra not in reducers:
-            reducers[extra] = ring.extend_ideal(extra)
         acc = ring.amb.zero()
         for j, s in live:  # products with a zero factor are skipped
             if not rows[i][j].is_zero:
                 acc = acc + rows[i][j] * s
-        if not reducers[extra].nf(acc - rhs[i]).is_zero:
+        if not ring.nf(acc - rhs[i]).is_zero:
             raise AssertionError("solver returned an invalid solution")
     return LinearSolution(solution)
 

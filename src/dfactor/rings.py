@@ -40,12 +40,6 @@ class MonomialOrder:
     def __repr__(self):
         return self.name
 
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and other.name == self.name
-
-    def __hash__(self):
-        return hash(self.name)
-
 
 def _grevlex_key(mon):
     return (sum(mon), tuple(map(operator.neg, reversed(mon))))

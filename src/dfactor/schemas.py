@@ -47,7 +47,7 @@ def _int(value, what: str, minimum: int | None = None) -> int:
 def backend_from_json(desc: dict):
     if not isinstance(desc, dict):
         raise ParseError("backend description must be an object")
-    if "gens" in desc:
+    if "gens" in desc or "table" in desc:
         return algebra_from_json(desc)
     return QuotientRing.from_json(desc)
 

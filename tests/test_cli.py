@@ -12,14 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dfactor import axioms, modgb
+from dfactor import axioms, cli, modgb
 from dfactor.axioms import run_axiom_suite
 from dfactor.cli import build_parser, main
 from dfactor.context import FreeObj
 from dfactor.fields import GF
-from dfactor.functors import window_exact
+from dfactor.functors import NoLift, window_exact
 from dfactor.reuse import expired, one_call
-from dfactor.rings import Ambient, groebner
+from dfactor.rings import Ambient, QuotientRing, groebner
 from dfactor.schemas import context_from_json, window_from_json
 from tests.test_golden import CASES as GOLDEN_CASES
 
@@ -201,6 +201,27 @@ def test_reduce_writes_a_structure_constant_algebra_that_exact_reads(tmp_path, c
     assert (code, rep["verdict"]) == (0, "exact")
 
 
+def test_exact_reads_a_structure_constant_algebra_without_gens(tmp_path, capsys):
+    ctx = json.loads((FIXTURES / "quantum_context.json").read_text())
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(
+        {"context": ctx, "d": 2, "ranks": [1, 1], "maps": [[["1"]], [["x*y - 2*y*x"]]]}
+    ))
+    code, rep = run_cli(["reduce", path, "--f", "x*y - 2*y*x"], capsys)
+    window = rep["result"]
+    del window["ring"]["gens"]
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(window))
+    code, rep = run_cli(["exact", path], capsys)
+    assert (code, rep["verdict"]) == (0, "exact")
+    # without "gens" no entry can name a generator
+    window["maps"][0] = [["x"]]
+    path.write_text(json.dumps(window))
+    code, rep = run_cli(["exact", path], capsys)
+    assert (code, rep["kind"]) == (1, "ParseError")
+    assert rep["error"] == "unknown generator 'x'"
+
+
 def test_reduce_hypotheses_unmet_exit_1(capsys):
     code, rep = run_cli(
         ["reduce", FIXTURES / "classical_xy.json", "--f", "x^2"], capsys
@@ -335,6 +356,37 @@ def test_faithful_and_lift(tmp_path, capsys):
     code, rep = run_cli(["lift", lpath, "--f", "x*y"], capsys)
     assert code == 0
     assert rep["verdict"] == "lifted"
+
+
+def test_lift_no_lift_report(tmp_path, capsys, monkeypatch):
+    # fullness at d = 2 is a theorem, so only a patched lift gives no_lift
+    ring = QuotientRing.make(GF(7), ("x", "y"))
+    cert = modgb.solve_linear([[ring.parse("x")]], [ring.parse("y")], ring)
+    assert isinstance(cert, modgb.NoSolutionCertificate)
+    monkeypatch.setattr(cli, "full_lift", lambda phibar, red_x, red_u: NoLift(cert))
+    fact = json.loads((FIXTURES / "classical_xy.json").read_text())
+    ends = {"ranks": fact["ranks"], "maps": fact["maps"]}
+    lpath = tmp_path / "lift.json"
+    lpath.write_text(json.dumps({
+        "context": fact["context"], "d": 2, "source": ends, "target": ends,
+        "components": [[["y"]], [["y"]]],
+    }))
+    code, rep = run_cli(["lift", lpath, "--f", "x*y"], capsys)
+    assert (code, rep["verdict"]) == (2, "no_lift")
+    assert rep["certificate"]["contradiction_under_certified_hypotheses"] is True
+    solver = rep["certificate"]["solver"]
+    assert solver["kind"] == "module_groebner"
+    assert solver["gens"] == [[repr(p) for p in v] for v in cert.gens]
+    assert solver["remainder"] == [repr(p) for p in cert.remainder]
+
+
+def test_dualq_false_report(capsys, monkeypatch):
+    # the dual quotient check holds for free modules, so only a patch gives false
+    monkeypatch.setattr(cli, "dual_quotient_check", lambda n, x, ring, seed=0: False)
+    code, rep = run_cli(
+        ["dualq", FIXTURES / "ring_f7xy_mod_xy.json", "--x", "x^2", "--n", "2"], capsys
+    )
+    assert (code, rep["verdict"]) == (2, "false")
 
 
 def test_axioms_verb(capsys):

@@ -1,5 +1,5 @@
-"""LinearSystem: per-row extra moduli, and systems without equations;
-field elimination against its method-call reference."""
+"""LinearSystem: an unknown multiple in one row only, systems without
+equations, and field elimination against its method-call reference."""
 
 import random
 from fractions import Fraction
@@ -30,23 +30,25 @@ def test_unknowns_without_equations_are_zero():
     assert witness.comp_at(2).rows == ((R.zero(),),)
 
 
-def test_extra_modulus_applies_to_its_own_rows_only():
+def test_extra_unknown_multiple_applies_to_its_own_rows_only():
+    # "modulo y" is written as an unknown k times y, in that row only
     R = QuotientRing.make(GF(7), ("x", "y"), ["y^2"])
     x, y, one = R.parse("x"), R.parse("y"), R.one()
-    # u * x = y has no solution over R, but does modulo y
+    # u * x = y has no solution over R, but u * x + k * y = y does
     system = LinearSystem(R)
-    u = system.unknown(1, 1)
-    system.equation([(u, ((x,),), "right")], ((y,),), modulo=(y,))
+    u, k = system.unknown(1, 1), system.unknown(1, 1)
+    system.equation([(u, ((x,),), "right"), (k, ((y,),), "right")], ((y,),))
     grids, cert = system.solve()
-    assert cert is None and R.nf(grids[u][0][0] * x).is_zero
-    # a second row without the modulus pins u = y, which the first allows
+    assert cert is None
+    assert R.nf(grids[u][0][0] * x + grids[k][0][0] * y) == y
+    # a second row without k pins u = y, which the first allows
     system.equation([(u, ((one,),), "left")], ((y,),))
     grids, cert = system.solve()
     assert cert is None and grids[u] == [[y]]
-    # the modulus of one row does not reach the next: u x = y stays unsolvable
+    # k in one row does not reach the next: u x = y stays unsolvable
     strict = LinearSystem(R)
-    u = strict.unknown(1, 1)
-    strict.equation([(u, ((one,),), "left")], ((one,),), modulo=(y,))
+    u, k = strict.unknown(1, 1), strict.unknown(1, 1)
+    strict.equation([(u, ((one,),), "left"), (k, ((y,),), "right")], ((one,),))
     strict.equation([(u, ((x,),), "right")], ((y,),))
     grids, cert = strict.solve()
     assert grids is None and isinstance(cert, NoSolutionCertificate)
