@@ -63,6 +63,6 @@ from .functors import (
     window_exact,
 )
 from .modgb import colon_ideal, is_regular, solve_linear
-from .rings import GREVLEX, LEX, Ambient, Ideal, MonomialOrder, Poly, QuotientRing, groebner
+from .rings import GREVLEX, LEX, Ambient, MonomialOrder, Poly, QuotientRing, groebner
 
 __version__ = "0.1.0"

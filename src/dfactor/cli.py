@@ -49,7 +49,6 @@ from .functors import (
     total_acyclicity_report,
     window_exact,
 )
-from .linalg import FredholmCertificate
 from .modgb import NoSolutionCertificate
 from .reuse import one_call
 from .rings import QuotientRing
@@ -78,6 +77,8 @@ def _load(args, path: str):
 
 
 def _cert_json(cert):
+    """A solver's no-solution certificate: module Gröbner over a ring,
+    Fredholm over an algebra."""
     if isinstance(cert, NoSolutionCertificate):
         return {
             "kind": "module_groebner",
@@ -86,9 +87,7 @@ def _cert_json(cert):
             "gb": [[repr(p) for p in v] for v in cert.gb],
             "remainder": [repr(p) for p in cert.remainder],
         }
-    if isinstance(cert, FredholmCertificate):
-        return {"kind": "fredholm", "left_null_vector": [str(c) for c in cert.y]}
-    return {"kind": type(cert).__name__, "detail": repr(cert)}
+    return {"kind": "fredholm", "left_null_vector": [str(c) for c in cert.y]}
 
 
 def _witness_json(t: GradedHom):

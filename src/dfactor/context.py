@@ -256,45 +256,20 @@ def naturality_check(f: MatrixMap) -> bool:
     return lhs == rhs
 
 
-def block2x2(tl: MatrixMap, tr: MatrixMap, bl: MatrixMap, br: MatrixMap) -> MatrixMap:
-    """[[tl, tr], [bl, br]] with source/target concatenations."""
-    ctx = tl.ctx
-    if tl.source != bl.source or tr.source != br.source:
-        raise ShapeMismatch("column sources differ")
-    if tl.target != tr.target or bl.target != br.target:
-        raise ShapeMismatch("row targets differ")
-    source = tl.source.concat(tr.source)
-    target = tl.target.concat(bl.target)
-    rows = []
-    for i in range(tl.target.rank):
-        rows.append(tuple(tl.rows[i]) + tuple(tr.rows[i]))
-    for i in range(bl.target.rank):
-        rows.append(tuple(bl.rows[i]) + tuple(br.rows[i]))
-    return MatrixMap(ctx, source, target, tuple(rows))
-
-
-def block_diag(a: MatrixMap, b: MatrixMap) -> MatrixMap:
-    return block2x2(
-        a,
-        MatrixMap.zero(a.ctx, b.source, a.target),
-        MatrixMap.zero(a.ctx, a.source, b.target),
-        b,
-    )
-
-
-def row_block(left: MatrixMap, right: MatrixMap) -> MatrixMap:
-    """[left right]: same target, concatenated sources."""
-    if left.target != right.target:
-        raise ShapeMismatch("row targets differ")
-    rows = tuple(
-        tuple(l) + tuple(r) for l, r in zip(left.rows, right.rows)
-    )
-    return MatrixMap(left.ctx, left.source.concat(right.source), left.target, rows)
-
-
-def col_block(top: MatrixMap, bottom: MatrixMap) -> MatrixMap:
-    """[top; bottom]: same source, concatenated targets."""
-    if top.source != bottom.source:
-        raise ShapeMismatch("column sources differ")
-    rows = tuple(top.rows) + tuple(bottom.rows)
-    return MatrixMap(top.ctx, top.source, top.target.concat(bottom.target), rows)
+def block(grid) -> MatrixMap:
+    """The block matrix of a grid of maps given row by row: the maps in
+    one row share a target, those in one column a source.  Its source
+    concatenates the sources of the first row, its target the targets
+    of the first column."""
+    sources = [m.source.offsets for m in grid[0]]
+    target, rows = (), []
+    for row in grid:
+        offsets = row[0].target.offsets
+        for m, s in zip(row, sources):
+            if m.source.offsets != s:
+                raise ShapeMismatch("column sources differ")
+            if m.target.offsets != offsets:
+                raise ShapeMismatch("row targets differ")
+        target += offsets
+        rows += [sum(parts, ()) for parts in zip(*[m.rows for m in row])]
+    return MatrixMap(grid[0][0].ctx, FreeObj(sum(sources, ())), FreeObj(target), tuple(rows))

@@ -153,7 +153,7 @@ class _Parser:
             if self.take() != ("op", ")"):
                 raise ParseError("unbalanced parenthesis")
             return value
-        raise ParseError(f"unexpected token {val!r}")
+        raise ParseError(f"unexpected token {val!r}" if kind else "unexpected end of input")
 
 
 def parse_poly(text: str, amb):

@@ -15,17 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import (
-    Context,
-    FreeObj,
-    MatrixMap,
-    block2x2,
-    block_diag,
-    col_block,
-    compose,
-    eta_map,
-    row_block,
-)
+from .context import Context, FreeObj, MatrixMap, block, compose, eta_map
 from .dg import (GradedHom, _wrap, compose_graded, dg_differential, differential_terms,
                  graded_from_grids, graded_hom)
 from .errors import CompositionMismatch, ShapeMismatch
@@ -153,7 +143,11 @@ def direct_sum(X: FactorizationD, Y: FactorizationD) -> FactorizationD:
     if X.ctx != Y.ctx or X.d != Y.d:
         raise ShapeMismatch("direct sum needs matching context and d")
     objects = tuple(a.concat(b) for a, b in zip(X.objects, Y.objects))
-    maps = tuple(block_diag(f, g) for f, g in zip(X.maps, Y.maps))
+    maps = tuple(
+        block([[f, MatrixMap.zero(X.ctx, g.source, f.target)],
+               [MatrixMap.zero(X.ctx, f.source, g.target), g]])
+        for f, g in zip(X.maps, Y.maps)
+    )
     return FactorizationD(X.ctx, X.d, objects, maps)
 
 
@@ -312,11 +306,8 @@ def cone(phi: GradedHom) -> Cone:
     objects = [X.obj_at(i + 1).concat(Y.objects[i - 1]) for i in range(1, d + 1)]
     maps = []
     for i in range(1, d + 1):
-        tl = -X.map_at(i + 1)
         tr = MatrixMap.zero(ctx, Y.objects[i - 1], X.obj_at(i + 2))
-        bl = phi.comp_at(i + 1)
-        br = Y.map_at(i)
-        maps.append(block2x2(tl, tr, bl, br))
+        maps.append(block([[-X.map_at(i + 1), tr], [phi.comp_at(i + 1), Y.map_at(i)]]))
     C = make_factorization(ctx, d, objects, maps, allow_odd_d=d % 2 == 1)
     include_comps = []
     project_comps = []
@@ -324,10 +315,10 @@ def cone(phi: GradedHom) -> Cone:
         n_obj = Y.objects[i - 1]
         m_next = X.obj_at(i + 1)
         include_comps.append(
-            col_block(MatrixMap.zero(ctx, n_obj, m_next), MatrixMap.identity(ctx, n_obj))
+            block([[MatrixMap.zero(ctx, n_obj, m_next)], [MatrixMap.identity(ctx, n_obj)]])
         )
         project_comps.append(
-            row_block(MatrixMap.identity(ctx, m_next), MatrixMap.zero(ctx, n_obj, m_next))
+            block([[MatrixMap.identity(ctx, m_next), MatrixMap.zero(ctx, n_obj, m_next)]])
         )
     include = morphism(Y, C, include_comps)
     project = morphism(C, suspend(X), project_comps)
@@ -354,14 +345,10 @@ def cone_comparison(phi: GradedHom, phi2: GradedHom, t: GradedHom):
             m_next = phi.source.obj_at(i + 1)
             n_obj = phi.target.objects[i - 1]
             t_next = t.comp_at(i + 1) if sign > 0 else -t.comp_at(i + 1)
-            comps.append(
-                block2x2(
-                    MatrixMap.identity(ctx, m_next),
-                    MatrixMap.zero(ctx, n_obj, m_next),
-                    t_next,
-                    MatrixMap.identity(ctx, n_obj),
-                )
-            )
+            comps.append(block([
+                [MatrixMap.identity(ctx, m_next), MatrixMap.zero(ctx, n_obj, m_next)],
+                [t_next, MatrixMap.identity(ctx, n_obj)],
+            ]))
         return comps
 
     lam = morphism(c1.cone, c2.cone, lam_comps(+1))

@@ -40,7 +40,7 @@ from .fdalg import CentralElement, FDAlgebra, quotient_by_central
 from .linsys import LinearSystem
 from .modgb import LinearSolution, colon_ideal, is_regular, matrix_kernel, solve_linear
 from .reuse import expired
-from .rings import Ideal, Poly, QuotientRing
+from .rings import Poly, QuotientRing
 
 
 # -- end rings of cyclic modules ----------------------------------------
@@ -64,9 +64,8 @@ def end_ring_cyclic(R: QuotientRing, g: Poly) -> EndRingPresentation:
     g = R.nf(g)
     if g.is_zero:
         raise ValueError("cyclic generator must be nonzero in the ring")
-    basis = colon_ideal([], g, R)
-    gamma = QuotientRing(R.amb, Ideal(R.amb, list(basis)))
-    return EndRingPresentation(R, g, gamma, tuple(basis))
+    basis = colon_ideal(g, R)
+    return EndRingPresentation(R, g, QuotientRing(R.amb, basis), basis)
 
 
 # -- windows -------------------------------------------------------------
@@ -261,11 +260,8 @@ def window_exact(C: ComplexWindow) -> ExactnessReport:
                 return ExactnessReport(
                     False, p, "kernel not covered by image", witness=witness, certificate=cert
                 )
-        elif isinstance(backend, FDAlgebra):
-            if not _exact_at_algebra(incoming, outgoing, backend):
-                return ExactnessReport(False, p, "field ranks disagree")
-        else:
-            raise UnsupportedOperation("unknown backend")
+        elif not _exact_at_algebra(incoming, outgoing, backend):
+            return ExactnessReport(False, p, "field ranks disagree")
     return ExactnessReport(True)
 
 

@@ -109,10 +109,7 @@ def solve(mat, rhs, field):
 def kernel_basis(mat, field):
     """Basis of the right kernel of A.  Entries are negated natively, as
     in :func:`rref`: over F_p ``(-x) % p``, over Q ``-x``."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if n == 0:
-        return []
+    n = len(mat[0]) if mat else 0
     red, pivots = rref(mat, field)
     p = field.char
     pivot_set = set(pivots)

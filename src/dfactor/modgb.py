@@ -2,8 +2,10 @@
 
 One engine covers Gröbner bases of ideals (rank-1 vectors, through
 :func:`dfactor.rings.groebner`), ideal membership with expressing
-coefficients, syzygies, colon ideals, kernels of matrices over quotient
-rings, and certified linear solving.  Vectors are tuples of
+coefficients, syzygies, kernels of matrices over quotient rings, and
+certified linear solving.  The colon ideal (I : g) of a quotient ring
+k[x]/I and the regularity of an element f are read off the kernels of
+the 1x1 matrices [g] and [f].  Vectors are tuples of
 :class:`Poly` over a shared ambient ring, ordered position-over-term
 with position 0 dominant, so elimination of the leading block computes
 syzygies and the tag block of any member records its expression in the
@@ -443,39 +445,28 @@ def syzygy_gens(vecs, amb: Ambient):
 # -- ring-level operations -------------------------------------------
 
 
-def colon_ideal(ideal_gens, g: Poly, ring: QuotientRing):
-    """Generators of (I : g) = {r : r*g in I} inside the quotient ring.
-
-    Computed from syzygies of [g, I-gens, defining-ideal gens]: the
-    first tag coordinate of each relation multiplies g into the ideal.
-    Returns the reduced ambient basis of the colon (which contains the
-    defining ideal).  Each generator r is checked to put r*g in the
-    lifted ideal by a membership lift, which raises if it fails.
+def colon_ideal(g: Poly, ring: QuotientRing):
+    """The reduced ambient basis of (I : g) = {r : r*g in I}, for the
+    defining ideal I of the ring: the kernel of the 1x1 matrix [g]
+    together with I.  Each generator r is checked to put r*g in I (its
+    normal form is zero), which raises if it fails.  A colon by another
+    ideal J is the colon in ``ring.extend_ideal(J)``.
     """
-    amb = ring.amb
     if g.is_zero:
         raise ValueError("colon by zero")
-    lifted = [p for p in list(ideal_gens) + list(ring.ideal.basis) if not p.is_zero]
-    vecs = [(g,)] + [(h,) for h in lifted]
-    syz = syzygy_gens(vecs, amb)
-    firsts = [s[0] for s in syz if not s[0].is_zero]
-    basis = groebner(firsts + lifted)
-    if lifted:
-        gen_vecs = [(h,) for h in lifted]
-        for r in basis:
-            if membership_lift(gen_vecs, (r * g,), amb)[1] is not None:
-                raise AssertionError("colon generator failed its own membership")
+    basis = groebner([v[0] for v in matrix_kernel([[g]], 1, ring)] + list(ring.basis))
+    if any(not ring.nf(r * g).is_zero for r in basis):
+        raise AssertionError("colon generator failed its own membership")
     return basis
 
 
 def is_regular(f: Poly, ring: QuotientRing) -> bool:
     """True when multiplication by f is injective on the quotient ring,
-    i.e. the annihilator colon (0 : f) is zero."""
+    i.e. the kernel of the 1x1 matrix [f] is zero."""
     f = ring.nf(f)
     if f.is_zero:
         raise ValueError("regularity of 0 is degenerate")
-    basis = colon_ideal([], f, ring)
-    return all(ring.nf(b).is_zero for b in basis)
+    return not matrix_kernel([[f]], 1, ring)
 
 
 def _columns_and_injections(rows, n: int, ring: QuotientRing):
@@ -489,7 +480,7 @@ def _columns_and_injections(rows, n: int, ring: QuotientRing):
         raise ValueError("ragged matrix")
     zero = ring.amb.zero()
     gens = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
-    for h in ring.ideal.basis:
+    for h in ring.basis:
         for i in range(m):
             gens.append(tuple(h if k == i else zero for k in range(m)))
     return gens

@@ -1,13 +1,15 @@
-"""Polynomial rings over exact fields, ideals, and quotient rings.
+"""Polynomial rings over exact fields, and their quotient rings.
 
-The commutative backend of the whole package.  Elements of a
-:class:`QuotientRing` are :class:`Poly` values kept in normal form
-(the unique remainder modulo the reduced Gröbner basis of the defining
-ideal), so equality of ring elements is term-tuple equality.  Gröbner
-bases of ideals come from the module engine in :mod:`dfactor.modgb`,
-run on rank-1 vectors.  Normal forms are the rank-1 case of the
-kernel's one heap division (``_kernel.pure.divmod_basis``), by a
-divisor table that each ring builds once.
+The commutative backend of the whole package.  A :class:`QuotientRing`
+k[x]/I is built from generators of I and keeps ``basis``, the reduced
+Gröbner basis of I; an ideal is not a type of its own.  Its elements
+are :class:`Poly` values kept in normal form (the unique remainder
+modulo ``basis``), so equality of ring elements is term-tuple
+equality.  Gröbner bases of ideals come from the module engine in
+:mod:`dfactor.modgb`, run on rank-1 vectors.  Normal forms are the
+rank-1 case of the kernel's one heap division
+(``_kernel.pure.divmod_basis``), by a divisor table that each ring
+builds once.
 """
 
 from __future__ import annotations
@@ -228,45 +230,29 @@ def groebner(gens):
     return tuple(v[0] for v in module_groebner([(g,) for g in gens], gens[0].amb))
 
 
-class Ideal:
-    """Ideal with its reduced Gröbner basis, computed eagerly."""
-
-    def __init__(self, amb: Ambient, gens):
-        self.amb = amb
-        self.basis = groebner(gens)
-
-    def __eq__(self, other):
-        return isinstance(other, Ideal) and other.amb is self.amb and other.basis == self.basis
-
-    def __hash__(self):
-        return hash((id(self.amb), tuple(b.terms for b in self.basis)))
-
-    def __repr__(self):
-        return "Ideal(" + ", ".join(map(repr, self.basis)) + ")"
-
-
 class QuotientRing:
-    """k[x_1..x_n]/I with unique normal forms.
+    """k[x_1..x_n]/I with unique normal forms; ``basis`` is the reduced
+    Gröbner basis of I, computed from the generators ``gens``.
 
     Doubles as the commutative backend for contexts: elements are
     polynomials in normal form, and the ``add``/``sub``/``mul``/…
     methods below keep them that way.
     """
 
-    def __init__(self, amb: Ambient, ideal: Ideal | None = None):
+    def __init__(self, amb: Ambient, gens=()):
         self.amb = amb
         self.field = amb.field
-        self.ideal = ideal if ideal is not None else Ideal(amb, ())
-        if self.ideal.amb is not amb:
+        gens = list(gens)
+        if any(g.amb is not amb for g in gens):
             raise ValueError("ideal lives in a different ambient ring")
+        self.basis = groebner(gens)
         # divides every normal form; falsy exactly when the ideal is empty
-        self._gb_terms = Divisors(self.field, [(b.terms,) for b in self.ideal.basis])
+        self._gb_terms = Divisors(self.field, [(b.terms,) for b in self.basis])
 
     @classmethod
     def make(cls, field, variables, ideal_gens=(), order=GREVLEX) -> "QuotientRing":
         amb = Ambient(field, variables, order)
-        gens = [amb.poly(g) if isinstance(g, str) else g for g in ideal_gens]
-        return cls(amb, Ideal(amb, gens))
+        return cls(amb, [amb.poly(g) if isinstance(g, str) else g for g in ideal_gens])
 
     # -- normal forms -------------------------------------------------
 
@@ -367,7 +353,7 @@ class QuotientRing:
         With ``max_degree=None``, returns the full (finite) list or
         None when the quotient is infinite-dimensional over the field.
         """
-        leads = [b.lead_mon for b in self.ideal.basis]
+        leads = [b.lead_mon for b in self.basis]
         n = self.amb.nvars
         if max_degree is None:
             caps = []
@@ -404,16 +390,14 @@ class QuotientRing:
 
     def extend_ideal(self, extra_gens) -> "QuotientRing":
         """The quotient by the ideal enlarged with ``extra_gens``."""
-        return QuotientRing(
-            self.amb, Ideal(self.amb, list(self.ideal.basis) + list(extra_gens))
-        )
+        return QuotientRing(self.amb, list(self.basis) + list(extra_gens))
 
     def to_json(self) -> dict:
         return {
             "field": field_to_json(self.amb.field),
             "vars": list(self.amb.vars),
             "order": self.amb.order.name,
-            "ideal": [format_poly(g) for g in self.ideal.basis],
+            "ideal": [format_poly(g) for g in self.basis],
         }
 
     @classmethod
@@ -435,12 +419,12 @@ class QuotientRing:
         return (
             isinstance(other, QuotientRing)
             and other.amb is self.amb
-            and other.ideal == self.ideal
+            and other.basis == self.basis
         )
 
     def __hash__(self):
-        return hash((id(self.amb), self.ideal))
+        return hash((id(self.amb), self.basis))
 
     def __repr__(self):
-        gens = ", ".join(map(repr, self.ideal.basis))
+        gens = ", ".join(map(repr, self.basis))
         return f"{self.amb.field}[{','.join(self.amb.vars)}]/({gens})"

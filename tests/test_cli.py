@@ -17,7 +17,7 @@ from dfactor.axioms import run_axiom_suite
 from dfactor.cli import build_parser, main
 from dfactor.context import FreeObj
 from dfactor.fields import GF
-from dfactor.functors import NoLift, window_exact
+from dfactor.functors import FaithfulVerdict, NoLift, window_exact
 from dfactor.reuse import expired, one_call
 from dfactor.rings import Ambient, QuotientRing, groebner
 from dfactor.schemas import context_from_json, window_from_json
@@ -79,12 +79,24 @@ def test_string_matrix_row_is_parse_error(tmp_path, capsys):
     _assert_parse_error(*run_cli(["verify", bad], capsys))
 
 
-def test_deeply_nested_polynomial_is_parse_error(tmp_path, capsys):
+@pytest.mark.parametrize("entry, message", [
+    ("(" * 400 + "x" + ")" * 400, "parentheses nested deeper than 100"),
+    ("x $ y", "bad character at ' $ y'"),
+    ("x y", "trailing input near token ('name', 'y')"),
+    ("x^y", "exponent must be an integer"),
+    ("1/0", "bad fraction"),
+    ("(x", "unbalanced parenthesis"),
+    ("", "empty expression"),
+    ("x +", "unexpected end of input"),
+], ids=["nested", "character", "trailing", "exponent", "fraction", "unbalanced", "empty", "end"])
+def test_deeply_nested_polynomial_is_parse_error(tmp_path, capsys, entry, message):
     desc = json.loads((FIXTURES / "classical_xy.json").read_text())
-    desc["maps"][0] = [["(" * 400 + "x" + ")" * 400]]
+    desc["maps"][0] = [[entry]]
     bad = tmp_path / "nested.json"
     bad.write_text(json.dumps(desc))
-    _assert_parse_error(*run_cli(["verify", bad], capsys))
+    code, report = run_cli(["verify", bad], capsys)
+    _assert_parse_error(code, report)
+    assert report["error"] == message
 
 
 def test_sum_suspend_roundtrip(tmp_path, capsys):
@@ -335,6 +347,28 @@ def test_faithful_and_lift(tmp_path, capsys):
     code, rep = run_cli(["lift", _lift_file(tmp_path), "--f", "x*y"], capsys)
     assert code == 0
     assert rep["verdict"] == "lifted"
+
+
+def test_faithful_report_shapes(tmp_path, capsys, monkeypatch):
+    ident = _morphism_file(tmp_path, "id.json", [[["1"]], [["1"]]])
+    code, rep = run_cli(["faithful", ident, "--f", "x"], capsys)
+    assert (code, rep["verdict"]) == (0, "consistent")
+    assert rep["result"] == {
+        "downstairs_null": False, "downstairs_witness": None, "upstairs_witness": None,
+    }
+    # faithfulness at d = 2 is a theorem, so only a patched check contradicts it
+    yy = _morphism_file(tmp_path, "yy.json", [[["y"]], [["y"]]])
+    code, null = run_cli(["faithful", yy, "--f", "x*y"], capsys)
+    real = cli.faithful_check
+    monkeypatch.setattr(cli, "faithful_check", lambda theta, f: FaithfulVerdict(
+        True, real(theta, f).downstairs_witness, None, True))
+    code, rep = run_cli(["faithful", yy, "--f", "x*y"], capsys)
+    assert (code, rep["verdict"]) == (2, "contradiction")
+    assert rep["result"] == {
+        "downstairs_null": True,
+        "downstairs_witness": null["result"]["downstairs_witness"],
+        "upstairs_witness": None,
+    }
 
 
 def _lift_file(tmp_path):

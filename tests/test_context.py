@@ -10,7 +10,7 @@ from dfactor.context import (
     Context,
     FreeObj,
     MatrixMap,
-    block2x2,
+    block,
     compose,
     eta_map,
     naturality_check,
@@ -220,13 +220,24 @@ def test_context_rejects_noncentral_eta_without_twist():
         Context(A, eta=A.parse("x"))  # x is not central in the quantum plane
 
 
-def test_block2x2_shapes(ring_ctx):
+def test_block_shapes(ring_ctx):
     R = ring_ctx.backend
     a = _mk(ring_ctx, [["x"]])
     b = MatrixMap.zero(ring_ctx, FreeObj.of(1), FreeObj.of(1))
-    m = block2x2(a, b, b, a)
+    c = _mk(ring_ctx, [["y", "1"]])  # rank 2 -> rank 1
+    m = block([[a, b], [b, a]])
     assert m.source.rank == 2 and m.target.rank == 2
-    assert m.rows[0][0] == R.parse("x") and m.rows[1][1] == R.parse("x")
+    assert m.rows == ((R.parse("x"), R.zero()), (R.zero(), R.parse("x")))
+    row = block([[a, c]])
+    assert (row.source.rank, row.target.rank) == (3, 1)
+    assert row.rows == ((R.parse("x"), R.parse("y"), R.one()),)
+    col = block([[a], [eta_map(a.source, ring_ctx)]])
+    assert col.source == a.source and col.target == FreeObj((0, 1))
+    assert col.rows == ((R.parse("x"),), (R.parse("x*y"),))
+    with pytest.raises(ShapeMismatch, match="column sources differ"):
+        block([[a], [c]])
+    with pytest.raises(ShapeMismatch, match="row targets differ"):
+        block([[a, a.twisted(1)]])
 
 
 def _backend(name):

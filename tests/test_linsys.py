@@ -114,3 +114,6 @@ def test_rref_kernel_and_solve_match_method_calls(field):
         x, cert = linalg.solve(mat, consistent, field)
         assert cert is None and _times(field, mat, x) == consistent
     assert singular >= 20 and unsolvable >= 5
+    # a matrix with no columns has no pivots and no free columns
+    for empty in ([], [[]], [[], []]):
+        assert linalg.kernel_basis(empty, field) == []
